@@ -91,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--clustering", choices=("ward", "kmeans"), default="ward")
     solve.add_argument("--backend",
                        choices=("auto", "reference", "fast", "array"),
-                       default="auto", help="annealing kernel backend")
+                       default="auto",
+                       help="annealing kernel backend (array is an alias "
+                            "of fast)")
     solve.add_argument("--no-fixing", action="store_true",
                        help="disable inter-cluster endpoint fixing")
     solve.add_argument("--workers", type=int, default=1,
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="loadgen-cell instance sizes (empty list skips)")
     bench.add_argument("--replica-batch-sizes", nargs="*", type=int,
                        default=None,
-                       help="replica lock-step cell instance sizes "
+                       help="replica-fold cell instance sizes "
                             "(empty list skips)")
     bench.add_argument("--scale-sizes", nargs="*", type=int, default=None,
                        help="sparse-path scale-ladder sizes (single run "
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(0.5, 2.0),
                        help="deadline budgets (seconds) per portfolio cell")
     bench.add_argument("--replica-batch-replicas", type=int, default=8,
-                       help="replicas per lock-step cell")
+                       help="replicas per replica-fold cell")
     bench.add_argument("--replica-batch-sweeps", type=int, default=60)
     bench.add_argument("--loadtest-requests", type=int, default=32,
                        help="requests per loadgen cell")
@@ -360,13 +362,8 @@ def _engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend",
                         choices=("auto", "reference", "fast", "array"),
                         default=None,
-                        help="annealing kernel backend (default: auto -> fast)")
-    parser.add_argument("--replica-batch", choices=("auto", "on", "off"),
-                        default="auto",
-                        help="replica lock-step batching: fold same-shape "
-                             "replicas into one kernel batch (auto engages "
-                             "on --backend array; tours are bit-identical "
-                             "either way)")
+                        help="annealing kernel backend (default: auto -> "
+                             "fast; array is an alias of fast)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="extra solver parameter (repeatable)")
     parser.add_argument("--quiet", action="store_true",
@@ -556,7 +553,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         params=_solver_params(args),
         engine=EngineConfig(
             replicas=args.replicas, workers=args.workers, seed=args.seed,
-            replica_batch=args.replica_batch,
         ),
     )
     progress = None if args.quiet else _print_progress
@@ -594,7 +590,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             params=params,
             engine=EngineConfig(
                 replicas=args.replicas, workers=args.workers, seed=args.seed,
-                replica_batch=args.replica_batch,
             ),
         )
         progress = None if args.quiet else _print_progress
@@ -643,7 +638,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         seed=args.seed,
         solver=args.solver,
         params=_solver_params(args),
-        replica_batch=args.replica_batch,
     )
     progress = None if args.quiet else _print_progress
     results = run_batch(job, progress=progress)
@@ -771,8 +765,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             [
                 str(cell["n"]),
                 str(cell["replicas"]),
-                format_seconds(cell["sequential_seconds"]),
-                format_seconds(cell["lockstep_seconds"]),
+                format_seconds(cell["tasks_seconds"]),
+                format_seconds(cell["folded_seconds"]),
                 f"{cell['speedup']:.2f}x",
                 "yes" if cell["bit_identical"] else "NO",
             ]
@@ -780,9 +774,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         print()
         print(ascii_table(
-            ["n", "replicas", "sequential", "lockstep", "speedup",
+            ["n", "replicas", "per-replica", "folded", "speedup",
              "bit-identical"],
-            rows, title="replica lock-step vs sequential dispatch",
+            rows, title="folded replicas vs per-replica tasks",
         ))
     scale_cells = [e for e in payload["entries"] if e["kind"] == "scale"]
     if scale_cells:

@@ -41,7 +41,8 @@ class TAXIConfig:
         Master seed for every stochastic component.
     backend:
         Kernel backend for the macro annealing sweeps (``auto`` |
-        ``fast`` | ``reference``; see :mod:`repro.kernels`).
+        ``fast`` | ``reference``, or the ``array`` alias of ``fast``;
+        see :mod:`repro.kernels`).
     workers:
         Wavefront process-pool width for the hierarchical pipeline's
         per-level sub-problem batches.  ``1`` (default) solves chunks
@@ -116,30 +117,17 @@ class EngineConfig:
     seed:
         Master seed; per-replica seeds are derived deterministically
         via :func:`repro.utils.rng.replica_seeds`.
-    replica_batch:
-        Replica lock-step batching mode (see
-        :mod:`repro.engine.replica_batch`).  ``"auto"`` engages only
-        when the job runs a lock-step capable solver on the ``array``
-        backend; ``"on"`` forces it (raising on incompatible jobs);
-        ``"off"`` always uses per-replica dispatch.  Tours are
-        bit-identical either way.
     """
 
     replicas: int = 4
     workers: int | None = None
     seed: int | None = 0
-    replica_batch: str = "auto"
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.replica_batch not in ("auto", "on", "off"):
-            raise ConfigError(
-                f"replica_batch must be 'auto', 'on', or 'off', "
-                f"got {self.replica_batch!r}"
-            )
 
     def resolved_workers(self, task_count: int | None = None) -> int:
         """The actual pool width for ``task_count`` pending tasks."""

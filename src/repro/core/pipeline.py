@@ -19,9 +19,12 @@ shape so the macro batch can vectorize, then cut into fixed-size runs;
 see :func:`repro.engine.wavefront.chunk_indices`) and dispatched
 through a :class:`~repro.engine.wavefront.WavefrontPool`.  Every chunk
 derives its own RNG from ``(master seed, level, chunk ordinal)``, so a
-chunk's result is a pure function of the chunk description:
-``workers=1`` reproduces any parallel run bit-for-bit — the same
-contract the replica engine established in PR 1.
+chunk's result is a pure function of the chunk description.  In
+process (``workers=1``) every same-shape chunk of a level, from every
+replica being solved, anneals as one merged kernel batch; a pool gets
+one task per chunk.  Either way each chunk draws only from its own
+stream — compute is merged, RNG streams are not — so ``workers=1``
+reproduces any parallel run bit-for-bit.
 
 Distances: child orderings at levels >= 2 use centroid distances;
 level-1 clusters order actual cities with the instance metric, sliced
@@ -31,7 +34,9 @@ shared with the endpoint-fixing step.
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +55,7 @@ from repro.macro.batch import (
     BatchedMacroSolver,
     SubProblem,
     SubSolution,
-    solve_chunks_lockstep,
+    solve_chunks,
 )
 from repro.macro.config import MacroConfig
 from repro.macro.schedule import AnnealSchedule
@@ -59,6 +64,9 @@ from repro.macro.schedule import AnnealSchedule
 #: identity (chunk boundaries feed the per-chunk seeds), NOT a tuning
 #: knob to vary per run: changing it changes the RNG streams.
 DEFAULT_CHUNK_SIZE = 8
+
+#: One solve's result: (city order, phase times, per-level stats).
+SolveResult = tuple[np.ndarray, PhaseTimes, list[LevelStats]]
 
 
 @dataclass(frozen=True)
@@ -79,102 +87,70 @@ class WaveChunk:
     problems: tuple[SubProblem, ...]
 
 
-def solve_wave_chunk(chunk: WaveChunk) -> tuple[list[SubSolution], int, int]:
-    """Solve one chunk (module-level so process pools can pickle it).
+def solve_wave_chunks(
+    chunks: tuple[WaveChunk, ...],
+) -> list[tuple[list[SubSolution], int, int]]:
+    """Solve same-shape chunks as one merged batch (the wavefront task).
 
-    Returns ``(solutions, sweeps, iterations)`` where the counters are
-    the chunk solver's totals (for the template solver's bookkeeping).
+    Module-level so process pools can pickle it.  Each chunk gets its
+    own seeded solver; returns ``(solutions, sweeps, iterations)`` per
+    chunk, where the counters are the chunk solver's totals (for the
+    replica solver's bookkeeping).
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([chunk.master_seed, chunk.level, chunk.ordinal])
-    )
-    solver = BatchedMacroSolver(chunk.config, seed=rng, backend=chunk.backend)
-    solutions = solver.solve_all(list(chunk.problems), chunk.schedule)
-    return solutions, solver.total_sweeps, solver.total_iterations
-
-
-class WaveScheduler:
-    """Dispatches one hierarchy's wavefronts through a pool.
-
-    Wraps the caller's template :class:`BatchedMacroSolver`: its config
-    and backend are shipped to every chunk, one master seed is drawn
-    from its RNG up front, and its sweep/iteration counters accumulate
-    the chunk totals so existing reporting keeps working.
-
-    Duck-typed solvers that only provide ``solve_all`` (e.g. the
-    Neuro-Ising selective-budget adapter, whose cluster ranking is a
-    barrier across the whole wavefront) fall back to one in-process
-    ``solve_all`` call per wave — the legacy serial semantics.
-    """
-
-    def __init__(
-        self,
-        solver: BatchedMacroSolver,
-        schedule: AnnealSchedule,
-        pool: WavefrontPool,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
-        self.solver = solver
-        self.schedule = schedule
-        self.pool = pool
-        self.chunk_size = chunk_size
-        self._dispatchable = isinstance(solver, BatchedMacroSolver)
-        # One draw, before any dispatch: every chunk seed derives from
-        # this, so the whole solve is a function of the template RNG.
-        self.master_seed = (
-            int(solver._rng.integers(0, 2**63 - 1)) if self._dispatchable else 0
+    solvers = [
+        BatchedMacroSolver(
+            chunk.config,
+            seed=np.random.default_rng(
+                np.random.SeedSequence(
+                    [chunk.master_seed, chunk.level, chunk.ordinal]
+                )
+            ),
+            backend=chunk.backend,
         )
-
-    def solve_wave(
-        self, problems: list[SubProblem], level: int
-    ) -> list[SubSolution]:
-        """Solve one level's wavefront; results align with the input."""
-        if not problems:
-            return []
-        if not self._dispatchable:
-            return self.solver.solve_all(problems, self.schedule)
-        chunks = chunk_indices([p.shape_key for p in problems], self.chunk_size)
-        tasks = [
-            WaveChunk(
-                level=level,
-                ordinal=ordinal,
-                master_seed=self.master_seed,
-                config=self.solver.config,
-                backend=self.solver.backend,
-                schedule=self.schedule,
-                problems=tuple(problems[i] for i in indices),
-            )
-            for ordinal, indices in enumerate(chunks)
-        ]
-        solutions: list[SubSolution | None] = [None] * len(problems)
-        for indices, (chunk_solutions, sweeps, iterations) in zip(
-            chunks, self.pool.map(solve_wave_chunk, tasks)
-        ):
-            self.solver.total_sweeps += sweeps
-            self.solver.total_iterations += iterations
-            for local, solution in zip(indices, chunk_solutions):
-                solutions[local] = solution
-        return solutions  # type: ignore[return-value]
+        for chunk in chunks
+    ]
+    solved = solve_chunks(
+        solvers, [list(chunk.problems) for chunk in chunks], chunks[0].schedule
+    )
+    return [
+        (solutions, solver.total_sweeps, solver.total_iterations)
+        for solutions, solver in zip(solved, solvers)
+    ]
 
 
 def solve_hierarchical(
     hierarchy: Hierarchy,
-    solver: BatchedMacroSolver,
+    solvers: BatchedMacroSolver | Sequence[BatchedMacroSolver],
     schedule: AnnealSchedule,
     endpoint_fixing: bool = True,
     workers: int = 1,
     executor=None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cache: SubmatrixCache | None = None,
-) -> tuple[np.ndarray, PhaseTimes, list[LevelStats]]:
-    """Solve the hierarchy top-down; returns (city order, times, stats).
+) -> SolveResult | list[SolveResult]:
+    """Solve the hierarchy top-down for one solver or R replica solvers.
+
+    Returns ``(city order, times, stats)`` for a single solver and a
+    list of them, one per replica, for a sequence of solvers.  Each
+    replica solver draws one master seed up front; every chunk of
+    replica ``r`` then derives its seed from ``(master seed, level,
+    ordinal)``, and the solver's counters accumulate its chunk totals.
+    Every replica's tour is therefore bit-identical to a solve of that
+    replica alone, at any worker count.  Wall time of shared work is
+    attributed evenly (1/R) to each replica's phase times.
+
+    Duck-typed solvers that only provide ``solve_all`` (e.g. the
+    Neuro-Ising selective-budget adapter, whose cluster ranking is a
+    barrier across the whole wavefront) get one in-process
+    ``solve_all`` call per wave instead of chunked dispatch.
 
     Parameters
     ----------
     workers:
-        Wavefront process-pool width.  ``1`` (default) solves every
-        chunk inline; any width produces bit-identical tours because
-        chunks are self-seeded and deterministically cut.
+        Wavefront process-pool width.  ``1`` (default) solves in
+        process, merging every same-shape chunk of a level — from every
+        replica — into one task and one kernel batch.  Wider pools (or
+        an injected ``executor``) get one task per chunk.
     executor:
         Explicit :class:`~concurrent.futures.Executor` overriding the
         internal pool (tests inject thread/inline executors).
@@ -182,267 +158,193 @@ def solve_hierarchical(
         Sub-problems per dispatch chunk; part of the deterministic
         solve identity (see :data:`DEFAULT_CHUNK_SIZE`).
     cache:
-        Distance-submatrix cache.  Defaults to a fresh per-solve cache;
-        callers solving one hierarchy repeatedly (replica batches over
-        a deterministic ward clustering) pass a shared instance so
-        endpoint fixing and child ordering reuse slices across solves
-        instead of re-slicing the metric per solve.
+        Distance-submatrix cache.  Defaults to a fresh budgeted
+        per-solve cache shared by the replicas; callers solving one
+        hierarchy repeatedly may pass their own to reuse its slices.
     """
+    single = not isinstance(solvers, Sequence)
+    solvers = [solvers] if single else list(solvers)
     instance = hierarchy.instance
-    times = PhaseTimes()
-    level_stats: list[LevelStats] = []
+    all_times = [PhaseTimes() for _ in solvers]
+    all_stats: list[list[LevelStats]] = [[] for _ in solvers]
     if cache is None:
-        # Per-solve cache: every pair block is requested once, so only
-        # the (reusable) square submatrices are worth retaining — and
-        # only up to a byte budget, so an n=10^5 solve holds a bounded
-        # working set of blocks instead of one per cluster.  Small
-        # solves never reach the budget, making this identical to the
-        # historical unbounded cache there.
+        # Per-solve cache: every pair block is requested once per
+        # replica, so only the (reusable) square submatrices are worth
+        # retaining — and only up to a byte budget, so an n=10^5 solve
+        # holds a bounded working set of blocks instead of one per
+        # cluster.  Small solves never reach the budget.
         cache = SubmatrixCache(
             instance,
             retain_cross_blocks=False,
             budget_bytes=DEFAULT_CACHE_BUDGET,
         )
+    # One draw per replica, before any dispatch: every chunk seed
+    # derives from it, so each solve is a function of its solver's RNG.
+    master_seeds = [
+        int(solver._rng.integers(0, 2**63 - 1))
+        if isinstance(solver, BatchedMacroSolver) else 0
+        for solver in solvers
+    ]
+    merge = workers <= 1 and executor is None
 
     with WavefrontPool(workers=workers, executor=executor) as pool:
-        scheduler = WaveScheduler(solver, schedule, pool, chunk_size)
-        sequence = _solve_top_level(hierarchy, scheduler, times, level_stats)
-        for level_idx in range(hierarchy.depth - 1, 0, -1):
-            level = hierarchy.levels[level_idx]
-            fixings = _fix_endpoints_for(
-                hierarchy, level, sequence, endpoint_fixing, times, cache
-            )
-            sequence = _order_children(
-                hierarchy, level, sequence, fixings, scheduler,
-                times, level_stats, cache,
-            )
-    order = np.asarray(sequence, dtype=int)
-    if np.unique(order).size != instance.n:
-        raise SolverError(
-            "pipeline produced an invalid tour "
-            f"({np.unique(order).size} unique of {instance.n})"
+        solve_wave = functools.partial(
+            _solve_wave, pool, solvers, master_seeds, schedule, chunk_size, merge
         )
-    return order, times, level_stats
-
-
-def solve_hierarchical_replicas(
-    hierarchy: Hierarchy,
-    solvers: list[BatchedMacroSolver],
-    schedule: AnnealSchedule,
-    endpoint_fixing: bool = True,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    cache: SubmatrixCache | None = None,
-) -> list[tuple[np.ndarray, PhaseTimes, list[LevelStats]]]:
-    """Solve one hierarchy for R replica solvers in lock-step.
-
-    ``solvers[r]`` plays the role the template solver plays in
-    :func:`solve_hierarchical` for replica ``r``: one master seed is
-    drawn from its RNG up front (the same draw ``WaveScheduler``
-    makes), every chunk of replica ``r`` derives its seed from
-    ``(master_seed[r], level, ordinal)``, and the solver's counters
-    accumulate its chunk totals.  Instead of solving R x chunks
-    serially, all replicas' same-shape chunks at a level are merged
-    into single lock-step kernel batches
-    (:func:`repro.macro.batch.solve_chunks_lockstep`), so each sweep
-    advances R replicas x C clusters as one array — the chip-level
-    parallelism of the paper, realized on one core.
-
-    Every replica's tour is **bit-identical** to a solo
-    ``solve_hierarchical(hierarchy, solvers[r], ...)`` run at
-    ``workers=1``: chunk seeds, RNG draw order, and per-row arithmetic
-    are all preserved (see :mod:`repro.kernels.array_backend`).
-
-    Wall time of the merged solves is attributed evenly (1/R) to each
-    replica's phase times.
-    """
-    instance = hierarchy.instance
-    n_replicas = len(solvers)
-    all_times = [PhaseTimes() for _ in range(n_replicas)]
-    all_stats: list[list[LevelStats]] = [[] for _ in range(n_replicas)]
-    if cache is None:
-        # Shared across replicas: every block is requested once per
-        # replica, so retaining cross blocks pays off here (unlike the
-        # single-solve default).
-        cache = SubmatrixCache(instance)
-    # One draw per replica, before any dispatch (= WaveScheduler.__init__).
-    master_seeds = [
-        int(solver._rng.integers(0, 2**63 - 1)) for solver in solvers
-    ]
-    template = solvers[0]
-
-    def chunk_solver_for(replica: int, level: int, ordinal: int) -> BatchedMacroSolver:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([master_seeds[replica], level, ordinal])
-        )
-        return BatchedMacroSolver(
-            template.config, seed=rng, backend=template.backend
-        )
-
-    # ---- top level -----------------------------------------------------
-    top = hierarchy.top
-    k = top.n_nodes
-    if k == 1:
-        sequences: list[list[int]] = [[0] for _ in range(n_replicas)]
-    elif k <= 3:
-        sequences = [list(range(k)) for _ in range(n_replicas)]
-    else:
-        start = time.perf_counter()
-        problem = SubProblem(
-            centroid_distance_matrix(top.centroids),
-            closed=True,
-            fixed_first=False,
-            fixed_last=False,
-            tag="top",
-        )
-        chunk_solvers = [
-            chunk_solver_for(r, hierarchy.depth - 1, 0)
-            for r in range(n_replicas)
-        ]
-        solved = solve_chunks_lockstep(
-            chunk_solvers, [[problem]] * n_replicas, schedule
-        )
-        share = (time.perf_counter() - start) / n_replicas
-        sequences = []
-        for r in range(n_replicas):
-            solvers[r].total_sweeps += chunk_solvers[r].total_sweeps
-            solvers[r].total_iterations += chunk_solvers[r].total_iterations
-            solution = solved[r][0]
-            all_times[r].ising += share
-            all_stats[r].append(
-                LevelStats(
-                    level=hierarchy.depth - 1,
-                    n_subproblems=1,
-                    subproblem_sizes=[k],
-                    sweeps=solution.sweeps,
-                    total_iterations=solution.iterations,
-                )
+        top = hierarchy.top
+        k = top.n_nodes
+        if k <= 3:
+            # Any cyclic order of <= 3 nodes has the same length.
+            sequences = [list(range(k)) for _ in solvers]
+        else:
+            problem = SubProblem(
+                centroid_distance_matrix(top.centroids),
+                closed=True,
+                fixed_first=False,
+                fixed_last=False,
+                tag="top",
             )
-            sequences.append([int(c) for c in solution.order])
-
-    # ---- down levels ---------------------------------------------------
-    for level_idx in range(hierarchy.depth - 1, 0, -1):
-        level = hierarchy.levels[level_idx]
-        per_problems: list[list[SubProblem]] = []
-        per_placements = []
-        for r in range(n_replicas):
-            fixings = _fix_endpoints_for(
-                hierarchy, level, sequences[r], endpoint_fixing,
-                all_times[r], cache,
-            )
-            build_start = time.perf_counter()
-            problems, placements = _build_child_problems(
-                hierarchy, level, sequences[r], fixings, cache
-            )
-            all_times[r].merge += time.perf_counter() - build_start
-            per_problems.append(problems)
-            per_placements.append(placements)
-
-        # Merge every replica's same-shape chunks into lock-step batches.
-        solve_start = time.perf_counter()
-        by_shape: dict[object, list[tuple[int, list[int]]]] = {}
-        for r in range(n_replicas):
-            chunks = chunk_indices(
-                [p.shape_key for p in per_problems[r]], chunk_size
-            )
-            for ordinal, indices in enumerate(chunks):
-                key = per_problems[r][indices[0]].shape_key
-                by_shape.setdefault(key, []).append((r, ordinal, indices))
-        per_solutions: list[list[SubSolution | None]] = [
-            [None] * len(per_problems[r]) for r in range(n_replicas)
-        ]
-        for entries in by_shape.values():
-            chunk_solvers = [
-                chunk_solver_for(r, level.level, ordinal)
-                for r, ordinal, _ in entries
-            ]
-            chunk_problem_lists = [
-                [per_problems[r][i] for i in indices]
-                for r, _, indices in entries
-            ]
-            solved = solve_chunks_lockstep(
-                chunk_solvers, chunk_problem_lists, schedule
-            )
-            for (r, _, indices), solver, solutions in zip(
-                entries, chunk_solvers, solved
-            ):
-                solvers[r].total_sweeps += solver.total_sweeps
-                solvers[r].total_iterations += solver.total_iterations
-                for local, solution in zip(indices, solutions):
-                    per_solutions[r][local] = solution
-        share = (time.perf_counter() - solve_start) / n_replicas
-
-        for r in range(n_replicas):
-            all_times[r].ising += share
-            problems = per_problems[r]
-            solutions = per_solutions[r]
-            solved_orders = {
-                problem.tag: solution.order
-                for problem, solution in zip(problems, solutions)
-            }
-            merge_start = time.perf_counter()
-            sequences[r] = _merge_child_orders(
-                level, sequences[r], per_placements[r], solved_orders
-            )
-            all_times[r].merge += time.perf_counter() - merge_start
-            if problems:
+            solved, share = solve_wave([[problem]] * len(solvers), hierarchy.depth - 1)
+            sequences = []
+            for r, (solution,) in enumerate(solved):
+                all_times[r].ising += share
                 all_stats[r].append(
-                    LevelStats(
-                        level=level.level,
-                        n_subproblems=len(problems),
-                        subproblem_sizes=[p.n for p in problems],
-                        sweeps=max((s.sweeps for s in solutions), default=0),
-                        total_iterations=sum(s.iterations for s in solutions),
-                    )
+                    _level_stats(hierarchy.depth - 1, [problem], [solution])
                 )
+                sequences.append([int(c) for c in solution.order])
+
+        for level_idx in range(hierarchy.depth - 1, 0, -1):
+            _solve_level(
+                hierarchy, hierarchy.levels[level_idx], sequences,
+                endpoint_fixing, cache, solve_wave, all_times, all_stats,
+            )
 
     results = []
-    for r in range(n_replicas):
-        order = np.asarray(sequences[r], dtype=int)
+    for sequence, times, stats in zip(sequences, all_times, all_stats):
+        order = np.asarray(sequence, dtype=int)
         if np.unique(order).size != instance.n:
             raise SolverError(
                 "pipeline produced an invalid tour "
                 f"({np.unique(order).size} unique of {instance.n})"
             )
-        results.append((order, all_times[r], all_stats[r]))
-    return results
+        results.append((order, times, stats))
+    return results[0] if single else results
 
 
 # ----------------------------------------------------------------------
 # stages
 # ----------------------------------------------------------------------
-def _solve_top_level(
-    hierarchy: Hierarchy,
-    scheduler: WaveScheduler,
-    times: PhaseTimes,
-    level_stats: list[LevelStats],
-) -> list[int]:
-    top = hierarchy.top
-    k = top.n_nodes
-    if k == 1:
-        return [0]
-    if k <= 3:
-        # Any cyclic order of <= 3 nodes has the same length.
-        return list(range(k))
+def _solve_wave(
+    pool: WavefrontPool,
+    solvers: list[BatchedMacroSolver],
+    master_seeds: list[int],
+    schedule: AnnealSchedule,
+    chunk_size: int,
+    merge: bool,
+    waves: list[list[SubProblem]],
+    level: int,
+) -> tuple[list[list[SubSolution]], float]:
+    """Solve one level's wavefront of every replica.
+
+    Returns the solutions (aligned with ``waves``) and each replica's
+    share of the wall time.  Each replica's problems are cut into chunks
+    (ordinals per replica).  With ``merge`` every same-shape chunk of
+    every replica joins one task; otherwise each chunk is its own task.
+    """
     start = time.perf_counter()
-    problem = SubProblem(
-        centroid_distance_matrix(top.centroids),
-        closed=True,
-        fixed_first=False,
-        fixed_last=False,
-        tag="top",
-    )
-    solution = scheduler.solve_wave([problem], level=hierarchy.depth - 1)[0]
-    times.ising += time.perf_counter() - start
-    level_stats.append(
-        LevelStats(
-            level=hierarchy.depth - 1,
-            n_subproblems=1,
-            subproblem_sizes=[k],
-            sweeps=solution.sweeps,
-            total_iterations=solution.iterations,
+    results: list[list[SubSolution]] = []
+    tasks: dict[object, list[WaveChunk]] = {}
+    owners: dict[object, list[tuple[int, list[int]]]] = {}
+    for r, (solver, problems) in enumerate(zip(solvers, waves)):
+        results.append([None] * len(problems))  # type: ignore[list-item]
+        if not problems:
+            continue
+        if not isinstance(solver, BatchedMacroSolver):
+            results[r] = solver.solve_all(problems, schedule)
+            continue
+        chunks = chunk_indices([p.shape_key for p in problems], chunk_size)
+        for ordinal, indices in enumerate(chunks):
+            shape = problems[indices[0]].shape_key
+            key = shape if merge else (r, ordinal)
+            tasks.setdefault(key, []).append(
+                WaveChunk(
+                    level=level,
+                    ordinal=ordinal,
+                    master_seed=master_seeds[r],
+                    config=solver.config,
+                    backend=solver.backend,
+                    schedule=schedule,
+                    problems=tuple(problems[i] for i in indices),
+                )
+            )
+            owners.setdefault(key, []).append((r, indices))
+    if tasks:
+        outputs = pool.map(
+            solve_wave_chunks, [tuple(chunks) for chunks in tasks.values()]
         )
+        for owner, task_output in zip(owners.values(), outputs):
+            for (r, indices), (solutions, sweeps, iterations) in zip(
+                owner, task_output
+            ):
+                solvers[r].total_sweeps += sweeps
+                solvers[r].total_iterations += iterations
+                for local, solution in zip(indices, solutions):
+                    results[r][local] = solution
+    return results, (time.perf_counter() - start) / len(solvers)
+
+
+def _solve_level(
+    hierarchy: Hierarchy,
+    level,
+    sequences: list[list[int]],
+    endpoint_fixing: bool,
+    cache: SubmatrixCache,
+    solve_wave,
+    all_times: list[PhaseTimes],
+    all_stats: list[list[LevelStats]],
+) -> None:
+    """Order every replica's children at one level; updates ``sequences``.
+
+    A function of its own so that one level's sub-problems are freed
+    before the next level builds its own.
+    """
+    waves, placements = [], []
+    for r, sequence in enumerate(sequences):
+        fixings = _fix_endpoints_for(
+            hierarchy, level, sequence, endpoint_fixing, all_times[r], cache
+        )
+        build_start = time.perf_counter()
+        problems, placed = _build_child_problems(
+            hierarchy, level, sequence, fixings, cache
+        )
+        all_times[r].merge += time.perf_counter() - build_start
+        waves.append(problems)
+        placements.append(placed)
+
+    solved, share = solve_wave(waves, level.level)
+
+    for r, (problems, solutions) in enumerate(zip(waves, solved)):
+        all_times[r].ising += share
+        merge_start = time.perf_counter()
+        sequences[r] = _merge_child_orders(
+            level, sequences[r], placements[r],
+            {p.tag: s.order for p, s in zip(problems, solutions)},
+        )
+        all_times[r].merge += time.perf_counter() - merge_start
+        if problems:
+            all_stats[r].append(_level_stats(level.level, problems, solutions))
+
+
+def _level_stats(
+    level: int, problems: list[SubProblem], solutions: list[SubSolution]
+) -> LevelStats:
+    return LevelStats(
+        level=level,
+        n_subproblems=len(problems),
+        subproblem_sizes=[p.n for p in problems],
+        sweeps=max((s.sweeps for s in solutions), default=0),
+        total_iterations=sum(s.iterations for s in solutions),
     )
-    return [int(c) for c in solution.order]
 
 
 def _fix_endpoints_for(
@@ -488,9 +390,8 @@ def _build_child_problems(
     A placement ``(position, children)`` records a single-child node
     emitted directly; ``(position, None)`` marks a node whose solved
     order arrives tagged with ``position``.  Pure function of
-    ``(hierarchy, sequence, fixings)`` — the lock-step replica path
-    relies on that purity to build each replica's problems
-    independently of the others.
+    ``(hierarchy, sequence, fixings)``, so each replica's problems are
+    built independently of the others.
     """
     below = hierarchy.levels[level.level - 1]
     problems: list[SubProblem] = []
@@ -542,47 +443,6 @@ def _merge_child_orders(
             continue
         local_order = solved_orders[position]
         new_sequence.extend(int(children[i]) for i in local_order)
-    return new_sequence
-
-
-def _order_children(
-    hierarchy: Hierarchy,
-    level,
-    sequence: list[int],
-    fixings: list[EndpointFixing] | None,
-    scheduler: WaveScheduler,
-    times: PhaseTimes,
-    level_stats: list[LevelStats],
-    cache: SubmatrixCache,
-) -> list[int]:
-    build_start = time.perf_counter()
-    problems, placements = _build_child_problems(
-        hierarchy, level, sequence, fixings, cache
-    )
-    times.merge += time.perf_counter() - build_start
-
-    solve_start = time.perf_counter()
-    solutions = scheduler.solve_wave(problems, level=level.level)
-    times.ising += time.perf_counter() - solve_start
-
-    solved_orders: dict[int, np.ndarray] = {}
-    for problem, solution in zip(problems, solutions):
-        solved_orders[problem.tag] = solution.order
-
-    merge_start = time.perf_counter()
-    new_sequence = _merge_child_orders(level, sequence, placements, solved_orders)
-    times.merge += time.perf_counter() - merge_start
-
-    if problems:
-        level_stats.append(
-            LevelStats(
-                level=level.level,
-                n_subproblems=len(problems),
-                subproblem_sizes=[p.n for p in problems],
-                sweeps=max((s.sweeps for s in solutions), default=0),
-                total_iterations=sum(s.iterations for s in solutions),
-            )
-        )
     return new_sequence
 
 

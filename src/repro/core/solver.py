@@ -7,14 +7,12 @@ import time
 import numpy as np
 
 from repro.clustering.agglomerative import cluster_with_max_size
-from repro.clustering.cache import SubmatrixCache
 from repro.clustering.hierarchy import build_hierarchy
 from repro.clustering.kmeans import kmeans_with_max_size
 from repro.core.config import TAXIConfig
-from repro.core.pipeline import solve_hierarchical, solve_hierarchical_replicas
-from repro.core.result import TAXIResult
-from repro.errors import SolverError
-from repro.kernels import BACKEND_REFERENCE, resolve_backend
+from repro.core.pipeline import solve_hierarchical
+from repro.core.result import PhaseTimes, TAXIResult
+from repro.errors import ConfigError, SolverError
 from repro.macro.batch import BatchedMacroSolver
 from repro.tsp.instance import TSPInstance
 from repro.tsp.tour import Tour
@@ -41,137 +39,79 @@ class TAXISolver:
         ``executor`` optionally overrides the wavefront pool implied by
         ``config.workers`` (tests inject thread/inline executors).
         """
-        config = self.config
-        if instance.n <= 3:
-            # Degenerate: any permutation is optimal.
-            tour = Tour(instance, np.arange(instance.n))
-            from repro.core.result import PhaseTimes
-
-            return TAXIResult(
-                tour=tour,
-                phase_seconds=PhaseTimes(),
-                hierarchy_depth=1,
-                max_cluster_size=config.max_cluster_size,
-                bits=config.bits,
-            )
-        if instance.coords is None:
-            raise SolverError(
-                "TAXI requires coordinate instances (clustering operates "
-                "on city coordinates)"
-            )
-        rng = ensure_rng(config.seed)
-
-        cluster_seed = int(rng.integers(0, 2**31 - 1))
-        if config.clustering == "ward":
-            cluster_fn = cluster_with_max_size
-        else:
-            def cluster_fn(points: np.ndarray, max_size: int) -> np.ndarray:
-                return kmeans_with_max_size(points, max_size, seed=cluster_seed)
-
-        start = time.perf_counter()
-        hierarchy = build_hierarchy(
-            instance, config.max_cluster_size, cluster_fn
+        [result] = solve_taxi_replicas(
+            instance, self.config, [self.config.seed], executor=executor
         )
-        clustering_seconds = time.perf_counter() - start
-
-        macro_solver = BatchedMacroSolver(
-            config.macro_config(), seed=rng, backend=config.backend
-        )
-        order, times, level_stats = solve_hierarchical(
-            hierarchy,
-            macro_solver,
-            config.schedule(),
-            endpoint_fixing=config.endpoint_fixing,
-            workers=config.workers,
-            executor=executor,
-            chunk_size=config.chunk_size,
-        )
-        times.clustering = clustering_seconds
-
-        tour = Tour(instance, order, closed=True)
-        return TAXIResult(
-            tour=tour,
-            phase_seconds=times,
-            level_stats=level_stats,
-            hierarchy_depth=hierarchy.depth,
-            max_cluster_size=config.max_cluster_size,
-            bits=config.bits,
-        )
-
-
-def _degenerate_result(instance: TSPInstance, config: TAXIConfig) -> TAXIResult:
-    from repro.core.result import PhaseTimes
-
-    return TAXIResult(
-        tour=Tour(instance, np.arange(instance.n)),
-        phase_seconds=PhaseTimes(),
-        hierarchy_depth=1,
-        max_cluster_size=config.max_cluster_size,
-        bits=config.bits,
-    )
+        return result
 
 
 def solve_taxi_replicas(
     instance: TSPInstance,
     config: TAXIConfig,
-    seeds: list[int],
-) -> list[TAXIResult] | None:
-    """Solve one instance for many replica seeds in lock-step.
+    seeds: list[int | None],
+    executor=None,
+) -> list[TAXIResult]:
+    """Solve one instance once per replica seed, in one pipeline run.
 
     Each seed gets the result ``TAXISolver(replace(config,
-    seed=seed)).solve(instance)`` would produce, bit-for-bit, but the
-    replicas share one ward hierarchy, one distance-submatrix cache,
-    and — the actual speedup — merged lock-step annealing batches (R
-    replicas x C same-shape clusters per kernel call; see
-    :func:`repro.core.pipeline.solve_hierarchical_replicas`).
-
-    Returns ``None`` when lock-step does not apply and the caller
-    should fall back to per-replica solves:
-
-    * ``clustering="kmeans"`` — the cluster seed differs per replica,
-      so the hierarchies diverge and cannot share macro batches;
-    * ``backend="reference"`` — the historical per-position RNG stream
-      cannot be block-drawn, so merging would change results.
+    seed=seed)).solve(instance)`` would produce, bit-for-bit.  The
+    replicas share one hierarchy and one distance-submatrix cache, and
+    their same-shape chunks anneal as merged kernel batches (see
+    :func:`repro.core.pipeline.solve_hierarchical`).  Sharing one
+    hierarchy needs ``clustering="ward"`` once there are several seeds:
+    k-means clusters with a per-seed draw.
     """
-    if config.clustering != "ward":
-        return None
-    if resolve_backend(config.backend) == BACKEND_REFERENCE:
-        return None
     if instance.n <= 3:
-        return [_degenerate_result(instance, config) for _ in seeds]
+        # Degenerate: any permutation is optimal.
+        return [
+            TAXIResult(
+                tour=Tour(instance, np.arange(instance.n)),
+                phase_seconds=PhaseTimes(),
+                hierarchy_depth=1,
+                max_cluster_size=config.max_cluster_size,
+                bits=config.bits,
+            )
+            for _ in seeds
+        ]
     if instance.coords is None:
         raise SolverError(
             "TAXI requires coordinate instances (clustering operates "
             "on city coordinates)"
         )
+    if len(seeds) > 1 and config.clustering != "ward":
+        raise ConfigError(
+            "replicas share one hierarchy, which needs clustering='ward' "
+            f"(got {config.clustering!r})"
+        )
     rngs = [ensure_rng(seed) for seed in seeds]
-    for rng in rngs:
-        # Solo draw #1 is the cluster seed; ward ignores it but the
-        # draw must happen to keep the stream aligned.
-        int(rng.integers(0, 2**31 - 1))
+    # Every solve's first draw is the cluster seed (ward ignores it).
+    cluster_seeds = [int(rng.integers(0, 2**31 - 1)) for rng in rngs]
+    if config.clustering == "ward":
+        cluster_fn = cluster_with_max_size
+    else:
+        def cluster_fn(points: np.ndarray, max_size: int) -> np.ndarray:
+            return kmeans_with_max_size(points, max_size, seed=cluster_seeds[0])
 
     start = time.perf_counter()
-    hierarchy = build_hierarchy(
-        instance, config.max_cluster_size, cluster_with_max_size
-    )
-    clustering_seconds = time.perf_counter() - start
+    hierarchy = build_hierarchy(instance, config.max_cluster_size, cluster_fn)
+    clustering_seconds = (time.perf_counter() - start) / len(seeds)
 
     solvers = [
         BatchedMacroSolver(config.macro_config(), seed=rng, backend=config.backend)
         for rng in rngs
     ]
-    cache = SubmatrixCache(instance)
-    results = solve_hierarchical_replicas(
+    results = solve_hierarchical(
         hierarchy,
         solvers,
         config.schedule(),
         endpoint_fixing=config.endpoint_fixing,
+        workers=config.workers,
+        executor=executor,
         chunk_size=config.chunk_size,
-        cache=cache,
     )
     out: list[TAXIResult] = []
     for order, times, level_stats in results:
-        times.clustering = clustering_seconds / len(seeds)
+        times.clustering = clustering_seconds
         out.append(
             TAXIResult(
                 tour=Tour(instance, order, closed=True),

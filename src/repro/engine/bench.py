@@ -31,10 +31,10 @@ Four grid kinds:
   (:mod:`repro.service.loadgen`): closed-loop workers over a cold/warm
   request mix, reporting p50/p95/p99 latency, requests/s, cache hit
   rate, and mean dispatch batch size per cell.
-* ``replica_batch`` — R sequential replica solves vs one lock-step
-  batch on the ``array`` backend
-  (:mod:`repro.engine.replica_batch`); per-replica tour hashes prove
-  the merged anneal is bit-identical to sequential dispatch.
+* ``replica_batch`` — R per-replica taxi tasks vs one folded solve
+  (:mod:`repro.engine.replica_batch`), both at ``workers=1``;
+  per-replica tour hashes prove the fold is bit-identical to
+  per-replica dispatch.
 * ``scale`` — the sparse path (candidate-list two_opt, no distance
   matrix) on clustered instances up to n=100,000: seconds-vs-n plus
   each cell's own peak RSS (cells run in fresh spawned subprocesses,
@@ -368,50 +368,61 @@ def _bench_loadtest(sizes, sweeps, requests, concurrency, seed) -> list[dict]:
 
 
 def _bench_replica_batch(sizes, sweeps, replicas, seed, repeats) -> list[dict]:
-    """Replica lock-step cells: R sequential solves vs one merged batch.
+    """Replica-fold cells: R per-replica tasks vs one folded solve.
 
-    Both modes run the same job — TAXI on a clustered instance, the
-    ``array`` backend, ``workers=1`` — differing only in the engine's
-    ``replica_batch`` knob, so the cell pair isolates the lock-step
-    merge itself.  Per-replica tour hashes are recorded so the speedup
-    table can assert bit-identity, not just equal lengths.
+    Both modes run the same job — TAXI on a clustered instance at
+    ``workers=1`` — once as R :func:`~repro.engine.runner.run_tasks`
+    tasks and once through :func:`~repro.engine.runner.run_batch`,
+    which folds the replicas, so the cell pair isolates the fold
+    itself.  Per-replica tour hashes are recorded so the speedup table
+    can assert bit-identity, not just equal lengths.
     """
     from repro.core.config import EngineConfig
     from repro.engine.jobs import BatchJob
-    from repro.engine.runner import run_batch
+    from repro.engine.runner import ReplicaTask, run_batch, run_tasks
     from repro.utils.hashing import tour_hash
+    from repro.utils.rng import replica_seeds
 
     entries = []
     for n in sizes:
-        token = f"clustered:{int(n)}:{seed}"
-        for mode in ("off", "on"):
-            job = BatchJob.create(
-                [token],
-                solver="taxi",
-                params={"sweeps": int(sweeps), "backend": "array"},
-                engine=EngineConfig(
-                    replicas=replicas, workers=1, seed=seed,
-                    replica_batch=mode,
-                ),
+        job = BatchJob.create(
+            [f"clustered:{int(n)}:{seed}"],
+            solver="taxi",
+            params={"sweeps": int(sweeps)},
+            engine=EngineConfig(replicas=replicas, workers=1, seed=seed),
+        )
+        tasks = [
+            ReplicaTask(
+                spec=job.instances[0],
+                solver=job.solver,
+                params=job.params,
+                seed=replica_seed,
+                index=index,
+                instance_index=index,
             )
-            def run(job=job):
-                return run_batch(job)[0]
-            seconds, result = _time_call(run, repeats)
+            for index, replica_seed in enumerate(replica_seeds(seed, replicas))
+        ]
+        modes = {
+            "tasks": lambda tasks=tasks: run_tasks(tasks),
+            "folded": lambda job=job: run_batch(job)[0].replicas,
+        }
+        for mode, run in modes.items():
+            seconds, results = _time_call(run, repeats)
             entries.append({
                 "kind": "replica_batch",
-                "name": "taxi-lockstep" if mode == "on" else "taxi-sequential",
+                "name": f"taxi-{mode}",
                 "n": int(n),
                 "sweeps": int(sweeps),
-                "backend": "array",
+                "backend": BACKEND_FAST,
                 "replicas": int(replicas),
                 "mode": mode,
                 "seconds": seconds,
                 "sweeps_per_sec": (
                     sweeps * replicas / seconds if seconds > 0 else None
                 ),
-                "quality": float(result.best_length),
+                "quality": min(replica.length for replica in results),
                 "replica_hashes": [
-                    tour_hash(replica.order) for replica in result.replicas
+                    tour_hash(replica.order) for replica in results
                 ],
             })
     return entries
@@ -604,7 +615,7 @@ def compute_scale_curvature(entries: list[dict]) -> list[dict]:
 
 
 def compute_replica_batch_speedups(entries: list[dict]) -> list[dict]:
-    """Sequential-vs-lockstep wall-time ratio per replica-batch cell."""
+    """Per-replica-vs-folded wall-time ratio per replica-batch cell."""
     by_cell: dict[tuple[int, int, int], dict[str, dict]] = {}
     for entry in entries:
         if entry["kind"] != "replica_batch":
@@ -613,26 +624,24 @@ def compute_replica_batch_speedups(entries: list[dict]) -> list[dict]:
         by_cell.setdefault(key, {})[entry["mode"]] = entry
     speedups = []
     for (n, sweeps, replicas), cell in sorted(by_cell.items()):
-        if "off" not in cell or "on" not in cell:
+        if "tasks" not in cell or "folded" not in cell:
             continue
-        sequential = cell["off"]
-        lockstep = cell["on"]
+        tasks = cell["tasks"]
+        folded = cell["folded"]
         speedups.append({
             "kind": "replica_batch",
             "n": n,
             "sweeps": sweeps,
             "replicas": replicas,
-            "sequential_seconds": sequential["seconds"],
-            "lockstep_seconds": lockstep["seconds"],
+            "tasks_seconds": tasks["seconds"],
+            "folded_seconds": folded["seconds"],
             "speedup": (
-                sequential["seconds"] / lockstep["seconds"]
-                if lockstep["seconds"] > 0 else None
+                tasks["seconds"] / folded["seconds"]
+                if folded["seconds"] > 0 else None
             ),
             # Per-replica tour-order hashes: equality means every
             # replica's tour is bit-identical across dispatch modes.
-            "bit_identical": (
-                sequential["replica_hashes"] == lockstep["replica_hashes"]
-            ),
+            "bit_identical": tasks["replica_hashes"] == folded["replica_hashes"],
         })
     return speedups
 
@@ -786,9 +795,6 @@ def run_bench(
     portfolio_sizes = (
         grid["portfolio_sizes"] if portfolio_sizes is None else portfolio_sizes
     )
-    # Default to the historical backend pair: "array" is bit-identical
-    # to "fast" for solo solves, so adding it would triple the grid for
-    # duplicate numbers.  Pass backends=("fast", "array") to compare.
     if backends is None:
         backends = (BACKEND_REFERENCE, BACKEND_FAST)
     backends = tuple(backends)

@@ -1,32 +1,21 @@
-"""Replica lock-step batching: R replicas as one tensor, not R processes.
+"""Replica folding: a taxi batch job's R replicas as one pipeline run.
 
-BENCH_63be77b made the case: on a 1-core container the engine's
-process pool is pure overhead (0.73 s serial vs 1.27 s at workers=4
-for the n=1000 pipeline).  The paper's chip gets replica throughput a
-different way — many macros annealing *in lock-step* — and this module
-is the software analogue: when a batch job's replicas differ only by
-seed, the replica dimension is folded into the vectorized kernels'
-batch axis instead of being dispatched as separate tasks.
+The paper's chip gets replica throughput by annealing many macros in
+lock-step, not by running more processes.  When a batch job's taxi
+replicas differ only by seed and run in process, the engine folds them
+into one :func:`~repro.core.solver.solve_taxi_replicas` call per
+instance: the replicas share one hierarchy, and their same-shape
+chunks anneal as merged kernel batches.
 
-Engagement is governed by :class:`~repro.core.config.EngineConfig`\\ 's
-``replica_batch`` knob:
-
-* ``"auto"`` (default) — engage only when the job opted into the
-  ``array`` backend (and it probed usable), the solver supports
-  lock-step, and every parameter is understood; anything else runs the
-  classic per-replica path unchanged.
-* ``"on"`` — engage whenever possible; unsupported solvers or an
-  explicit ``reference`` backend raise
-  :class:`~repro.errors.ConfigError` instead of silently degrading.
-* ``"off"`` — never engage.
+The rule is read from the run itself (:func:`foldable`): the engine
+would run the replicas in process, clustering is ``ward`` (so every
+replica shares one hierarchy), and the backend is not ``reference``.
+Any other job dispatches per-replica tasks.
 
 The per-replica seed contract is preserved exactly: replica ``r``
-consumes the same RNG stream it would consume solo, so lock-step tours
-are **bit-identical** to ``workers=1`` per-replica runs (asserted in
-the test suite and by the ``replica_batch`` bench grid's tour hashes).
-Instances that turn out runtime-ineligible (huge ``sa_tsp`` matrices,
-kmeans-clustered TAXI) quietly fall back to the sequential task loop
-for that instance — same results, no batching.
+consumes the same RNG streams it would consume solo, so folded tours
+are **bit-identical** to per-replica runs (asserted in the test suite
+and by the ``replica_batch`` bench grid's tour hashes).
 """
 
 from __future__ import annotations
@@ -37,78 +26,44 @@ from typing import Callable
 import numpy as np
 
 from repro.core.result import BatchResult, ReplicaResult
-from repro.engine.jobs import (
-    _MATRIX_CACHE_LIMIT,
-    BatchJob,
-    BatchProgress,
-    InstanceSpec,
-    cached_distance_matrix,
-)
+from repro.engine.jobs import BatchJob, BatchProgress, InstanceSpec
 from repro.errors import ConfigError
-from repro.kernels import BACKEND_ARRAY, BACKEND_REFERENCE, resolve_backend
-from repro.tsp.instance import TSPInstance
-from repro.utils.rng import ensure_rng
+from repro.kernels import BACKEND_REFERENCE, resolve_backend
 
-#: Solvers with a lock-step replica implementation.
-LOCKSTEP_SOLVERS = ("sa_tsp", "taxi")
-
-#: Per-solver parameter names the lock-step path knows how to honour;
-#: a job carrying anything else falls back to per-replica dispatch.
-_LOCKSTEP_PARAMS = {
-    "taxi": {
-        "sweeps", "max_cluster_size", "bits", "clustering",
-        "endpoint_fixing", "backend", "workers", "chunk_size",
-    },
-    "sa_tsp": {"sweeps", "backend", "t_start_frac", "t_end_frac"},
+#: taxi parameters a fold honours (all :class:`~repro.core.config.
+#: TAXIConfig` fields); a job carrying anything else is not folded.
+_FOLD_PARAMS = {
+    "sweeps", "max_cluster_size", "bits", "clustering",
+    "endpoint_fixing", "backend", "workers", "chunk_size",
 }
 
-#: replica_batch knob values (validated by EngineConfig).
-REPLICA_BATCH_MODES = ("auto", "on", "off")
 
+def foldable(job: BatchJob, workers: int) -> bool:
+    """Whether a job's replicas fold into one solve per instance.
 
-def lockstep_supported(solver: str, params: dict) -> bool:
-    """Whether the lock-step path understands this solver+params combo."""
-    allowed = _LOCKSTEP_PARAMS.get(solver)
-    return allowed is not None and set(params) <= allowed
-
-
-def lockstep_engaged(job: BatchJob, mode: str) -> bool:
-    """Decide (or, for ``"on"``, demand) lock-step for a batch job."""
-    if mode == "off":
-        return False
+    ``workers`` is the engine's resolved pool width for the job.
+    """
     params = dict(job.params)
-    supported = lockstep_supported(job.solver, params)
-    resolved = resolve_backend(params.get("backend"))
-    if mode == "on":
-        if not supported:
-            raise ConfigError(
-                f"replica_batch='on' requires a lock-step capable solver "
-                f"({', '.join(LOCKSTEP_SOLVERS)}) with supported "
-                f"parameters; got solver {job.solver!r} with params "
-                f"{sorted(params)}"
-            )
-        if resolved == BACKEND_REFERENCE:
-            raise ConfigError(
-                "replica_batch='on' cannot run with backend='reference': "
-                "the reference RNG stream is drawn per position and "
-                "cannot be batched without changing results"
-            )
-        return True
-    # auto: engage only on an explicit, successfully probed array backend.
-    return supported and resolved == BACKEND_ARRAY
+    return (
+        job.solver == "taxi"
+        and set(params) <= _FOLD_PARAMS
+        and workers == 1
+        and params.get("clustering", "ward") == "ward"
+        and resolve_backend(params.get("backend")) != BACKEND_REFERENCE
+    )
 
 
-def run_lockstep_batch(
+def run_folded_batch(
     job: BatchJob,
     seeds: list[int],
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[BatchResult]:
-    """Run a batch job with replicas folded into kernel batches.
+    """Run a batch job with each instance's replicas folded into one solve.
 
     Mirrors :func:`repro.engine.runner.run_batch` result shapes: one
     :class:`BatchResult` per instance, shared wall clock, streaming
     :class:`BatchProgress` events (emitted per replica as each
-    instance's lock-step solve lands).
+    instance's folded solve lands).
     """
     total = len(job.instances) * len(seeds)
     completed = 0
@@ -146,13 +101,15 @@ def run_lockstep_batch(
 def _solve_instance(
     job: BatchJob, spec: InstanceSpec, seeds: list[int]
 ) -> list[ReplicaResult]:
+    from repro.core.config import TAXIConfig
+    from repro.core.solver import solve_taxi_replicas
     from repro.engine import runner
-    from repro.engine.runner import ReplicaTask, _validate_once, run_replica_task
+    from repro.engine.runner import ReplicaTask, _validate_once
 
     # Task-hook parity with the per-replica path: the engine chaos hook
     # (latency, TransientError) fires once per replica here too, so a
-    # lock-step batch is not a blind spot for fault injection.  The
-    # hook never touches solver state, so tours stay bit-identical.
+    # folded batch is not a blind spot for fault injection.  The hook
+    # never touches solver state, so tours stay bit-identical.
     if runner._TASK_HOOK is not None:
         for index, seed in enumerate(seeds):
             runner._TASK_HOOK(
@@ -169,41 +126,16 @@ def _solve_instance(
     setup_start = time.perf_counter()
     instance = spec.resolve()
     _validate_once(instance)
-    params = dict(job.params)
+    config = TAXIConfig(**dict(job.params))
     setup_seconds = time.perf_counter() - setup_start
 
     solve_start = time.perf_counter()
-    if job.solver == "taxi":
-        orders = _taxi_orders(instance, params, seeds)
-    else:
-        orders = _sa_tsp_orders(instance, params, seeds)
-    if orders is None:
-        # Runtime-ineligible for lock-step: run the classic sequential
-        # task loop for this instance (identical results, no batching).
-        # The task hook already fired above, so silence it here to keep
-        # injection at exactly once per replica.
-        previous_hook = runner.set_task_hook(None)
-        try:
-            return [
-                run_replica_task(
-                    ReplicaTask(
-                        spec=spec,
-                        solver=job.solver,
-                        params=job.params,
-                        seed=seed,
-                        index=index,
-                        instance_index=0,
-                    )
-                )[1]
-                for index, seed in enumerate(seeds)
-            ]
-        finally:
-            runner.set_task_hook(previous_hook)
+    results = solve_taxi_replicas(instance, config, seeds)
     seconds = (time.perf_counter() - solve_start) / len(seeds)
 
     replicas = []
-    for index, (seed, order) in enumerate(zip(seeds, orders)):
-        length = float(instance.tour_length(order))
+    for index, (seed, result) in enumerate(zip(seeds, results)):
+        length = float(result.tour.length)
         if not np.isfinite(length):
             raise ConfigError(
                 f"solver {job.solver!r} produced a non-finite tour length "
@@ -213,83 +145,10 @@ def _solve_instance(
             ReplicaResult(
                 index=index,
                 seed=seed,
-                order=np.asarray(order, dtype=int),
+                order=np.asarray(result.tour.order, dtype=int),
                 length=length,
                 seconds=seconds,
                 setup_seconds=setup_seconds / len(seeds),
             )
         )
     return replicas
-
-
-def _taxi_orders(
-    instance: TSPInstance, params: dict, seeds: list[int]
-) -> list[np.ndarray] | None:
-    from repro.core.config import TAXIConfig
-    from repro.core.solver import solve_taxi_replicas
-
-    config = TAXIConfig(
-        max_cluster_size=params.get("max_cluster_size", 12),
-        bits=params.get("bits", 4),
-        sweeps=params.get("sweeps"),
-        clustering=params.get("clustering", "ward"),
-        endpoint_fixing=params.get("endpoint_fixing", True),
-        backend=params.get("backend", "auto"),
-        workers=params.get("workers", 1),
-        chunk_size=params.get("chunk_size", 8),
-    )
-    results = solve_taxi_replicas(instance, config, seeds)
-    if results is None:
-        return None
-    return [np.asarray(result.tour.order, dtype=int) for result in results]
-
-
-def _sa_tsp_orders(
-    instance: TSPInstance, params: dict, seeds: list[int]
-) -> list[np.ndarray] | None:
-    from repro.ising.sa_tsp import SimulatedAnnealingTSP
-    from repro.kernels.array_backend import anneal_tours_replicas
-    from repro.kernels.twoopt import FAST_MATRIX_LIMIT
-
-    n = instance.n
-    backend = resolve_backend(params.get("backend"))
-    matrix = (
-        cached_distance_matrix(instance) if n <= _MATRIX_CACHE_LIMIT else None
-    )
-    if (
-        backend == BACKEND_REFERENCE
-        or matrix is None
-        or n > FAST_MATRIX_LIMIT
-        or not np.isfinite(matrix).all()
-    ):
-        # The solo solver would route these to the reference loop (or
-        # raise on the bad matrix) — fall back so behaviour matches.
-        return None
-    sweeps = params.get("sweeps")
-    solver = SimulatedAnnealingTSP(
-        sweeps=400 if sweeps is None else sweeps,
-        t_start_frac=params.get("t_start_frac", 1.0),
-        t_end_frac=params.get("t_end_frac", 0.001),
-    )
-    rngs = [ensure_rng(seed) for seed in seeds]
-    orders = []
-    lengths = []
-    t_starts = []
-    ratios = []
-    for rng in rngs:
-        order = rng.permutation(n)
-        length = float(instance.tour_length(order))
-        if not np.isfinite(length):
-            return None  # solo path raises the canonical error
-        avg_edge = length / n
-        t_start = solver.t_start_frac * avg_edge
-        t_end = solver.t_end_frac * avg_edge
-        ratio = (t_end / t_start) ** (1.0 / max(solver.sweeps - 1, 1))
-        orders.append(order)
-        lengths.append(length)
-        t_starts.append(t_start)
-        ratios.append(ratio)
-    solved = anneal_tours_replicas(
-        rngs, orders, lengths, solver.sweeps, t_starts, ratios, matrix
-    )
-    return [best_order for best_order, _ in solved]

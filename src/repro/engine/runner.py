@@ -263,14 +263,15 @@ def run_batch(
     replicas = engine.replicas if get_solver(job.solver).stochastic else 1
     seeds = replica_seeds(engine.seed, replicas)
 
+    workers = engine.resolved_workers(len(job.instances) * replicas)
     if replicas > 1 and executor is None:
-        from repro.engine.replica_batch import lockstep_engaged, run_lockstep_batch
+        from repro.engine.replica_batch import foldable, run_folded_batch
 
-        if lockstep_engaged(job, engine.replica_batch):
+        if foldable(job, workers):
             # Fold the replica dimension into the kernels' batch axis
             # instead of dispatching per-replica tasks; tours stay
             # bit-identical (same per-replica seeds and streams).
-            return run_lockstep_batch(job, seeds, progress)
+            return run_folded_batch(job, seeds, progress)
 
     tasks = [
         ReplicaTask(
@@ -284,7 +285,6 @@ def run_batch(
         for instance_index, spec in enumerate(job.instances)
         for replica in range(replicas)
     ]
-    workers = engine.resolved_workers(len(tasks))
 
     collected: dict[int, list[ReplicaResult]] = {
         i: [] for i in range(len(job.instances))

@@ -7,20 +7,17 @@ software solvers.  Each hot path ships two implementations:
 * ``reference`` — the original, loop-per-proposal semantics, kept
   bit-for-bit stable as the ground truth;
 * ``fast`` — vectorized/batched evaluation (checkerboard spin classes,
-  batched 2-opt delta blocks, bulk-RNG macro sweeps) that is either
-  bit-exact with the reference (2-opt SA) or validated against it at
-  distribution level (spin annealing, macro batches);
-* ``array`` — the replica-batched array-API backend
-  (:mod:`repro.kernels.array_backend`): the fast kernels plus batched
-  variants that anneal many replicas/chunks over a leading batch axis.
-  Selecting it probes for a usable array namespace (torch, CuPy,
-  numpy) and **degrades to ``fast``** when none passes the capability
-  check, so ``--backend array`` is safe everywhere.
+  batched 2-opt delta blocks, bulk-RNG macro sweeps that merge many
+  same-shape chunks into one batch) that is either bit-exact with the
+  reference (2-opt SA) or validated against it at distribution level
+  (spin annealing, macro batches).
 
 ``auto`` (the default everywhere a ``backend=`` knob exists) resolves
-to ``fast``.  Kernels that cannot profit on a given input (dense
-coupling graphs, missing distance matrix) silently degrade to the
-reference loop, so ``fast`` is never a pessimisation cliff.
+to ``fast``, and so does ``array``, the name of a former replica-batched
+backend whose batching now lives in ``fast``.  Kernels that cannot
+profit on a given input (dense coupling graphs, missing distance
+matrix) silently degrade to the reference loop, so ``fast`` is never a
+pessimisation cliff.
 
 Usage::
 
@@ -28,8 +25,7 @@ Usage::
 
     backend = resolve_backend("auto")   # -> "fast"
     backend = resolve_backend(None)     # -> "fast"
-    backend = resolve_backend("array")  # -> "array" (or "fast" when
-                                        #    no array namespace probes)
+    backend = resolve_backend("array")  # -> "fast"
     backend = resolve_backend("nope")   # ConfigError
 """
 
@@ -43,44 +39,37 @@ BACKEND_REFERENCE = "reference"
 #: The vectorized implementation (checkerboard / batched kernels).
 BACKEND_FAST = "fast"
 
-#: The replica-batched array-API backend (numpy today; torch/CuPy when
-#: they probe successfully).  Falls back to ``fast`` when unusable.
-BACKEND_ARRAY = "array"
-
-#: Selectable backend names (``auto`` additionally resolves to one).
-BACKENDS = (BACKEND_REFERENCE, BACKEND_FAST, BACKEND_ARRAY)
-
 #: What ``auto`` (and ``None``) resolve to.
 DEFAULT_BACKEND = BACKEND_FAST
+
+#: Alias names and the backend each resolves to.
+_ALIASES = {"auto": DEFAULT_BACKEND, "array": BACKEND_FAST}
+
+#: Names a ``backend=`` knob accepts besides ``auto``: the two backends
+#: plus the ``array`` alias.
+BACKENDS = (BACKEND_REFERENCE, BACKEND_FAST, "array")
 
 
 def resolve_backend(backend: str | None) -> str:
     """Resolve a backend knob value to a concrete backend name.
 
-    ``None`` and ``"auto"`` pick :data:`DEFAULT_BACKEND`; ``"array"``
-    resolves to itself only when an array namespace passes the
-    capability probe and otherwise degrades to :data:`BACKEND_FAST`
-    (graceful fallback, never an error); anything not in
-    :data:`BACKENDS` raises :class:`~repro.errors.ConfigError`.
+    ``None``, ``"auto"`` and ``"array"`` pick :data:`BACKEND_FAST`;
+    anything not in :data:`BACKENDS` (or ``auto``) raises
+    :class:`~repro.errors.ConfigError`.
     """
-    if backend is None or backend == "auto":
+    if backend is None:
         return DEFAULT_BACKEND
-    if backend not in BACKENDS:
+    resolved = _ALIASES.get(backend, backend)
+    if resolved not in (BACKEND_REFERENCE, BACKEND_FAST):
         raise ConfigError(
             f"unknown backend {backend!r}; known backends: "
             f"auto, {', '.join(BACKENDS)}"
         )
-    if backend == BACKEND_ARRAY:
-        from repro.kernels import array_backend  # lazy: avoids cycles
-
-        if not array_backend.is_available():
-            return BACKEND_FAST
-    return backend
+    return resolved
 
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ARRAY",
     "BACKEND_FAST",
     "BACKEND_REFERENCE",
     "DEFAULT_BACKEND",

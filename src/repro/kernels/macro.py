@@ -6,19 +6,24 @@ already vectorized across the macros of a group; what distinguishes the
 backends is how the *per-position* work is staged:
 
 * ``reference`` draws gating/noise/jitter/override randoms one position
-  at a time (the historical stream, bit-for-bit stable);
+  at a time (the historical stream, bit-for-bit stable), so it anneals
+  one chunk per call;
 * ``fast`` hoists all random draws of a sweep into single bulk
   generator calls (one ``(positions, macros, cities)`` block per
   stochastic source), precomputes the neighbour-position table, and
   drops a redundant copy of the score gather.  Same distributions,
   same update semantics, different draw order — validated against the
-  reference at distribution level.
+  reference at distribution level.  Because every block is drawn up
+  front, one call can anneal many same-shape chunks, each drawing from
+  its own generator: compute is merged, RNG streams are not.
 
 Both kernels mutate ``order``/``pos_of``/``proxy`` in place and return
 the number of sweeps executed.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -182,27 +187,59 @@ def anneal_group_fast(
     read_noise: float,
     resolution: float,
     guarded: bool,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
+    rows: Sequence[int],
 ) -> int:
-    """Bulk-RNG sweep: one generator call per stochastic source per sweep."""
-    m, n = order.shape
+    """Bulk-RNG sweeps over one or more chunks merged along the macro axis.
+
+    The first ``rows[0]`` macros belong to ``rngs[0]``, the next
+    ``rows[1]`` to ``rngs[1]``, and so on.  Each sweep, every generator
+    draws its own rows' blocks in the order a solo anneal of its chunk
+    draws them, the blocks are concatenated along the macro axis, and
+    one :func:`_sweep_positions` call advances every chunk.  Sweep
+    operations are all per-row, so each chunk evolves bit-identically
+    to a solo anneal; with one generator this *is* the solo anneal.
+    """
+    n = order.shape[1]
     n_pos = positions.size
     neighbours = [neighbour_positions(int(pos), n, closed) for pos in positions]
+    streams = list(zip(rngs, rows))
     sweeps = 0
     for p_sw in probabilities:
-        noise_block = (
-            rng.normal(0.0, read_noise, size=(n_pos, m, n)) if read_noise > 0 else None
+        noise_block, gate_block, jitter_block, override_block = _draw_blocks(
+            streams, n_pos, n, read_noise, resolution, guarded
         )
-        gate_block = rng.random((n_pos, m, n))
-        jitter_block = rng.random((n_pos, m, n)) if resolution > 0 else None
-        override_block = rng.random((n_pos, m)) if guarded else None
         _sweep_positions(
             weights, order, pos_of, allowed_cities, proxy, positions,
             neighbours, float(p_sw),
             closed=closed, read_noise=read_noise, resolution=resolution,
-            guarded=guarded, rng=rng,
+            guarded=guarded, rng=rngs[0],  # unused: every block is pre-drawn
             noise_block=noise_block, gate_block=gate_block,
             jitter_block=jitter_block, override_block=override_block,
         )
         sweeps += 1
     return sweeps
+
+
+def _draw_blocks(streams, n_pos, n, read_noise, resolution, guarded):
+    """One sweep's ``(noise, gate, jitter, override)`` blocks.
+
+    Each ``(generator, rows)`` stream draws its blocks in solo order;
+    with several streams the blocks are joined along the macro axis.
+    """
+    parts = [
+        (
+            rng.normal(0.0, read_noise, size=(n_pos, rows, n))
+            if read_noise > 0 else None,
+            rng.random((n_pos, rows, n)),
+            rng.random((n_pos, rows, n)) if resolution > 0 else None,
+            rng.random((n_pos, rows)) if guarded else None,
+        )
+        for rng, rows in streams
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(
+        None if blocks[0] is None else np.concatenate(blocks, axis=1)
+        for blocks in zip(*parts)
+    )

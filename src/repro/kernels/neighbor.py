@@ -35,12 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import SolverError
-from repro.kernels import (
-    BACKEND_ARRAY,
-    BACKEND_FAST,
-    BACKEND_REFERENCE,
-    resolve_backend,
-)
+from repro.kernels import BACKEND_FAST, BACKEND_REFERENCE, resolve_backend
 from repro.tsp.instance import EdgeWeightType, TSPInstance
 from repro.tsp.neighbors import CandidateLists, build_candidate_lists
 
@@ -395,9 +390,8 @@ def or_opt_pass_fast(
 class NeighborLocalSearch:
     """2-opt + Or-opt restricted to candidate lists, backend-selectable.
 
-    ``backend`` accepts the usual kernel names; ``array`` degrades to
-    ``fast`` (there is no replica axis in tour-local search).  Both
-    remaining backends produce bit-identical tours.
+    ``backend`` accepts the usual kernel names; both backends produce
+    bit-identical tours.
     """
 
     def __init__(
@@ -407,11 +401,8 @@ class NeighborLocalSearch:
         use_or_opt: bool = True,
         max_rounds: int = 30,
     ) -> None:
-        resolved = resolve_backend(backend)
-        if resolved == BACKEND_ARRAY:
-            resolved = BACKEND_FAST
         self.candidates = candidates
-        self.backend = resolved
+        self.backend = resolve_backend(backend)
         self.use_or_opt = use_or_opt
         self.max_rounds = max_rounds
         self._dist, self._pair = make_dist_fns(candidates.instance)

@@ -13,7 +13,9 @@ The probability x position sweep loop lives in
 :mod:`repro.kernels.macro` behind the ``backend`` knob: ``reference``
 keeps the historical per-position random-draw order bit-for-bit,
 ``fast`` hoists each sweep's draws into bulk generator calls (same
-distributions, different stream).
+distributions, different stream).  :func:`solve_chunks` anneals many
+same-shape chunks, each with its own solver and RNG stream, as one
+``fast`` kernel batch: the hierarchical pipeline's whole-level lock-step.
 """
 
 from __future__ import annotations
@@ -135,49 +137,23 @@ class BatchedMacroSolver:
     ) -> list[SubSolution]:
         """Solve every sub-problem; results align with the input order.
 
-        With ``config.restarts > 1`` each sub-problem runs on that many
-        replica macros and the replica with the largest quantized
-        attraction total (a digital readout comparison) is returned.
+        Sub-problems are grouped by shape and each group anneals as one
+        vectorized batch.  With ``config.restarts > 1`` each sub-problem
+        runs on that many replica macros and the replica with the
+        largest quantized attraction total (a digital readout
+        comparison) is returned.
         """
-        if not problems:
-            return []
-        schedule = schedule if schedule is not None else paper_schedule()
-        for problem in problems:
-            if problem.n > self.config.max_cities:
-                raise MacroError(
-                    f"sub-problem of {problem.n} cities exceeds macro capacity "
-                    f"{self.config.max_cities}"
-                )
-        restarts = self.config.restarts
         groups: dict[tuple[int, bool, bool, bool], list[int]] = {}
         for idx, problem in enumerate(problems):
             groups.setdefault(problem.shape_key, []).append(idx)
-        # orders_per_problem[i] collects every replica's final order.
-        orders_per_problem: list[list[np.ndarray]] = [[] for _ in problems]
-        sweeps_per_problem = [0] * len(problems)
-        iterations_per_problem = [0] * len(problems)
-        for key, indices in groups.items():
-            group = [problems[i] for i in indices for _ in range(restarts)]
-            orders, sweeps, iterations = self._solve_group(group, schedule)
-            for local, order in enumerate(orders):
-                global_idx = indices[local // restarts]
-                orders_per_problem[global_idx].append(order)
-                sweeps_per_problem[global_idx] = sweeps
-                iterations_per_problem[global_idx] += iterations
-        solutions: list[SubSolution] = []
-        for idx, problem in enumerate(problems):
-            order = self._select_replica(problem, orders_per_problem[idx])
-            length = _order_length(problem.distances, order, problem.closed)
-            solutions.append(
-                SubSolution(
-                    order=order,
-                    tag=problem.tag,
-                    sweeps=sweeps_per_problem[idx],
-                    iterations=iterations_per_problem[idx],
-                    length=length,
-                )
+        solutions: list[SubSolution | None] = [None] * len(problems)
+        for indices in groups.values():
+            [solved] = solve_chunks(
+                [self], [[problems[i] for i in indices]], schedule
             )
-        return solutions
+            for idx, solution in zip(indices, solved):
+                solutions[idx] = solution
+        return solutions  # type: ignore[return-value]
 
     def _select_replica(
         self, problem: SubProblem, orders: list[np.ndarray]
@@ -205,182 +181,128 @@ class BatchedMacroSolver:
                 best_order = order
         return best_order
 
-    # ------------------------------------------------------------------
-    # group annealing
-    # ------------------------------------------------------------------
-    def _solve_group(
-        self, group: list[SubProblem], schedule: AnnealSchedule
-    ) -> tuple[list[np.ndarray], int, int]:
-        n, closed, fixed_first, fixed_last = group[0].shape_key
-        m = len(group)
-        positions = _optimizable_positions(n, closed, fixed_first, fixed_last)
-        n_fixed = int(fixed_first) + int(fixed_last) if not closed else 0
-        if positions.size == 0 or n - n_fixed < 2:
-            # Nothing the annealer may change.
-            return [p.initial_order.copy() for p in group], 0, 0
 
-        levels = np.stack(
-            [inverse_distance_levels(p.distances, self.config.bits) for p in group]
-        )
-        weights = effective_weight_matrices(
-            levels, self.config.bits, self.config.crossbar, self._rng
-        )  # (m, n, n)
-
-        order = np.stack([p.initial_order for p in group]).astype(int)  # (m, n)
-        pos_of = np.argsort(order, axis=1)
-
-        allowed_cities = np.ones((m, n), dtype=bool)
-        if not closed:
-            rows = np.arange(m)
-            if fixed_first:
-                allowed_cities[rows, order[:, 0]] = False
-            if fixed_last:
-                allowed_cities[rows, order[:, -1]] = False
-
-        # "array" shares the fast kernel solo (its batched variant only
-        # pays off across replicas; see solve_chunks_lockstep).
-        kernel = (
-            anneal_group_reference
-            if self.backend == BACKEND_REFERENCE
-            else anneal_group_fast
-        )
-        proxy = batch_proxy(weights, order, closed)
-        sweeps = kernel(
-            weights, order, pos_of, allowed_cities, proxy,
-            positions, schedule.probabilities(),
-            closed=closed,
-            read_noise=self.config.crossbar.variation.read_noise_sigma,
-            resolution=self.config.wta_resolution,
-            guarded=self.config.guarded_updates,
-            rng=self._rng,
-        )
-        iterations = sweeps * positions.size
-        self.total_sweeps += sweeps
-        self.total_iterations += iterations * m
-        return [order[i].copy() for i in range(m)], sweeps, iterations
-
-
-def solve_chunks_lockstep(
+def solve_chunks(
     solvers: list[BatchedMacroSolver],
     chunk_problems: list[list[SubProblem]],
     schedule: AnnealSchedule | None = None,
 ) -> list[list[SubSolution]]:
-    """Solve many same-shape chunks as one lock-step merged batch.
+    """Solve same-shape chunks, one solver each, as one merged batch.
 
-    ``chunk_problems[i]`` is one dispatch chunk (all sharing one
-    ``shape_key``, as :func:`repro.engine.wavefront.chunk_indices`
-    guarantees) and ``solvers[i]`` is its chunk-seeded solver.  Each
-    chunk consumes its solver's RNG in exactly the order a solo
-    ``solvers[i].solve_all(chunk_problems[i])`` would (weight draws at
-    prepare time, then per-sweep blocks), so the returned solutions are
-    bit-identical to solo solves — the merged batch only fuses the
-    numpy sweep work of R x C macros into one kernel call.
-
-    All solvers must share one config (they are chunk clones of one
-    template); the first solver's config drives the kernel parameters.
+    ``chunk_problems[i]`` is one chunk (every problem of every chunk
+    shares one ``shape_key``, as
+    :func:`repro.engine.wavefront.chunk_indices` guarantees) and
+    ``solvers[i]`` is its chunk-seeded solver; all solvers share one
+    config and backend.  Each chunk consumes its solver's RNG exactly as
+    a solo solve of that chunk would (weight draws at prepare time, then
+    per-sweep blocks), so the solutions are bit-identical to solving
+    chunk by chunk.  The ``fast`` kernel anneals every chunk in one
+    call; the ``reference`` kernel, whose per-position stream cannot be
+    block-drawn, one chunk per call.
     """
-    from repro.kernels.array_backend import anneal_macro_groups_lockstep
-
     schedule = schedule if schedule is not None else paper_schedule()
-    config = solvers[0].config
-    groups: list[list[SubProblem]] = []
-    for solver, problems in zip(solvers, chunk_problems):
+    template = solvers[0]
+    config = template.config
+    if any(
+        solver.config != config or solver.backend != template.backend
+        for solver in solvers[1:]
+    ):
+        raise MacroError("merged chunks need one shared config and backend")
+    for problems in chunk_problems:
         for problem in problems:
-            if problem.n > solver.config.max_cities:
+            if problem.n > config.max_cities:
                 raise MacroError(
                     f"sub-problem of {problem.n} cities exceeds macro "
-                    f"capacity {solver.config.max_cities}"
+                    f"capacity {config.max_cities}"
                 )
-        restarts = solver.config.restarts
-        groups.append([p for p in problems for _ in range(restarts)])
+    restarts = config.restarts
+    groups = [
+        [p for p in problems for _ in range(restarts)] for problems in chunk_problems
+    ]
     n, closed, fixed_first, fixed_last = chunk_problems[0][0].shape_key
     positions = _optimizable_positions(n, closed, fixed_first, fixed_last)
     n_fixed = int(fixed_first) + int(fixed_last) if not closed else 0
     if positions.size == 0 or n - n_fixed < 2:
-        # Nothing the annealer may change: mirror _solve_group's early
-        # return (no RNG draws, no counter updates).
-        return [
-            [
-                SubSolution(
-                    order=p.initial_order.copy(),
-                    tag=p.tag,
-                    sweeps=0,
-                    iterations=0,
-                    length=_order_length(
-                        p.distances, p.initial_order, p.closed
-                    ),
+        # Nothing the annealer may change: no RNG draws.
+        sweeps = 0
+        orders = [[p.initial_order for p in group] for group in groups]
+    else:
+        prepared = [_prepare(solver, group) for solver, group in zip(solvers, groups)]
+        kernel_args = dict(
+            closed=closed,
+            read_noise=config.crossbar.variation.read_noise_sigma,
+            resolution=config.wta_resolution,
+            guarded=config.guarded_updates,
+        )
+        probabilities = schedule.probabilities()
+        if template.backend == BACKEND_REFERENCE:
+            for solver, arrays in zip(solvers, prepared):
+                sweeps = anneal_group_reference(
+                    *arrays, positions, probabilities,
+                    rng=solver._rng, **kernel_args,
                 )
-                for p in problems
-            ]
-            for problems in chunk_problems
-        ]
-
-    prepared = []
-    for solver, group in zip(solvers, groups):
-        m = len(group)
-        levels = np.stack(
-            [
-                inverse_distance_levels(p.distances, solver.config.bits)
-                for p in group
-            ]
-        )
-        weights = effective_weight_matrices(
-            levels, solver.config.bits, solver.config.crossbar, solver._rng
-        )
-        order = np.stack([p.initial_order for p in group]).astype(int)
-        pos_of = np.argsort(order, axis=1)
-        allowed = np.ones((m, n), dtype=bool)
-        if not closed:
-            rows = np.arange(m)
-            if fixed_first:
-                allowed[rows, order[:, 0]] = False
-            if fixed_last:
-                allowed[rows, order[:, -1]] = False
-        proxy = batch_proxy(weights, order, closed)
-        prepared.append((weights, order, pos_of, allowed, proxy))
-
-    final_orders, sweeps = anneal_macro_groups_lockstep(
-        [p[0] for p in prepared],
-        [p[1] for p in prepared],
-        [p[2] for p in prepared],
-        [p[3] for p in prepared],
-        [p[4] for p in prepared],
-        [solver._rng for solver in solvers],
-        positions,
-        schedule.probabilities(),
-        closed=closed,
-        read_noise=config.crossbar.variation.read_noise_sigma,
-        resolution=config.wta_resolution,
-        guarded=config.guarded_updates,
-    )
+            orders = [arrays[1] for arrays in prepared]
+        else:
+            merged = [np.concatenate(parts) for parts in zip(*prepared)]
+            rows = [len(group) for group in groups]
+            sweeps = anneal_group_fast(
+                *merged, positions, probabilities,
+                rngs=[solver._rng for solver in solvers], rows=rows,
+                **kernel_args,
+            )
+            orders = np.split(merged[1], np.cumsum(rows)[:-1])
     iterations = sweeps * positions.size
 
     results: list[list[SubSolution]] = []
-    for solver, problems, group, orders in zip(
-        solvers, chunk_problems, groups, final_orders
+    for solver, problems, group, chunk_orders in zip(
+        solvers, chunk_problems, groups, orders
     ):
         solver.total_sweeps += sweeps
         solver.total_iterations += iterations * len(group)
-        restarts = solver.config.restarts
         solutions = []
         for idx, problem in enumerate(problems):
-            replica_orders = [
-                orders[idx * restarts + r].copy() for r in range(restarts)
-            ]
-            order = solver._select_replica(problem, replica_orders)
+            order = solver._select_replica(
+                problem,
+                [chunk_orders[idx * restarts + r].copy() for r in range(restarts)],
+            )
             solutions.append(
                 SubSolution(
                     order=order,
                     tag=problem.tag,
                     sweeps=sweeps,
                     iterations=iterations * restarts,
-                    length=_order_length(
-                        problem.distances, order, problem.closed
-                    ),
+                    length=_order_length(problem.distances, order, problem.closed),
                 )
             )
         results.append(solutions)
     return results
+
+
+def _prepare(
+    solver: BatchedMacroSolver, group: list[SubProblem]
+) -> tuple[np.ndarray, ...]:
+    """One chunk's kernel inputs: weights, order, pos_of, allowed, proxy.
+
+    The effective weights are the chunk's first draw from its RNG.
+    """
+    m = len(group)
+    n, closed, fixed_first, fixed_last = group[0].shape_key
+    levels = np.stack(
+        [inverse_distance_levels(p.distances, solver.config.bits) for p in group]
+    )
+    weights = effective_weight_matrices(
+        levels, solver.config.bits, solver.config.crossbar, solver._rng
+    )  # (m, n, n)
+    order = np.stack([p.initial_order for p in group]).astype(int)  # (m, n)
+    pos_of = np.argsort(order, axis=1)
+    allowed = np.ones((m, n), dtype=bool)
+    if not closed:
+        rows = np.arange(m)
+        if fixed_first:
+            allowed[rows, order[:, 0]] = False
+        if fixed_last:
+            allowed[rows, order[:, -1]] = False
+    return weights, order, pos_of, allowed, batch_proxy(weights, order, closed)
 
 
 def _optimizable_positions(

@@ -109,7 +109,6 @@ def scenario_job(
     seed: int = 0,
     solver: str | None = None,
     params: dict | None = None,
-    replica_batch: str = "auto",
 ):
     """Build a ready-to-run :class:`~repro.engine.jobs.BatchJob`.
 
@@ -135,10 +134,7 @@ def scenario_job(
         scenario.tokens,
         solver=solver if solver is not None else scenario.solver,
         params=merged,
-        engine=EngineConfig(
-            replicas=replicas, workers=workers, seed=seed,
-            replica_batch=replica_batch,
-        ),
+        engine=EngineConfig(replicas=replicas, workers=workers, seed=seed),
     )
 
 

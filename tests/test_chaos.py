@@ -352,34 +352,29 @@ class TestFaultInjector:
         assert FaultInjector.kill_worker(pool) is False
 
     def test_task_hook_fires_once_per_replica_on_lockstep_path(self):
-        """Lock-step batches are not a chaos blind spot.
+        """Folded (lock-step) batches are not a chaos blind spot.
 
         The engine task hook fires exactly once per replica whether the
         replica dimension runs as separate tasks or folded into one
-        kernel batch — and injecting it leaves tours bit-identical.
+        solve — and injecting it leaves tours bit-identical.
         """
         from repro.core.config import EngineConfig
         from repro.engine.jobs import BatchJob
-        from repro.engine.replica_batch import (
-            lockstep_engaged,
-            run_lockstep_batch,
-        )
+        from repro.engine.replica_batch import foldable, run_folded_batch
         from repro.utils.rng import replica_seeds
 
         job = BatchJob.create(
-            ["uniform:40:3"], solver="sa_tsp",
-            params={"sweeps": 10, "backend": "array"},
+            ["clustered:40:3"], solver="taxi", params={"sweeps": 10},
             engine=EngineConfig(replicas=3, workers=1, seed=0),
         )
-        if not lockstep_engaged(job, "auto"):
-            pytest.skip("array backend unavailable: lock-step never engages")
+        assert foldable(job, workers=1)
         seeds = list(replica_seeds(0, 3))
-        baseline = run_lockstep_batch(job, seeds)[0]
+        baseline = run_folded_batch(job, seeds)[0]
 
         seen = []
         previous = set_task_hook(lambda task: seen.append(task.seed))
         try:
-            hooked = run_lockstep_batch(job, seeds)[0]
+            hooked = run_folded_batch(job, seeds)[0]
         finally:
             set_task_hook(previous)
         assert seen == seeds  # once per replica, in replica order

@@ -126,9 +126,10 @@ class TestEngineCommands:
 
     def test_batch_backend_flag(self, capsys):
         # --backend threads through the engine params; reference and
-        # fast are bit-exact for sa_tsp, so aggregates must agree.
+        # fast are bit-exact for sa_tsp (and array is an alias of fast),
+        # so aggregates must agree.
         outs = []
-        for backend in ("reference", "fast"):
+        for backend in ("reference", "fast", "array"):
             code = main(
                 ["batch", "--instances", "uniform:24:1", "--solver", "sa_tsp",
                  "--replicas", "2", "--workers", "1", "--sweeps", "10",
@@ -136,10 +137,12 @@ class TestEngineCommands:
             )
             assert code == 0
             outs.append(capsys.readouterr().out)
-        best = [line for line in outs[0].splitlines() if "uniform24@1" in line]
-        best_fast = [line for line in outs[1].splitlines() if "uniform24@1" in line]
+        rows = [
+            [line for line in out.splitlines() if "uniform24@1" in line][0]
+            for out in outs
+        ]
         # compare the quality columns (timings differ run to run)
-        assert best[0].split("|")[4:9] == best_fast[0].split("|")[4:9]
+        assert len({tuple(row.split("|")[4:9]) for row in rows}) == 1
 
     def test_batch_bad_backend_rejected(self):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.exact import held_karp_path
 from repro.errors import MacroError
-from repro.macro.batch import BatchedMacroSolver, SubProblem
+from repro.macro.batch import BatchedMacroSolver, SubProblem, solve_chunks
 from repro.macro.config import MacroConfig
 from repro.macro.schedule import paper_schedule
 from repro.tsp.generators import uniform_instance
@@ -144,6 +144,15 @@ class TestQualityAndRestarts:
             [p], paper_schedule(50)
         )[0]
         assert sol3.iterations == 3 * sol1.iterations
+
+    def test_merged_chunks_need_one_config(self):
+        chunks = [[open_problem(0)], [open_problem(1)]]
+        solvers = [
+            BatchedMacroSolver(MacroConfig(restarts=1), seed=0),
+            BatchedMacroSolver(MacroConfig(restarts=2), seed=1),
+        ]
+        with pytest.raises(MacroError, match="one shared config"):
+            solve_chunks(solvers, chunks, paper_schedule(20))
 
     def test_unguarded_still_valid(self):
         problems = [open_problem(i) for i in range(4)]

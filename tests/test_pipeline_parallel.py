@@ -14,6 +14,7 @@ The safety net for the wavefront scheduler rewrite:
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -131,6 +132,31 @@ class TestWorkerDeterminism:
             )
             orders.append(order)
         np.testing.assert_array_equal(orders[0], orders[1])
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_replica_solvers_match_single_solves(self, serial_result, threads):
+        # R solvers in one call (merged in process, or one task per
+        # chunk on an executor) equal R separate single-solver calls.
+        inst, _ = serial_result
+        hierarchy = build_hierarchy(inst, 12)
+        schedule = paper_schedule(SWEEPS)
+        singles = [
+            solve_hierarchical(
+                hierarchy, BatchedMacroSolver(MacroConfig(), seed=s), schedule
+            )
+            for s in range(3)
+        ]
+        solvers = [BatchedMacroSolver(MacroConfig(), seed=s) for s in range(3)]
+        with ThreadPoolExecutor(threads) if threads else nullcontext() as ex:
+            replicas = solve_hierarchical(
+                hierarchy, solvers, schedule, executor=ex
+            )
+        for (order, _, stats), (single, _, single_stats), solver in zip(
+            replicas, singles, solvers
+        ):
+            np.testing.assert_array_equal(order, single)
+            assert stats == single_stats
+            assert solver.total_iterations == sum(s.total_iterations for s in stats)
 
     def test_level_stats_identical_across_widths(self, serial_result):
         inst, serial = serial_result

@@ -1,127 +1,109 @@
-"""Replica lock-step batching: bit-identity, engagement, fallback.
+"""Replica folding: bit-identity, the fold rule, and its resources.
 
-The contract under test (see ``docs/backends.md``): folding R replicas
-into one kernel batch must be *bit-identical* to running them
-sequentially — every replica keeps its own RNG stream and draws
-exactly the blocks it would draw solo — and the engagement knob must
-refuse combinations that cannot honour that contract.
+The contract under test (see ``docs/backends.md``): folding a taxi
+job's R replicas into one pipeline run must be *bit-identical* to
+running them as separate tasks — every replica keeps its own RNG
+streams and each chunk draws exactly the blocks it would draw solo —
+and the fold engages only where the run itself allows it.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig
+import repro.macro.batch as batch
+from repro.clustering.cache import DEFAULT_CACHE_BUDGET, SubmatrixCache
+from repro.core.config import EngineConfig, TAXIConfig
+from repro.core.solver import TAXISolver, solve_taxi_replicas
 from repro.engine.bench import (
     _bench_replica_batch,
-    bench_ising_model,
     compute_replica_batch_speedups,
 )
 from repro.engine.jobs import BatchJob
-from repro.engine.replica_batch import (
-    lockstep_engaged,
-    lockstep_supported,
-    run_lockstep_batch,
-)
-from repro.engine.runner import run_batch
+from repro.engine.replica_batch import foldable, run_folded_batch
+from repro.engine.runner import ReplicaTask, run_batch, run_tasks
+from repro.engine.wavefront import WavefrontPool
 from repro.errors import ConfigError
-from repro.kernels import BACKEND_FAST, array_backend, resolve_backend
-from repro.kernels.array_backend import anneal_spins_replicas
-from repro.kernels.spin import anneal_fast
+from repro.macro.batch import BatchedMacroSolver, SubProblem, solve_chunks
+from repro.macro.schedule import paper_schedule
+from repro.tsp.generators import clustered_instance
 from repro.utils.rng import replica_seeds
 
 
-def _job(solver="sa_tsp", token="uniform:40:3", replicas=4, mode="auto",
-         **params):
+def _job(solver="taxi", token="clustered:40:3", replicas=4, **params):
     return BatchJob.create(
         [token],
         solver=solver,
         params=params,
-        engine=EngineConfig(replicas=replicas, workers=1, seed=0,
-                            replica_batch=mode),
+        engine=EngineConfig(replicas=replicas, workers=1, seed=0),
     )
 
 
-def _replica_tuples(result):
+def _per_replica(job):
+    """The job's replicas as separate engine tasks (never folded)."""
+    seeds = replica_seeds(job.engine.seed, job.engine.replicas)
+    return run_tasks([
+        ReplicaTask(spec=job.instances[0], solver=job.solver,
+                    params=job.params, seed=seed, index=index,
+                    instance_index=index)
+        for index, seed in enumerate(seeds)
+    ])
+
+
+def _replica_tuples(replicas):
     return [
         (r.index, r.seed, r.length, tuple(r.order.tolist()))
-        for r in result.replicas
+        for r in replicas
     ]
 
 
-class TestProbe:
-    def test_numpy_namespace_always_probes_usable(self):
-        assert array_backend.is_available()
-        assert array_backend.namespace_name() in ("torch", "cupy", "numpy")
-        assert resolve_backend("array") == "array"
-
-    def test_absent_namespaces_degrade_array_to_fast(self, monkeypatch):
-        def refuse(name):
-            raise ImportError(name)
-
-        monkeypatch.setattr(array_backend.importlib, "import_module", refuse)
-        array_backend.clear_probe_cache()
-        try:
-            assert not array_backend.is_available()
-            assert array_backend.namespace_name() is None
-            # The fallback rule: array degrades to fast, silently.
-            assert resolve_backend("array") == BACKEND_FAST
-            # ...and auto lock-step therefore never engages.
-            assert not lockstep_engaged(_job(backend="array"), "auto")
-        finally:
-            monkeypatch.undo()
-            array_backend.clear_probe_cache()
-        assert array_backend.is_available()
-
-
 class TestEngagement:
-    def test_engine_config_validates_the_knob(self):
-        for mode in ("auto", "on", "off"):
-            assert EngineConfig(replica_batch=mode).replica_batch == mode
-        with pytest.raises(ConfigError, match="replica_batch"):
-            EngineConfig(replica_batch="bogus")
-
     def test_supported_solvers_and_params(self):
-        assert lockstep_supported("sa_tsp", {"sweeps": 10})
-        assert lockstep_supported("taxi", {"clustering": "kmeans"})
-        assert not lockstep_supported("greedy", {})
-        assert not lockstep_supported("sa_tsp", {"mystery_knob": 1})
-
-    def test_auto_requires_the_array_backend(self):
-        assert lockstep_engaged(_job(backend="array"), "auto")
-        assert not lockstep_engaged(_job(backend="fast"), "auto")
-        assert not lockstep_engaged(_job(), "auto")  # auto -> fast
-        assert not lockstep_engaged(_job(backend="array"), "off")
-
-    def test_on_forces_and_raises_on_incompatible_jobs(self):
-        assert lockstep_engaged(_job(backend="fast"), "on")
-        with pytest.raises(ConfigError, match="lock-step capable"):
-            lockstep_engaged(_job(solver="greedy"), "on")
-        with pytest.raises(ConfigError, match="reference"):
-            lockstep_engaged(_job(backend="reference"), "on")
+        assert foldable(_job(sweeps=10), workers=1)
+        assert foldable(_job(sweeps=10, backend="array"), workers=1)
+        # Only taxi folds; sa_tsp replicas run as ordinary tasks.
+        assert not foldable(_job(solver="sa_tsp", sweeps=10), workers=1)
+        # A pool runs the replicas, not the fold.
+        assert not foldable(_job(sweeps=10), workers=2)
+        # k-means hierarchies differ per seed; reference cannot merge.
+        assert not foldable(_job(clustering="kmeans"), workers=1)
+        assert not foldable(_job(backend="reference"), workers=1)
+        assert not foldable(_job(mystery_knob=1), workers=1)
 
 
 class TestKernelBitIdentity:
-    def test_batched_metropolis_equals_solo_per_replica(self):
-        model = bench_ising_model(64, seed=4)
-        temperatures = np.geomspace(3.0, 0.05, 30)
-        seeds = replica_seeds(0, 3)
+    def test_merged_macro_kernel_equals_solo_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        chunks = []
+        for _ in range(3):
+            problems = []
+            for _ in range(4):
+                pts = rng.random((9, 2))
+                dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+                problems.append(SubProblem(dist, closed=False))
+            chunks.append(problems)
+        schedule = paper_schedule(30)
 
-        solo = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            spins = model.random_state(rng)
-            solo.append(anneal_fast(model, spins, temperatures, rng))
+        solo = [
+            BatchedMacroSolver(seed=seed).solve_all(problems, schedule)
+            for seed, problems in enumerate(chunks)
+        ]
+        calls = []
+        kernel = batch.anneal_group_fast
+        monkeypatch.setattr(
+            batch, "anneal_group_fast",
+            lambda *a, **k: calls.append(1) or kernel(*a, **k),
+        )
+        solvers = [BatchedMacroSolver(seed=seed) for seed in range(len(chunks))]
+        merged = solve_chunks(solvers, chunks, schedule)
 
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        spins = np.stack([model.random_state(rng) for rng in rngs])
-        batched = anneal_spins_replicas(model, spins, temperatures, rngs)
-
-        for (s_spins, s_energy, s_trace, s_accepted), \
-                (b_spins, b_energy, b_trace, b_accepted) in zip(solo, batched):
-            np.testing.assert_array_equal(b_spins, s_spins)
-            assert b_energy == s_energy
-            np.testing.assert_array_equal(b_trace, s_trace)
-            assert b_accepted == s_accepted
+        assert len(calls) == 1  # every chunk in one kernel call
+        for solo_chunk, merged_chunk in zip(solo, merged):
+            for a, b in zip(solo_chunk, merged_chunk):
+                np.testing.assert_array_equal(a.order, b.order)
+                assert a.length == b.length
+                assert a.iterations == b.iterations
 
 
 class TestEngineBitIdentity:
@@ -130,36 +112,85 @@ class TestEngineBitIdentity:
         ("taxi", "clustered:60:5", {"sweeps": 20}),
     ])
     def test_lockstep_equals_sequential(self, solver, token, params):
-        sequential = run_batch(_job(solver=solver, token=token, mode="off",
-                                    backend="array", **params))[0]
-        lockstep = run_batch(_job(solver=solver, token=token, mode="on",
-                                  backend="array", **params))[0]
-        assert _replica_tuples(lockstep) == _replica_tuples(sequential)
+        job = _job(solver=solver, token=token, **params)
+        batched = run_batch(job)[0]
+        assert _replica_tuples(batched.replicas) == _replica_tuples(
+            _per_replica(job)
+        )
 
     def test_auto_engagement_is_invisible_in_results(self):
-        auto = run_batch(_job(token="uniform:32:9", mode="auto",
-                              backend="array", sweeps=40))[0]
-        off = run_batch(_job(token="uniform:32:9", mode="off",
-                             backend="array", sweeps=40))[0]
-        assert _replica_tuples(auto) == _replica_tuples(off)
+        # The fold needs no option: run_batch folds on its own, and an
+        # injected executor forces per-replica dispatch instead.
+        job = _job(token="clustered:48:9", sweeps=15)
+        folded = run_batch(job)[0]
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            tasks = run_batch(job, executor=executor)[0]
+        assert _replica_tuples(folded.replicas) == _replica_tuples(tasks.replicas)
 
     def test_runtime_ineligible_taxi_falls_back_identically(self):
-        # kmeans hierarchies diverge per replica seed, so lock-step
-        # must quietly run the sequential task loop — same tours.
-        params = {"sweeps": 15, "backend": "array", "clustering": "kmeans"}
-        on = run_batch(_job(solver="taxi", token="clustered:48:2",
-                            replicas=2, mode="on", **params))[0]
-        off = run_batch(_job(solver="taxi", token="clustered:48:2",
-                             replicas=2, mode="off", **params))[0]
-        assert _replica_tuples(on) == _replica_tuples(off)
+        # kmeans hierarchies diverge per replica seed, so the job runs
+        # as per-replica tasks — the same tours either way.
+        job = _job(token="clustered:48:2", replicas=2, sweeps=15,
+                   clustering="kmeans")
+        assert not foldable(job, workers=1)
+        assert _replica_tuples(run_batch(job)[0].replicas) == _replica_tuples(
+            _per_replica(job)
+        )
 
     def test_progress_events_stream_per_replica(self):
         events = []
-        job = _job(token="uniform:24:1", mode="on", backend="array",
-                   replicas=3, sweeps=20)
-        run_lockstep_batch(job, list(replica_seeds(0, 3)), events.append)
+        job = _job(token="clustered:24:1", replicas=3, sweeps=20)
+        run_folded_batch(job, list(replica_seeds(0, 3)), events.append)
         assert [e.replica for e in events] == [0, 1, 2]
         assert all(e.total == 3 for e in events)
+
+
+class TestFoldResources:
+    def test_fold_cache_is_budgeted(self, monkeypatch):
+        built = []
+        init = SubmatrixCache.__init__
+
+        def record(cache, *args, **kwargs):
+            init(cache, *args, **kwargs)
+            built.append(cache)
+
+        monkeypatch.setattr(SubmatrixCache, "__init__", record)
+        job = _job(token="clustered:60:5", replicas=3, sweeps=10,
+                   backend="array")
+        assert foldable(job, workers=1)
+        run_batch(job)
+        assert built
+        for cache in built:
+            assert cache.budget_bytes == DEFAULT_CACHE_BUDGET
+            assert not cache.retain_cross_blocks
+
+    def test_fold_honours_taxi_workers(self, monkeypatch):
+        executors = []
+        resolve = WavefrontPool._resolve_executor
+
+        def record(pool, pending):
+            executor = resolve(pool, pending)
+            executors.append(executor)
+            return executor
+
+        monkeypatch.setattr(WavefrontPool, "_resolve_executor", record)
+        job = _job(token="clustered:60:5", replicas=2, sweeps=10, workers=2)
+        assert foldable(job, workers=1)
+        folded = run_batch(job)[0]
+        assert any(executor is not None for executor in executors)
+
+        instance = clustered_instance(60, seed=5)
+        for replica in folded.replicas:
+            solo = TAXISolver(
+                TAXIConfig(sweeps=10, seed=replica.seed, workers=1)
+            ).solve(instance)
+            np.testing.assert_array_equal(replica.order, solo.tour.order)
+
+    def test_replicas_need_one_hierarchy(self):
+        # k-means draws its clusters per seed, so replicas cannot share.
+        config = TAXIConfig(sweeps=10, clustering="kmeans")
+        with pytest.raises(ConfigError, match="clustering='ward'"):
+            solve_taxi_replicas(clustered_instance(40, seed=1), config, [0, 1])
 
 
 class TestBenchGrid:
@@ -167,7 +198,7 @@ class TestBenchGrid:
         entries = _bench_replica_batch(
             (30,), sweeps=8, replicas=2, seed=0, repeats=1
         )
-        assert [e["mode"] for e in entries] == ["off", "on"]
+        assert [e["mode"] for e in entries] == ["tasks", "folded"]
         assert all(e["seconds"] > 0 for e in entries)
         speedups = compute_replica_batch_speedups(entries)
         assert len(speedups) == 1
