@@ -15,16 +15,18 @@ Given a bottom-up hierarchy, the pipeline:
 Wavefront dispatch
 ------------------
 Each level's sub-problems are chunked deterministically (grouped by
-shape so the macro batch can vectorize, then cut into fixed-size runs;
-see :func:`repro.engine.wavefront.chunk_indices`) and dispatched
-through a :class:`~repro.engine.wavefront.WavefrontPool`.  Every chunk
-derives its own RNG from ``(master seed, level, chunk ordinal)``, so a
-chunk's result is a pure function of the chunk description.  In
-process (``workers=1``) every same-shape chunk of a level, from every
-replica being solved, anneals as one merged kernel batch; a pool gets
-one task per chunk.  Either way each chunk draws only from its own
-stream — compute is merged, RNG streams are not — so ``workers=1``
-reproduces any parallel run bit-for-bit.
+shape, then cut into fixed-size runs; see
+:func:`repro.engine.wavefront.chunk_indices`).  Every chunk derives its
+own RNG from ``(master seed, level, chunk ordinal)``, so a chunk's
+result is a pure function of the chunk description.  The chunks of a
+level — of every shape and every replica being solved — are then cut
+into contiguous super-batches of at most :data:`MAX_BATCH_ROWS` macro
+rows, one :class:`~repro.engine.wavefront.WavefrontPool` task each, and
+each task anneals its chunks as one level-wide ragged kernel batch.  In
+process (``workers=1``) a level is one super-batch unless it outgrows
+the cap; a pool gets at least one per worker.  Either way each chunk
+draws only from its own stream — compute is merged, RNG streams are
+not — so ``workers=1`` reproduces any parallel run bit-for-bit.
 
 Distances: child orderings at levels >= 2 use centroid distances;
 level-1 clusters order actual cities with the instance metric, sliced
@@ -65,6 +67,13 @@ from repro.macro.schedule import AnnealSchedule
 #: knob to vary per run: changing it changes the RNG streams.
 DEFAULT_CHUNK_SIZE = 8
 
+#: Most macro rows (sub-problems x restarts) one wave task anneals.  A
+#: dispatch bound, NOT part of the solve identity: super-batch
+#: boundaries never move a chunk boundary or seed, so tours do not
+#: depend on it.  It keeps each task's pickled payload and padded
+#: kernel arrays small.
+MAX_BATCH_ROWS = 512
+
 #: One solve's result: (city order, phase times, per-level stats).
 SolveResult = tuple[np.ndarray, PhaseTimes, list[LevelStats]]
 
@@ -90,7 +99,7 @@ class WaveChunk:
 def solve_wave_chunks(
     chunks: tuple[WaveChunk, ...],
 ) -> list[tuple[list[SubSolution], int, int]]:
-    """Solve same-shape chunks as one merged batch (the wavefront task).
+    """Solve one super-batch of chunks as one ragged batch (a wave task).
 
     Module-level so process pools can pickle it.  Each chunk gets its
     own seeded solver; returns ``(solutions, sweeps, iterations)`` per
@@ -148,9 +157,11 @@ def solve_hierarchical(
     ----------
     workers:
         Wavefront process-pool width.  ``1`` (default) solves in
-        process, merging every same-shape chunk of a level — from every
-        replica — into one task and one kernel batch.  Wider pools (or
-        an injected ``executor``) get one task per chunk.
+        process, merging every chunk of a level — of every shape and
+        every replica — into one task and one ragged kernel batch
+        (bounded by :data:`MAX_BATCH_ROWS`).  Wider pools (or an
+        injected ``executor``) get at least ``workers`` contiguous
+        super-batches per level.
     executor:
         Explicit :class:`~concurrent.futures.Executor` overriding the
         internal pool (tests inject thread/inline executors).
@@ -185,11 +196,9 @@ def solve_hierarchical(
         if isinstance(solver, BatchedMacroSolver) else 0
         for solver in solvers
     ]
-    merge = workers <= 1 and executor is None
-
     with WavefrontPool(workers=workers, executor=executor) as pool:
         solve_wave = functools.partial(
-            _solve_wave, pool, solvers, master_seeds, schedule, chunk_size, merge
+            _solve_wave, pool, solvers, master_seeds, schedule, chunk_size
         )
         top = hierarchy.top
         k = top.n_nodes
@@ -240,7 +249,6 @@ def _solve_wave(
     master_seeds: list[int],
     schedule: AnnealSchedule,
     chunk_size: int,
-    merge: bool,
     waves: list[list[SubProblem]],
     level: int,
 ) -> tuple[list[list[SubSolution]], float]:
@@ -248,13 +256,14 @@ def _solve_wave(
 
     Returns the solutions (aligned with ``waves``) and each replica's
     share of the wall time.  Each replica's problems are cut into chunks
-    (ordinals per replica).  With ``merge`` every same-shape chunk of
-    every replica joins one task; otherwise each chunk is its own task.
+    (ordinals per replica); the chunks of every shape and replica are
+    then cut into contiguous super-batches, one wave task each (see
+    :func:`_super_batches`).
     """
     start = time.perf_counter()
     results: list[list[SubSolution]] = []
-    tasks: dict[object, list[WaveChunk]] = {}
-    owners: dict[object, list[tuple[int, list[int]]]] = {}
+    chunks: list[WaveChunk] = []
+    owners: list[tuple[int, list[int]]] = []
     for r, (solver, problems) in enumerate(zip(solvers, waves)):
         results.append([None] * len(problems))  # type: ignore[list-item]
         if not problems:
@@ -262,11 +271,9 @@ def _solve_wave(
         if not isinstance(solver, BatchedMacroSolver):
             results[r] = solver.solve_all(problems, schedule)
             continue
-        chunks = chunk_indices([p.shape_key for p in problems], chunk_size)
-        for ordinal, indices in enumerate(chunks):
-            shape = problems[indices[0]].shape_key
-            key = shape if merge else (r, ordinal)
-            tasks.setdefault(key, []).append(
+        keys = [p.shape_key for p in problems]
+        for ordinal, indices in enumerate(chunk_indices(keys, chunk_size)):
+            chunks.append(
                 WaveChunk(
                     level=level,
                     ordinal=ordinal,
@@ -277,20 +284,51 @@ def _solve_wave(
                     problems=tuple(problems[i] for i in indices),
                 )
             )
-            owners.setdefault(key, []).append((r, indices))
-    if tasks:
-        outputs = pool.map(
-            solve_wave_chunks, [tuple(chunks) for chunks in tasks.values()]
-        )
-        for owner, task_output in zip(owners.values(), outputs):
-            for (r, indices), (solutions, sweeps, iterations) in zip(
-                owner, task_output
-            ):
-                solvers[r].total_sweeps += sweeps
-                solvers[r].total_iterations += iterations
-                for local, solution in zip(indices, solutions):
-                    results[r][local] = solution
+            owners.append((r, indices))
+    if chunks:
+        outputs = pool.map(solve_wave_chunks, _super_batches(chunks, pool.workers))
+        solved = (output for task_output in outputs for output in task_output)
+        for (r, indices), (solutions, sweeps, iterations) in zip(owners, solved):
+            solvers[r].total_sweeps += sweeps
+            solvers[r].total_iterations += iterations
+            for local, solution in zip(indices, solutions):
+                results[r][local] = solution
     return results, (time.perf_counter() - start) / len(solvers)
+
+
+def _super_batches(
+    chunks: list[WaveChunk], workers: int
+) -> list[tuple[WaveChunk, ...]]:
+    """Cut a level's chunks into contiguous wave tasks of similar size.
+
+    The task count is the smallest multiple of ``workers`` whose equal
+    row shares fit :data:`MAX_BATCH_ROWS` (but no more tasks than
+    chunks), so every worker gets the same share.  A task closes once
+    its share of the rows is reached, before the cap would be crossed,
+    or when every later task needs one of the remaining chunks.  Task
+    boundaries never change a chunk's seed, so any cut yields the same
+    tours.
+    """
+    rows = [len(chunk.problems) * chunk.config.restarts for chunk in chunks]
+    total = sum(rows)
+    rounds = -(-total // (workers * MAX_BATCH_ROWS))
+    count = min(len(chunks), workers * rounds)
+    tasks: list[tuple[WaveChunk, ...]] = []
+    task: list[WaveChunk] = []
+    filled = done = 0
+    for index, (chunk, chunk_rows) in enumerate(zip(chunks, rows)):
+        if task and (
+            done >= total * (len(tasks) + 1) / count
+            or filled + chunk_rows > MAX_BATCH_ROWS
+            or len(chunks) - index < count - len(tasks)
+        ):
+            tasks.append(tuple(task))
+            task, filled = [], 0
+        task.append(chunk)
+        filled += chunk_rows
+        done += chunk_rows
+    tasks.append(tuple(task))
+    return tasks
 
 
 def _solve_level(

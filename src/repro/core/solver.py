@@ -56,8 +56,8 @@ def solve_taxi_replicas(
     Each seed gets the result ``TAXISolver(replace(config,
     seed=seed)).solve(instance)`` would produce, bit-for-bit.  The
     replicas share one hierarchy and one distance-submatrix cache, and
-    their same-shape chunks anneal as merged kernel batches (see
-    :func:`repro.core.pipeline.solve_hierarchical`).  Sharing one
+    each level's chunks of every replica anneal as one ragged kernel
+    batch (see :func:`repro.core.pipeline.solve_hierarchical`).  Sharing one
     hierarchy needs ``clustering="ward"`` once there are several seeds:
     k-means clusters with a per-seed draw.
     """

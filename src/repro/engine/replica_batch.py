@@ -4,8 +4,8 @@ The paper's chip gets replica throughput by annealing many macros in
 lock-step, not by running more processes.  When a batch job's taxi
 replicas differ only by seed and run in process, the engine folds them
 into one :func:`~repro.core.solver.solve_taxi_replicas` call per
-instance: the replicas share one hierarchy, and their same-shape
-chunks anneal as merged kernel batches.
+instance: the replicas share one hierarchy, and the chunks of a level,
+of every shape and every replica, anneal as one ragged kernel batch.
 
 The rule is read from the run itself (:func:`foldable`): the engine
 would run the replicas in process, clustering is ``ward`` (so every

@@ -7,10 +7,10 @@ software solvers.  Each hot path ships two implementations:
 * ``reference`` — the original, loop-per-proposal semantics, kept
   bit-for-bit stable as the ground truth;
 * ``fast`` — vectorized/batched evaluation (checkerboard spin classes,
-  batched 2-opt delta blocks, bulk-RNG macro sweeps that merge many
-  same-shape chunks into one batch) that is either bit-exact with the
-  reference (2-opt SA) or validated against it at distribution level
-  (spin annealing, macro batches).
+  batched 2-opt delta blocks, bulk-RNG macro sweeps that pad the chunks
+  of a whole hierarchy level, of any shapes, into one ragged batch)
+  that is either bit-exact with the reference (2-opt SA) or validated
+  against it at distribution level (spin annealing, macro batches).
 
 ``auto`` (the default everywhere a ``backend=`` knob exists) resolves
 to ``fast``, and so does ``array``, the name of a former replica-batched

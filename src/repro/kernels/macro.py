@@ -1,24 +1,30 @@
-"""Macro batch-sweep kernels: reference loop and bulk-RNG fast path.
+"""Macro batch-sweep kernels: one ragged step body, two draw orders.
 
 These kernels run the inner probability x position annealing loop of
-:class:`~repro.macro.batch.BatchedMacroSolver`.  The loop body is
-already vectorized across the macros of a group; what distinguishes the
-backends is how the *per-position* work is staged:
+:class:`~repro.macro.batch.BatchedMacroSolver`.  One step body advances
+every macro row of a batch by one visiting-order position.  The rows
+may come from chunks of *different* shapes (a whole hierarchy level at
+once): each chunk's arrays are padded to the widest chunk, each row
+follows its own chunk's position schedule, and a row whose positions
+have run out idles for the rest of the sweep.  What distinguishes the
+backends is how the per-position randoms are staged:
 
 * ``reference`` draws gating/noise/jitter/override randoms one position
   at a time (the historical stream, bit-for-bit stable), so it anneals
   one chunk per call;
 * ``fast`` hoists all random draws of a sweep into single bulk
   generator calls (one ``(positions, macros, cities)`` block per
-  stochastic source), precomputes the neighbour-position table, and
-  drops a redundant copy of the score gather.  Same distributions,
-  same update semantics, different draw order — validated against the
-  reference at distribution level.  Because every block is drawn up
-  front, one call can anneal many same-shape chunks, each drawing from
-  its own generator: compute is merged, RNG streams are not.
+  stochastic source and chunk) and gates the whole sweep at once.  Same
+  distributions, same update semantics, different draw order — validated
+  against the reference at distribution level.  Because every block is
+  drawn up front, one call anneals chunks of any shapes, each drawing
+  from its own generator in solo order, its blocks scattered into the
+  padded batch: compute is merged, RNG streams are not.
 
-Both kernels mutate ``order``/``pos_of``/``proxy`` in place and return
-the number of sweeps executed.
+Every operation of a step is row-local, so a chunk evolves
+bit-identically whatever else shares its batch.  Both kernels mutate
+their chunks' ``order``/``pos_of``/``proxy`` in place and return the
+number of sweeps executed.
 """
 
 from __future__ import annotations
@@ -27,14 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
+#: One chunk's kernel inputs: weights ``(m, n, n)``, order and pos_of
+#: ``(m, n)``, allowed-city mask ``(m, n)`` and guard proxy ``(m,)``.
+Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-def neighbour_positions(pos: int, n: int, closed: bool) -> tuple[int, int]:
-    """Previous/next visiting-order positions of ``pos``."""
-    if closed:
-        return (pos - 1) % n, (pos + 1) % n
-    prev_pos = pos - 1 if pos > 0 else pos + 1
-    next_pos = pos + 1 if pos < n - 1 else pos - 1
-    return prev_pos, next_pos
+#: Terms NumPy's pairwise summation adds in one unrolled block
+#: (``PW_BLOCKSIZE``); longer sums split at a length-dependent point.
+_PAIRWISE_BLOCK = 128
 
 
 def batch_proxy(weights: np.ndarray, orders: np.ndarray, closed: bool) -> np.ndarray:
@@ -50,104 +55,245 @@ def batch_proxy(weights: np.ndarray, orders: np.ndarray, closed: bool) -> np.nda
     return totals
 
 
-def _sweep_positions(
-    weights: np.ndarray,
-    order: np.ndarray,
-    pos_of: np.ndarray,
-    allowed_cities: np.ndarray,
-    proxy: np.ndarray,
-    positions: np.ndarray,
-    neighbours: list[tuple[int, int]],
-    p_sw: float,
-    *,
-    closed: bool,
-    read_noise: float,
-    resolution: float,
-    guarded: bool,
-    rng: np.random.Generator,
-    noise_block: np.ndarray | None,
-    gate_block: np.ndarray | None,
-    jitter_block: np.ndarray | None,
-    override_block: np.ndarray | None,
-) -> None:
-    """One full position sweep; ``*_block`` arrays supply pre-drawn randoms."""
-    m, n = order.shape
-    rows = np.arange(m)
-    for t, pos in enumerate(positions):
-        prev_pos, next_pos = neighbours[t]
-        prev_cities = order[:, prev_pos]
-        next_cities = order[:, next_pos]
-        # Advanced indexing already copies, so scores owns its buffer.
-        scores = weights[rows, prev_cities, :]
-        distinct = prev_cities != next_cities
-        if distinct.all():
-            scores += weights[rows, next_cities, :]
-        elif distinct.any():
-            scores[distinct] += weights[rows[distinct], next_cities[distinct], :]
-        if read_noise > 0:
-            noise = (
-                noise_block[t]
-                if noise_block is not None
-                else rng.normal(0.0, read_noise, size=scores.shape)
-            )
-            scores *= 1.0 + noise
-        gate = gate_block[t] if gate_block is not None else rng.random((m, n))
-        mask = gate < p_sw
-        mask &= allowed_cities
-        # NAND fallback: rows with no switched (allowed) unit pass every
-        # allowed city.
-        empty = ~mask.any(axis=1)
-        if empty.any():
-            mask[empty] = allowed_cities[empty]
-        gated = np.where(mask, scores, -np.inf)
-        if resolution > 0:
-            peak = gated.max(axis=1, keepdims=True)
-            window = resolution * np.abs(peak)
-            jitter = jitter_block[t] if jitter_block is not None else rng.random((m, n))
-            gated = np.where(mask, gated + jitter * window, -np.inf)
-        winner = np.argmax(gated, axis=1)
-        # Copy: order[:, pos] is a view and the swap writes below would
-        # otherwise corrupt it mid-update.
-        current_city = order[:, pos].copy()
-        proposed = np.flatnonzero(winner != current_city)
+def ragged_proxy(
+    weights: np.ndarray, orders: np.ndarray, sizes: np.ndarray, closed: bool
+) -> np.ndarray:
+    """:func:`batch_proxy` of padded rows, bit-identical to each unpadded row.
+
+    Row ``i`` has ``sizes[i]`` real cities; beyond them ``weights`` is
+    zero and ``orders`` is the identity (the ragged kernel's padding).
+    """
+    return _RaggedProxy(weights, np.asarray(sizes), closed)(
+        np.arange(orders.shape[0]), orders
+    )
+
+
+def _sum_width(edges: int, padded: int) -> int:
+    """Narrowest padded width whose row sum equals the unpadded one.
+
+    NumPy adds fewer than 8 terms in sequence, and up to 128 terms in
+    eight interleaved partial sums plus a sequential tail.  Zero terms
+    appended within the same regime (the same count of whole 8-term
+    blocks) leave the float sum unchanged; across regimes they change
+    its rounding, so one sum over the full padded width is not exact.
+    """
+    if edges > _PAIRWISE_BLOCK:
+        return edges
+    return min(edges | 7, padded)
+
+
+def _neighbours(
+    positions: np.ndarray, n: int, closed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Previous/next visiting-order positions of each of ``positions``."""
+    if closed:
+        return (positions - 1) % n, (positions + 1) % n
+    prev_pos = np.where(positions > 0, positions - 1, positions + 1)
+    next_pos = np.where(positions < n - 1, positions + 1, positions - 1)
+    return prev_pos, next_pos
+
+
+def _gate_bias(gate: np.ndarray, p_sw: float, allowed: np.ndarray) -> np.ndarray:
+    """Stochastic gating with the NAND fallback, over any leading axes.
+
+    A unit passes when its draw is below ``p_sw`` and its city is
+    allowed; a row with no passing unit passes every allowed city.
+    Returns the additive score bias: 0 for passing units, -inf for the
+    rest.
+    """
+    mask = (gate < p_sw) & allowed
+    mask |= ~mask.any(axis=-1, keepdims=True) & allowed
+    return np.where(mask, 0.0, -np.inf)
+
+
+class _RaggedProxy:
+    """Guard proxies of padded rows, each summed at its own width class."""
+
+    def __init__(self, weights: np.ndarray, sizes: np.ndarray, closed: bool) -> None:
+        self.width = weights.shape[-1]
+        self.flat = weights.reshape(-1)
+        self.closed = closed
+        self.last = sizes - 1
+        widths = [_sum_width(int(e), self.width - 1) for e in sizes - 1]
+        self.widths = sorted(set(widths))
+        self.width_class = np.searchsorted(self.widths, widths)
+
+    def __call__(self, rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
+        """Proxies of candidate ``orders`` (one per batch row in ``rows``)."""
+        heads = (rows * self.width)[:, None] + orders  # flat (row, city)
+        edges = self.flat.take(heads[:, :-1] * self.width + orders[:, 1:])
+        totals = np.add.reduce(edges[:, : self.widths[0]], axis=1)
+        if len(self.widths) > 1:
+            width_class = self.width_class.take(rows)
+            for k, width in enumerate(self.widths[1:], start=1):
+                wide = np.add.reduce(edges[:, :width], axis=1)
+                np.copyto(totals, wide, where=width_class == k)
+        if self.closed:
+            tails = heads[np.arange(rows.size), self.last.take(rows)]
+            totals += self.flat.take(tails * self.width + orders[:, 0])
+        return totals
+
+
+class _Batch:
+    """Chunks of any shapes padded into one ``(M, N)`` macro batch.
+
+    Chunks are laid out by descending position count, so the rows still
+    annealing at step ``t`` are the prefix ``[:active[t]]``.  Beyond its
+    own cities a row's weights are zero, no padded city is allowed, and
+    its order is the identity, so every padded edge weighs zero.
+    """
+
+    def __init__(
+        self,
+        chunks: Sequence[Chunk],
+        positions: Sequence[np.ndarray],
+        *,
+        closed: bool,
+        resolution: float,
+        guarded: bool,
+    ) -> None:
+        self.resolution = resolution
+        self.guarded = guarded
+        # Stable: equal position counts keep their input order.
+        self.rank = sorted(range(len(chunks)), key=lambda c: -positions[c].size)
+        rows = [chunks[c][1].shape[0] for c in self.rank]
+        sizes = [chunks[c][1].shape[1] for c in self.rank]
+        steps = [positions[c].size for c in self.rank]
+        m, n = sum(rows), max(sizes)
+        bounds = np.cumsum([0] + rows)
+        self.lanes = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.sizes = sizes
+        self.steps = steps
+
+        weights = np.zeros((m, n, n))
+        self.order = np.tile(np.arange(n), (m, 1))
+        self.pos_of = self.order.copy()
+        self.allowed = np.zeros((m, n), dtype=bool)
+        self.proxy = np.empty(m)
+        pos_tab = np.zeros((steps[0], m), dtype=int)
+        prev_tab = np.zeros_like(pos_tab)
+        next_tab = np.zeros_like(pos_tab)
+        for lane, c, k, s in zip(self.lanes, self.rank, sizes, steps):
+            chunk_weights, order, pos_of, allowed, proxy = chunks[c]
+            weights[lane, :k, :k] = chunk_weights
+            self.order[lane, :k] = order
+            self.pos_of[lane, :k] = pos_of
+            self.allowed[lane, :k] = allowed
+            self.proxy[lane] = proxy
+            prev_pos, next_pos = _neighbours(positions[c], k, closed)
+            pos_tab[:s, lane] = positions[c][:, None]
+            prev_tab[:s, lane] = prev_pos[:, None]
+            next_tab[:s, lane] = next_pos[:, None]
+
+        # Flat views: entry (row, column) of an (M, N) array sits at
+        # row * N + column, so every gather/scatter is one 1-D index.
+        self.row_base = np.arange(m) * n
+        self.order_flat = self.order.reshape(-1)
+        self.pos_flat = self.pos_of.reshape(-1)
+        self.score_rows = weights.reshape(m * n, n)
+        self.proxy_of = _RaggedProxy(weights, np.repeat(sizes, rows), closed)
+        self.active = [
+            sum(r for r, s in zip(rows, steps) if s > t) for t in range(steps[0])
+        ]
+        # Per step: active rows, their flat row offsets, flat indices of
+        # their previous-then-next neighbours (and those rows' offsets),
+        # flat indices of their current position, the positions, and
+        # the rows with a single neighbour.
+        self.plan = []
+        for t, active in enumerate(self.active):
+            base = self.row_base[:active]
+            prev_pos, next_pos = prev_tab[t, :active], next_tab[t, :active]
+            # Rows whose neighbours coincide (an open path's end) score
+            # one neighbour only.
+            same = np.flatnonzero(prev_pos == next_pos)
+            self.plan.append((
+                active,
+                base,
+                np.concatenate([base + prev_pos, base + next_pos]),
+                np.concatenate([base, base]),
+                base + pos_tab[t, :active],
+                pos_tab[t, :active],
+                same if same.size else None,
+            ))
+
+    def step(
+        self,
+        t: int,
+        p_sw: float,
+        gain: np.ndarray | None,
+        bias: np.ndarray,
+        jitter: np.ndarray | None,
+        override: np.ndarray | None,
+        rng: np.random.Generator | None,
+    ) -> None:
+        """Advance the active rows by position step ``t``.
+
+        ``gain`` (``1 + read noise``), ``bias`` (see :func:`_gate_bias`)
+        and ``jitter`` cover the active rows; ``override`` holds their
+        write-path draws, or is ``None`` to draw them from ``rng`` for
+        the proposed rows only.
+        """
+        m, base, around, around_base, here, positions, same = self.plan[t]
+        order = self.order_flat
+        # Previous then next neighbours' weight rows, in one gather.
+        both = self.score_rows.take(around_base + order.take(around), axis=0)
+        scores = both[:m] + both[m:]
+        if same is not None:
+            scores[same] = both[same]
+        if gain is not None:
+            scores *= gain
+        scores += bias
+        if jitter is not None:
+            peak = scores.reshape(-1).take(base + scores.argmax(axis=1))
+            # -inf plus a finite jitter stays -inf: gated-off units stay out.
+            scores += jitter * (self.resolution * np.abs(peak))[:, None]
+        winner = scores.argmax(axis=1)
+        current = order.take(here)
+        proposed = (winner != current).nonzero()[0]
         if proposed.size == 0:
-            continue
-        j = pos_of[proposed, winner[proposed]]
-        if guarded:
+            return
+        won, held = winner.take(proposed), current.take(proposed)
+        pos = positions.take(proposed)
+        base = base.take(proposed)
+        j = self.pos_flat.take(base + won)
+        if self.guarded:
             # Current-comparison guard: evaluate each proposed swap's
             # attraction-current change; commit descents (in energy =
             # ascents in attraction) always, others only on a stochastic
             # write-path override.
-            cand = order[proposed].copy()
-            local = np.arange(proposed.size)
-            cand[local, pos] = winner[proposed]
-            cand[local, j] = current_city[proposed]
-            new_proxy = batch_proxy(weights[proposed], cand, closed)
-            override = (
-                override_block[t, proposed]
-                if override_block is not None
+            cand = self.order.take(proposed, axis=0)
+            local = self.row_base[: proposed.size]
+            cand.reshape(-1)[local + pos] = won
+            cand.reshape(-1)[local + j] = held
+            new_proxy = self.proxy_of(proposed, cand)
+            draws = (
+                override.take(proposed) if override is not None
                 else rng.random(proposed.size)
             )
-            accept = (new_proxy >= proxy[proposed]) | (override < p_sw)
-            if not accept.any():
-                continue
-            changed = proposed[accept]
-            j = j[accept]
-            proxy[changed] = new_proxy[accept]
-        else:
-            changed = proposed
-        order[changed, pos] = winner[changed]
-        order[changed, j] = current_city[changed]
-        pos_of[changed, winner[changed]] = pos
-        pos_of[changed, current_city[changed]] = j
+            accept = (new_proxy >= self.proxy.take(proposed)) | (draws < p_sw)
+            if not accept.all():
+                if not accept.any():
+                    return
+                proposed, won, held, pos, base, j, new_proxy = (
+                    a[accept] for a in (proposed, won, held, pos, base, j, new_proxy)
+                )
+            self.proxy[proposed] = new_proxy
+        order[base + pos] = won
+        order[base + j] = held
+        self.pos_flat[base + won] = pos
+        self.pos_flat[base + held] = j
+
+    def unpack(self, chunks: Sequence[Chunk]) -> None:
+        """Write every row's order, pos_of and proxy back to its chunk."""
+        for lane, c, k in zip(self.lanes, self.rank, self.sizes):
+            _, order, pos_of, _, proxy = chunks[c]
+            order[...] = self.order[lane, :k]
+            pos_of[...] = self.pos_of[lane, :k]
+            proxy[...] = self.proxy[lane]
 
 
 def anneal_group_reference(
-    weights: np.ndarray,
-    order: np.ndarray,
-    pos_of: np.ndarray,
-    allowed_cities: np.ndarray,
-    proxy: np.ndarray,
+    chunk: Chunk,
     positions: np.ndarray,
     probabilities: np.ndarray,
     *,
@@ -158,29 +304,29 @@ def anneal_group_reference(
     rng: np.random.Generator,
 ) -> int:
     """Historical per-position draw order (bit-for-bit stable stream)."""
-    n = order.shape[1]
-    neighbours = [neighbour_positions(int(pos), n, closed) for pos in positions]
+    batch = _Batch(
+        [chunk], [positions], closed=closed, resolution=resolution, guarded=guarded
+    )
+    shape = batch.order.shape
     sweeps = 0
     for p_sw in probabilities:
-        _sweep_positions(
-            weights, order, pos_of, allowed_cities, proxy, positions,
-            neighbours, float(p_sw),
-            closed=closed, read_noise=read_noise, resolution=resolution,
-            guarded=guarded, rng=rng,
-            noise_block=None, gate_block=None, jitter_block=None,
-            override_block=None,
-        )
+        p_sw = float(p_sw)
+        for t in range(positions.size):
+            gain = (
+                1.0 + rng.normal(0.0, read_noise, size=shape)
+                if read_noise > 0 else None
+            )
+            bias = _gate_bias(rng.random(shape), p_sw, batch.allowed)
+            jitter = rng.random(shape) if resolution > 0 else None
+            batch.step(t, p_sw, gain, bias, jitter, None, rng)
         sweeps += 1
+    batch.unpack([chunk])
     return sweeps
 
 
 def anneal_group_fast(
-    weights: np.ndarray,
-    order: np.ndarray,
-    pos_of: np.ndarray,
-    allowed_cities: np.ndarray,
-    proxy: np.ndarray,
-    positions: np.ndarray,
+    chunks: Sequence[Chunk],
+    positions: Sequence[np.ndarray],
     probabilities: np.ndarray,
     *,
     closed: bool,
@@ -188,58 +334,52 @@ def anneal_group_fast(
     resolution: float,
     guarded: bool,
     rngs: Sequence[np.random.Generator],
-    rows: Sequence[int],
 ) -> int:
-    """Bulk-RNG sweeps over one or more chunks merged along the macro axis.
+    """Bulk-RNG sweeps over chunks of any shapes as one ragged batch.
 
-    The first ``rows[0]`` macros belong to ``rngs[0]``, the next
-    ``rows[1]`` to ``rngs[1]``, and so on.  Each sweep, every generator
-    draws its own rows' blocks in the order a solo anneal of its chunk
-    draws them, the blocks are concatenated along the macro axis, and
-    one :func:`_sweep_positions` call advances every chunk.  Sweep
-    operations are all per-row, so each chunk evolves bit-identically
-    to a solo anneal; with one generator this *is* the solo anneal.
+    Chunk ``c`` anneals its ``positions[c]`` and draws from ``rngs[c]``.
+    Each sweep, every generator draws its own chunk's blocks in the
+    order a solo anneal of that chunk draws them; the blocks are
+    scattered into padded ``(steps, M, N)`` blocks and one step per
+    position advances every chunk still annealing.  With one chunk this
+    *is* the solo anneal.
     """
-    n = order.shape[1]
-    n_pos = positions.size
-    neighbours = [neighbour_positions(int(pos), n, closed) for pos in positions]
-    streams = list(zip(rngs, rows))
+    batch = _Batch(
+        chunks, positions, closed=closed, resolution=resolution, guarded=guarded
+    )
+    m, n = batch.order.shape
+    shape = (batch.steps[0], m, n)
+    # Padded entries stay zero: finite jitter keeps gated-off units at -inf.
+    gain = np.zeros(shape) if read_noise > 0 else None
+    gate = np.zeros(shape)
+    jitter = np.zeros(shape) if resolution > 0 else None
+    override = np.zeros(shape[:2]) if guarded else None
+    lanes = [
+        (rngs[c], lane, k, s)
+        for c, lane, k, s in zip(batch.rank, batch.lanes, batch.sizes, batch.steps)
+    ]
     sweeps = 0
     for p_sw in probabilities:
-        noise_block, gate_block, jitter_block, override_block = _draw_blocks(
-            streams, n_pos, n, read_noise, resolution, guarded
-        )
-        _sweep_positions(
-            weights, order, pos_of, allowed_cities, proxy, positions,
-            neighbours, float(p_sw),
-            closed=closed, read_noise=read_noise, resolution=resolution,
-            guarded=guarded, rng=rngs[0],  # unused: every block is pre-drawn
-            noise_block=noise_block, gate_block=gate_block,
-            jitter_block=jitter_block, override_block=override_block,
-        )
+        p_sw = float(p_sw)
+        for rng, lane, k, s in lanes:
+            block = (s, lane.stop - lane.start, k)
+            if gain is not None:
+                gain[:s, lane, :k] = 1.0 + rng.normal(0.0, read_noise, size=block)
+            gate[:s, lane, :k] = rng.random(block)
+            if jitter is not None:
+                jitter[:s, lane, :k] = rng.random(block)
+            if override is not None:
+                override[:s, lane] = rng.random(block[:2])
+        bias = _gate_bias(gate, p_sw, batch.allowed)
+        for t, active in enumerate(batch.active):
+            batch.step(
+                t, p_sw,
+                None if gain is None else gain[t, :active],
+                bias[t, :active],
+                None if jitter is None else jitter[t, :active],
+                None if override is None else override[t, :active],
+                None,
+            )
         sweeps += 1
+    batch.unpack(chunks)
     return sweeps
-
-
-def _draw_blocks(streams, n_pos, n, read_noise, resolution, guarded):
-    """One sweep's ``(noise, gate, jitter, override)`` blocks.
-
-    Each ``(generator, rows)`` stream draws its blocks in solo order;
-    with several streams the blocks are joined along the macro axis.
-    """
-    parts = [
-        (
-            rng.normal(0.0, read_noise, size=(n_pos, rows, n))
-            if read_noise > 0 else None,
-            rng.random((n_pos, rows, n)),
-            rng.random((n_pos, rows, n)) if resolution > 0 else None,
-            rng.random((n_pos, rows)) if guarded else None,
-        )
-        for rng, rows in streams
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(
-        None if blocks[0] is None else np.concatenate(blocks, axis=1)
-        for blocks in zip(*parts)
-    )

@@ -3,8 +3,8 @@
 TAXI's architecture maps every cluster of a hierarchy level onto its
 own macro and anneals them *in parallel* (paper Sections IV-2, V).
 This module models that parallelism efficiently: sub-problems are
-grouped by shape and annealed with vectorized numpy across the group,
-using exactly the same per-iteration semantics as
+annealed with vectorized numpy across a whole batch of macros, using
+exactly the same per-iteration semantics as
 :class:`~repro.macro.ising_macro.IsingMacro` (same effective-weight
 math, stochastic gating with NAND fallback, finite-resolution WTA,
 swap updates) — verified against the faithful model in the test suite.
@@ -14,8 +14,11 @@ The probability x position sweep loop lives in
 keeps the historical per-position random-draw order bit-for-bit,
 ``fast`` hoists each sweep's draws into bulk generator calls (same
 distributions, different stream).  :func:`solve_chunks` anneals many
-same-shape chunks, each with its own solver and RNG stream, as one
-``fast`` kernel batch: the hierarchical pipeline's whole-level lock-step.
+chunks of any sizes and fixed endpoints, each with its own solver and
+RNG stream, as one padded ``fast`` kernel batch: the hierarchical
+pipeline's level-wide ragged lock-step.  :meth:`BatchedMacroSolver.
+solve_all` keeps one kernel call per shape group, because its groups
+draw from one shared generator in sequence.
 """
 
 from __future__ import annotations
@@ -187,18 +190,20 @@ def solve_chunks(
     chunk_problems: list[list[SubProblem]],
     schedule: AnnealSchedule | None = None,
 ) -> list[list[SubSolution]]:
-    """Solve same-shape chunks, one solver each, as one merged batch.
+    """Solve chunks, one solver each, as one merged ragged batch.
 
-    ``chunk_problems[i]`` is one chunk (every problem of every chunk
-    shares one ``shape_key``, as
-    :func:`repro.engine.wavefront.chunk_indices` guarantees) and
-    ``solvers[i]`` is its chunk-seeded solver; all solvers share one
+    ``chunk_problems[i]`` is one chunk: its problems share one
+    ``shape_key`` (as :func:`repro.engine.wavefront.chunk_indices`
+    guarantees), while different chunks may differ in size and fixed
+    endpoints.  The chunks must be all closed or all open, and
+    ``solvers[i]`` is chunk ``i``'s seeded solver; all solvers share one
     config and backend.  Each chunk consumes its solver's RNG exactly as
     a solo solve of that chunk would (weight draws at prepare time, then
     per-sweep blocks), so the solutions are bit-identical to solving
     chunk by chunk.  The ``fast`` kernel anneals every chunk in one
     call; the ``reference`` kernel, whose per-position stream cannot be
-    block-drawn, one chunk per call.
+    block-drawn, one chunk per call.  A chunk with nothing to anneal
+    draws no randoms and joins no kernel call.
     """
     schedule = schedule if schedule is not None else paper_schedule()
     template = solvers[0]
@@ -215,19 +220,25 @@ def solve_chunks(
                     f"sub-problem of {problem.n} cities exceeds macro "
                     f"capacity {config.max_cities}"
                 )
+    closed = chunk_problems[0][0].closed
+    if any(p.closed != closed for problems in chunk_problems for p in problems):
+        raise MacroError("merged chunks must be all closed or all open")
     restarts = config.restarts
     groups = [
         [p for p in problems for _ in range(restarts)] for problems in chunk_problems
     ]
-    n, closed, fixed_first, fixed_last = chunk_problems[0][0].shape_key
-    positions = _optimizable_positions(n, closed, fixed_first, fixed_last)
-    n_fixed = int(fixed_first) + int(fixed_last) if not closed else 0
-    if positions.size == 0 or n - n_fixed < 2:
-        # Nothing the annealer may change: no RNG draws.
-        sweeps = 0
-        orders = [[p.initial_order for p in group] for group in groups]
-    else:
-        prepared = [_prepare(solver, group) for solver, group in zip(solvers, groups)]
+    positions = [
+        _optimizable_positions(*problems[0].shape_key) for problems in chunk_problems
+    ]
+    # Chunks the annealer may change; the rest draw no randoms.
+    live = [
+        i for i, problems in enumerate(chunk_problems)
+        if positions[i].size and problems[0].n - _fixed_count(problems[0]) >= 2
+    ]
+    sweeps = [0] * len(groups)
+    orders = [[p.initial_order for p in group] for group in groups]
+    if live:
+        prepared = [_prepare(solvers[i], groups[i]) for i in live]
         kernel_args = dict(
             closed=closed,
             read_noise=config.crossbar.variation.read_noise_sigma,
@@ -236,28 +247,27 @@ def solve_chunks(
         )
         probabilities = schedule.probabilities()
         if template.backend == BACKEND_REFERENCE:
-            for solver, arrays in zip(solvers, prepared):
-                sweeps = anneal_group_reference(
-                    *arrays, positions, probabilities,
-                    rng=solver._rng, **kernel_args,
+            for i, arrays in zip(live, prepared):
+                sweeps[i] = anneal_group_reference(
+                    arrays, positions[i], probabilities,
+                    rng=solvers[i]._rng, **kernel_args,
                 )
-            orders = [arrays[1] for arrays in prepared]
         else:
-            merged = [np.concatenate(parts) for parts in zip(*prepared)]
-            rows = [len(group) for group in groups]
-            sweeps = anneal_group_fast(
-                *merged, positions, probabilities,
-                rngs=[solver._rng for solver in solvers], rows=rows,
-                **kernel_args,
+            done = anneal_group_fast(
+                prepared, [positions[i] for i in live], probabilities,
+                rngs=[solvers[i]._rng for i in live], **kernel_args,
             )
-            orders = np.split(merged[1], np.cumsum(rows)[:-1])
-    iterations = sweeps * positions.size
+            for i in live:
+                sweeps[i] = done
+        for i, arrays in zip(live, prepared):
+            orders[i] = arrays[1]
 
     results: list[list[SubSolution]] = []
-    for solver, problems, group, chunk_orders in zip(
-        solvers, chunk_problems, groups, orders
+    for solver, problems, group, chunk_orders, chunk_sweeps, chunk_positions in zip(
+        solvers, chunk_problems, groups, orders, sweeps, positions
     ):
-        solver.total_sweeps += sweeps
+        iterations = chunk_sweeps * chunk_positions.size
+        solver.total_sweeps += chunk_sweeps
         solver.total_iterations += iterations * len(group)
         solutions = []
         for idx, problem in enumerate(problems):
@@ -269,7 +279,7 @@ def solve_chunks(
                 SubSolution(
                     order=order,
                     tag=problem.tag,
-                    sweeps=sweeps,
+                    sweeps=chunk_sweeps,
                     iterations=iterations * restarts,
                     length=_order_length(problem.distances, order, problem.closed),
                 )
@@ -303,6 +313,13 @@ def _prepare(
         if fixed_last:
             allowed[rows, order[:, -1]] = False
     return weights, order, pos_of, allowed, batch_proxy(weights, order, closed)
+
+
+def _fixed_count(problem: SubProblem) -> int:
+    """Pinned endpoints of a problem (none on a closed tour)."""
+    if problem.closed:
+        return 0
+    return int(problem.fixed_first) + int(problem.fixed_last)
 
 
 def _optimizable_positions(

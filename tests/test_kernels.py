@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.ising.annealer import MetropolisAnnealer
@@ -9,6 +11,7 @@ from repro.ising.model import IsingModel
 from repro.ising.sa_tsp import SimulatedAnnealingTSP
 from repro.engine.bench import bench_ising_model as lattice_model
 from repro.kernels import BACKEND_FAST, BACKENDS, resolve_backend
+from repro.kernels.macro import batch_proxy, ragged_proxy
 from repro.kernels.spin import color_classes
 from repro.macro.batch import BatchedMacroSolver, SubProblem
 from repro.macro.schedule import paper_schedule
@@ -212,6 +215,38 @@ class TestMacroBackends:
         )
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.order, y.order)
+
+
+class TestRaggedProxy:
+    """The ragged kernel's guard proxy equals the unpadded one bit-for-bit.
+
+    NumPy sums fewer than 8 terms in sequence and 8 or more in eight
+    interleaved partial sums, so zero-padding a short row to a wide
+    width changes its rounding.  One padded ``.sum(axis=1)`` over the
+    whole batch would therefore break bit-identity with solo solves.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        closed=st.booleans(),
+        exponent=st.integers(-3, 3),
+    )
+    def test_every_edge_count_at_every_pad_width(self, seed, closed, exponent):
+        rng = np.random.default_rng(seed)
+        for width in range(2, 13):  # padded cities: up to 11 path edges
+            sizes = np.arange(2, width + 1)  # real edges 1 .. width - 1
+            weights = np.zeros((sizes.size, width, width))
+            orders = np.tile(np.arange(width), (sizes.size, 1))
+            expected = []
+            for row, n in enumerate(sizes):
+                real = rng.random((1, n, n)) * 10.0**exponent
+                order = rng.permutation(n)[None, :]
+                weights[row, :n, :n] = real
+                orders[row, :n] = order
+                expected.append(batch_proxy(real, order, closed)[0])
+            got = ragged_proxy(weights, orders, sizes, closed)
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestBackendThreading:

@@ -154,6 +154,18 @@ class TestQualityAndRestarts:
         with pytest.raises(MacroError, match="one shared config"):
             solve_chunks(solvers, chunks, paper_schedule(20))
 
+    def test_merged_chunks_need_one_closed_flag(self):
+        # The padded batch has one neighbour rule: a closed top-level
+        # tour cannot share it with open cluster paths.
+        tour = SubProblem(
+            uniform_instance(6, seed=4).distance_matrix(),
+            closed=True, fixed_first=False, fixed_last=False,
+        )
+        chunks = [[open_problem(0)], [tour]]
+        solvers = [BatchedMacroSolver(seed=0), BatchedMacroSolver(seed=1)]
+        with pytest.raises(MacroError, match="all closed or all open"):
+            solve_chunks(solvers, chunks, paper_schedule(20))
+
     def test_unguarded_still_valid(self):
         problems = [open_problem(i) for i in range(4)]
         solver = BatchedMacroSolver(

@@ -22,6 +22,7 @@ import pytest
 from repro.clustering.cache import SubmatrixCache
 from repro.clustering.fixing import fix_level_endpoints
 from repro.clustering.hierarchy import build_hierarchy
+import repro.core.pipeline as pipeline
 from repro.core import TAXIConfig, TAXISolver
 from repro.core.pipeline import solve_hierarchical
 from repro.engine.wavefront import WavefrontPool, chunk_indices
@@ -157,6 +158,56 @@ class TestWorkerDeterminism:
             np.testing.assert_array_equal(order, single)
             assert stats == single_stats
             assert solver.total_iterations == sum(s.total_iterations for s in stats)
+
+    def test_super_batches_split_levels_without_moving_tours(self, monkeypatch):
+        # Levels are cut into contiguous super-batches: one per level in
+        # process at the default row cap, at least one per worker on a
+        # pool, none above the cap.  No cut may move a tour.
+        hierarchy = build_hierarchy(clustered_instance(400, seed=5), 12)
+        assert hierarchy.depth >= 3
+        schedule = paper_schedule(SWEEPS)
+        maps = []
+        original_map = WavefrontPool.map
+
+        def record(pool, fn, tasks):
+            tasks = list(tasks)
+            maps.append((pool.workers, tasks))
+            return original_map(pool, fn, tasks)
+
+        monkeypatch.setattr(WavefrontPool, "map", record)
+
+        def solve(workers, executor=None):
+            solver = BatchedMacroSolver(MacroConfig(), seed=3)
+            order, _, stats = solve_hierarchical(
+                hierarchy, solver, schedule, workers=workers, executor=executor
+            )
+            return order, stats
+
+        reference_order, reference_stats = solve(1)
+        assert [len(tasks) for _, tasks in maps] == [1] * len(reference_stats)
+
+        cap = 48
+        monkeypatch.setattr(pipeline, "MAX_BATCH_ROWS", cap)
+        maps.clear()
+        runs = [solve(workers) for workers in (1, 2, 3)]
+        with ThreadPoolExecutor(2) as ex:
+            runs.append(solve(2, executor=ex))
+        for order, stats in runs:
+            np.testing.assert_array_equal(order, reference_order)
+            assert stats == reference_stats
+
+        def rows(chunks):
+            return sum(len(chunk.problems) * chunk.config.restarts for chunk in chunks)
+
+        assert len(maps) == len(runs) * len(reference_stats)
+        for workers, tasks in maps:
+            chunks = [chunk for task in tasks for chunk in task]
+            assert len({chunk.level for chunk in chunks}) == 1  # one map per level
+            assert len(tasks) >= min(workers, len(chunks))
+            biggest = max(rows([chunk]) for chunk in chunks)
+            assert all(rows(task) <= max(cap, biggest) for task in tasks)
+        # The cap engaged: some level needed several tasks in process.
+        assert any(len(tasks) > 1 for workers, tasks in maps if workers == 1)
 
     def test_level_stats_identical_across_widths(self, serial_result):
         inst, serial = serial_result

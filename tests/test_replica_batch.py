@@ -16,6 +16,7 @@ import repro.macro.batch as batch
 from repro.clustering.cache import DEFAULT_CACHE_BUDGET, SubmatrixCache
 from repro.core.config import EngineConfig, TAXIConfig
 from repro.core.solver import TAXISolver, solve_taxi_replicas
+from repro.devices.variation import DeviceVariation
 from repro.engine.bench import (
     _bench_replica_batch,
     compute_replica_batch_speedups,
@@ -26,9 +27,11 @@ from repro.engine.runner import ReplicaTask, run_batch, run_tasks
 from repro.engine.wavefront import WavefrontPool
 from repro.errors import ConfigError
 from repro.macro.batch import BatchedMacroSolver, SubProblem, solve_chunks
+from repro.macro.config import MacroConfig
 from repro.macro.schedule import paper_schedule
 from repro.tsp.generators import clustered_instance
 from repro.utils.rng import replica_seeds
+from repro.xbar.crossbar import CrossbarConfig
 
 
 def _job(solver="taxi", token="clustered:40:3", replicas=4, **params):
@@ -72,38 +75,83 @@ class TestEngagement:
         assert not foldable(_job(mystery_knob=1), workers=1)
 
 
+def _problem(rng, n, **shape):
+    pts = rng.random((n, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+    return SubProblem(dist, **shape)
+
+
+def _mixed_open_chunks(rng):
+    """Open chunks of sizes 3-12 in every fixed-endpoint variant.
+
+    ``(True, False)`` is the entry==exit conflict shape; the 3-city
+    chunk with both ends pinned has nothing to anneal.
+    """
+    variants = [(True, True), (True, False), (False, False)]
+    chunks = []
+    for n in range(3, 13):
+        fixed_first, fixed_last = variants[n % 3]
+        chunks.append([
+            _problem(rng, n, fixed_first=fixed_first, fixed_last=fixed_last)
+            for _ in range(1 + n % 3)
+        ])
+    assert chunks[0][0].shape_key == (3, False, True, True)  # nothing to anneal
+    return chunks
+
+
+def _closed_chunks(rng):
+    return [
+        [_problem(rng, n, closed=True, fixed_first=False, fixed_last=False)
+         for _ in range(count)]
+        for n, count in ((4, 2), (7, 1), (9, 2), (12, 1))
+    ]
+
+
+#: Macro configs the ragged kernel must merge exactly.
+KERNEL_CONFIGS = (
+    MacroConfig(),
+    MacroConfig(  # IMA-like: analog read noise, unguarded writes
+        crossbar=CrossbarConfig(variation=DeviceVariation(read_noise_sigma=0.05)),
+        guarded_updates=False,
+    ),
+    MacroConfig(wta_resolution=0.0),
+)
+
+
 class TestKernelBitIdentity:
     def test_merged_macro_kernel_equals_solo_per_chunk(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        chunks = []
-        for _ in range(3):
-            problems = []
-            for _ in range(4):
-                pts = rng.random((9, 2))
-                dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-                problems.append(SubProblem(dist, closed=False))
-            chunks.append(problems)
-        schedule = paper_schedule(30)
-
-        solo = [
-            BatchedMacroSolver(seed=seed).solve_all(problems, schedule)
-            for seed, problems in enumerate(chunks)
-        ]
+        # Chunks of different shapes share one ragged kernel call, yet
+        # each evolves exactly as its own solo solve.
         calls = []
         kernel = batch.anneal_group_fast
         monkeypatch.setattr(
             batch, "anneal_group_fast",
             lambda *a, **k: calls.append(1) or kernel(*a, **k),
         )
-        solvers = [BatchedMacroSolver(seed=seed) for seed in range(len(chunks))]
-        merged = solve_chunks(solvers, chunks, schedule)
+        schedule = paper_schedule(30)
+        for config in KERNEL_CONFIGS:
+            for make_chunks in (_mixed_open_chunks, _closed_chunks):
+                chunks = make_chunks(np.random.default_rng(3))
+                solo = [
+                    BatchedMacroSolver(config, seed=seed).solve_all(
+                        problems, schedule
+                    )
+                    for seed, problems in enumerate(chunks)
+                ]
+                solvers = [
+                    BatchedMacroSolver(config, seed=seed)
+                    for seed in range(len(chunks))
+                ]
+                calls.clear()
+                merged = solve_chunks(solvers, chunks, schedule)
 
-        assert len(calls) == 1  # every chunk in one kernel call
-        for solo_chunk, merged_chunk in zip(solo, merged):
-            for a, b in zip(solo_chunk, merged_chunk):
-                np.testing.assert_array_equal(a.order, b.order)
-                assert a.length == b.length
-                assert a.iterations == b.iterations
+                assert len(calls) == 1  # every chunk in one kernel call
+                for solo_chunk, merged_chunk in zip(solo, merged):
+                    for a, b in zip(solo_chunk, merged_chunk):
+                        np.testing.assert_array_equal(a.order, b.order)
+                        assert a.length == b.length
+                        assert a.iterations == b.iterations
+                        assert a.sweeps == b.sweeps
 
 
 class TestEngineBitIdentity:
