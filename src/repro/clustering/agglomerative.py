@@ -16,7 +16,8 @@ produces is exactly the one a naive greedy merge would build.
 Scalability: exact NN-chain is used up to ``exact_threshold`` points;
 beyond that the point set is recursively median-split (KD fashion) into
 blocks that are clustered exactly, a standard locality approximation
-whose only error is at block boundaries (documented in DESIGN.md).
+whose only error is at block boundaries (see the Ward bullet in
+``docs/scaling.md``).
 """
 
 from __future__ import annotations
@@ -105,18 +106,11 @@ def cluster_with_max_size(
 # ----------------------------------------------------------------------
 def _check_points(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ClusteringError(f"points must be (n, d) with n >= 1, got {points.shape}")
+    if points.ndim != 2 or min(points.shape) < 1:
+        raise ClusteringError(f"points must be (n, d) with n, d >= 1, got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ClusteringError("points must have finite coordinates (no NaN or inf)")
     return points
-
-
-def _ward_distance_rows(
-    centroid: np.ndarray, size: float, centroids: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Ward dissimilarity from one cluster to many (vectorized)."""
-    diff = centroids - centroid
-    sq = (diff * diff).sum(axis=1)
-    return (size * sizes) / (size + sizes) * sq
 
 
 def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float, int]]:
@@ -124,35 +118,52 @@ def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float, int]]:
 
     Slot ``a`` survives each merge (holding the union), slot ``b``
     deactivates.  Merge heights are *not* sorted.
+
+    Each coordinate is one contiguous column and a merged-away slot's
+    coordinates become ``inf``, so its distance is ``inf`` with no mask.
+    Once half the slots are dead they are compacted out in order, so
+    ``argmin`` still breaks ties towards the lowest slot.  Summing the
+    squared differences column by column rounds exactly like a NumPy row
+    sum of fewer than 8 terms, and the merge height is the distance row
+    entry of the slot merged away.
     """
     n = points.shape[0]
-    centroids = points.copy()
+    columns = [column.copy() for column in points.T]
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
+    slots = np.arange(n)  # original slot of each compacted position
     merges: list[tuple[int, int, float, int]] = []
     chain: list[int] = []
     remaining = n
     while remaining > 1:
         if not chain:
-            chain.append(int(np.flatnonzero(active)[0]))
+            chain.append(int((columns[0] != np.inf).argmax()))
         top = chain[-1]
-        dists = _ward_distance_rows(centroids[top], sizes[top], centroids, sizes)
-        dists[~active] = np.inf
+        size = sizes[top]
+        sq = columns[0] - columns[0][top]
+        sq *= sq
+        for column in columns[1:]:
+            diff = column - column[top]
+            diff *= diff
+            sq += diff
+        dists = size * sizes
+        dists /= size + sizes
+        dists *= sq
         dists[top] = np.inf
-        nearest = int(np.argmin(dists))
+        nearest = int(dists.argmin())
         if len(chain) >= 2 and nearest == chain[-2]:
             a, b = chain.pop(), chain.pop()
-            height = float(
-                _ward_distance_rows(
-                    centroids[a], sizes[a], centroids[b : b + 1], sizes[b : b + 1]
-                )[0]
-            )
-            total = sizes[a] + sizes[b]
-            centroids[a] = (sizes[a] * centroids[a] + sizes[b] * centroids[b]) / total
+            total = size + sizes[b]
+            for column in columns:
+                column[a] = (size * column[a] + sizes[b] * column[b]) / total
+                column[b] = np.inf
             sizes[a] = total
-            active[b] = False
-            merges.append((a, b, height, int(total)))
+            merges.append((int(slots[a]), int(slots[b]), float(dists[b]), int(total)))
             remaining -= 1
+            if 2 * remaining <= sizes.size:
+                alive = columns[0] != np.inf
+                chain = [int(pos) for pos in (np.cumsum(alive) - 1)[chain]]
+                columns = [column[alive] for column in columns]
+                sizes, slots = sizes[alive], slots[alive]
         else:
             chain.append(nearest)
     return merges

@@ -1,9 +1,15 @@
 """Tests for Ward agglomerative clustering, k-means, and the hierarchy."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering.agglomerative import (
+    _nn_chain_merges,
     cluster_with_max_size,
     ward_labels,
     ward_linkage_matrix,
@@ -11,7 +17,9 @@ from repro.clustering.agglomerative import (
 from repro.clustering.hierarchy import build_hierarchy
 from repro.clustering.kmeans import kmeans_labels, kmeans_with_max_size
 from repro.errors import ClusteringError
-from repro.tsp.generators import uniform_instance
+from repro.tsp.benchmarks import load_benchmark
+from repro.tsp.generators import clustered_instance, uniform_instance
+from repro.tsp.instance import EdgeWeightType, TSPInstance
 
 
 def blobs(seed=0, n=60, k=4):
@@ -19,6 +27,118 @@ def blobs(seed=0, n=60, k=4):
     centers = np.array([[0, 0], [100, 0], [0, 100], [100, 100]], dtype=float)[:k]
     assignment = rng.integers(0, k, size=n)
     return centers[assignment] + rng.normal(0, 2.0, size=(n, 2)), assignment
+
+
+def reference_nn_chain_merges(points):
+    """The row-wise NN-chain the lean chain replaced, kept as the oracle.
+
+    Every step recomputes the Ward distance from the chain top to every
+    slot, merged-away ones included, and masks the inactive ones.
+    """
+
+    def ward_distance_rows(centroid, size, centroids, sizes):
+        diff = centroids - centroid
+        sq = (diff * diff).sum(axis=1)
+        return (size * sizes) / (size + sizes) * sq
+
+    n = points.shape[0]
+    centroids = points.copy()
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    merges = []
+    chain = []
+    remaining = n
+    while remaining > 1:
+        if not chain:
+            chain.append(int(np.flatnonzero(active)[0]))
+        top = chain[-1]
+        dists = ward_distance_rows(centroids[top], sizes[top], centroids, sizes)
+        dists[~active] = np.inf
+        dists[top] = np.inf
+        nearest = int(np.argmin(dists))
+        if len(chain) >= 2 and nearest == chain[-2]:
+            a, b = chain.pop(), chain.pop()
+            height = float(
+                ward_distance_rows(
+                    centroids[a], sizes[a], centroids[b : b + 1], sizes[b : b + 1]
+                )[0]
+            )
+            total = sizes[a] + sizes[b]
+            centroids[a] = (sizes[a] * centroids[a] + sizes[b] * centroids[b]) / total
+            sizes[a] = total
+            active[b] = False
+            merges.append((a, b, height, int(total)))
+            remaining -= 1
+        else:
+            chain.append(nearest)
+    return merges
+
+
+def hierarchy_digest(hierarchy):
+    """Digest of every level's centroid bytes and children."""
+    digest = hashlib.sha256()
+    for level in hierarchy.levels:
+        digest.update(np.ascontiguousarray(level.centroids, dtype=np.float64).tobytes())
+        digest.update(np.array([len(c) for c in level.children], dtype=np.int64).tobytes())
+        for children in level.children:
+            digest.update(np.asarray(children, dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestNNChain:
+    """The lean NN-chain returns the row-wise chain's merges bit-for-bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        dims=st.sampled_from([1, 2, 3]),
+        kind=st.sampled_from(["uniform", "grid", "duplicates", "equal"]),
+    )
+    def test_equals_reference_merges(self, seed, n, dims, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            points = rng.uniform(-1e3, 1e3, size=(n, dims))
+        elif kind == "grid":  # integer grid: many exactly tied distances
+            points = rng.integers(0, 4, size=(n, dims)).astype(float)
+        elif kind == "duplicates":
+            base = rng.normal(size=(max(1, n // 3), dims))
+            points = base[rng.integers(0, base.shape[0], size=n)]
+        else:
+            points = np.full((n, dims), rng.normal())
+        got = _nn_chain_merges(points)
+        expected = reference_nn_chain_merges(points)
+        assert [(a, b, size) for a, b, _, size in got] == [
+            (a, b, size) for a, b, _, size in expected
+        ]
+        heights = np.array([m[2] for m in got])
+        np.testing.assert_array_equal(
+            heights.view(np.uint64), np.array([m[2] for m in expected]).view(np.uint64)
+        )
+
+
+class TestPointValidation:
+    def test_rejects_zero_dimensional_points(self):
+        with pytest.raises(ClusteringError, match="d >= 1"):
+            ward_labels(np.zeros((5, 0)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        points = uniform_instance(20, seed=19).coords.copy()
+        points[7, 1] = bad
+        with pytest.raises(ClusteringError, match="finite"):
+            ward_labels(points, 4)
+        with pytest.raises(ClusteringError, match="finite"):
+            ward_linkage_matrix(points)
+        with pytest.raises(ClusteringError, match="finite"):
+            cluster_with_max_size(points, 5)
+
+    def test_hierarchy_rejects_nan_city(self):
+        coords = uniform_instance(20, seed=19).coords.copy()
+        coords[3, 0] = np.nan
+        inst = TSPInstance("nan20", coords, EdgeWeightType.EUC_2D)
+        with pytest.raises(ClusteringError, match="finite"):
+            build_hierarchy(inst, 12)
 
 
 class TestWardLabels:
@@ -173,8 +293,6 @@ class TestHierarchy:
         assert h.depth == 1
 
     def test_requires_coords(self):
-        from repro.tsp.instance import EdgeWeightType, TSPInstance
-
         m = uniform_instance(10, seed=0).distance_matrix()
         ex = TSPInstance("ex", None, EdgeWeightType.EXPLICIT, matrix=m)
         with pytest.raises(ClusteringError):
@@ -184,3 +302,22 @@ class TestHierarchy:
         inst = uniform_instance(30, seed=18)
         with pytest.raises(ClusteringError):
             build_hierarchy(inst, 1)
+
+    # Digests of the row-wise NN-chain's hierarchies: clustering must stay
+    # byte-identical.  The KD case runs KD-split levels (3,000 and 389
+    # nodes over a 256-point threshold), oversized re-splits and an exact
+    # top level.
+    @pytest.mark.parametrize(
+        "make, cluster_fn, expected",
+        [
+            (lambda: load_benchmark("syn1060"), None, "4c8c6fe292d6df06"),
+            (
+                lambda: clustered_instance(3000, seed=7),
+                functools.partial(cluster_with_max_size, exact_threshold=256),
+                "eec56c2f7c0f8b6f",
+            ),
+        ],
+        ids=["syn1060", "clustered3000-kd256"],
+    )
+    def test_pinned_digest(self, make, cluster_fn, expected):
+        assert hierarchy_digest(build_hierarchy(make(), 12, cluster_fn)) == expected
