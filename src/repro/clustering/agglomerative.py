@@ -18,9 +18,18 @@ beyond that the point set is recursively median-split (KD fashion) into
 blocks that are clustered exactly, a standard locality approximation
 whose only error is at block boundaries (see the Ward bullet in
 ``docs/scaling.md``).
+
+Parallelism: the KD blocks, and the oversized clusters of a re-split
+pass, are independent.  :func:`ward_labels` and
+:func:`cluster_with_max_size` run them through a ``map``-style callable
+(the builtin ``map`` by default, or a pool's) and assign labels in task
+order, so the labels never depend on it.
 """
 
 from __future__ import annotations
+
+import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,6 +37,12 @@ from repro.errors import ClusteringError
 
 #: Largest level clustered by exact NN-chain before KD-splitting kicks in.
 DEFAULT_EXACT_THRESHOLD = 4096
+
+#: Points per ``map`` task, on average: consecutive KD blocks or
+#: oversized clusters share a task.  A dispatch bound, NOT part of the
+#: clustering identity.  It keeps the ~1,400 tiny re-splits of a
+#: pla33810-scale level from each becoming a pickled task.
+MAP_TASK_POINTS = 2048
 
 
 def ward_linkage_matrix(points: np.ndarray) -> np.ndarray:
@@ -60,12 +75,13 @@ def ward_labels(
     points: np.ndarray,
     n_clusters: int,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    map=map,
 ) -> np.ndarray:
     """Cluster ``points`` into ``n_clusters`` groups under Ward linkage.
 
     Returns integer labels ``0..n_clusters-1`` (label ids are dense but
     arbitrary).  Uses exact NN-chain up to ``exact_threshold`` points
-    and KD-split blocks beyond.
+    and KD-split blocks beyond, clustered through ``map``.
     """
     points = _check_points(points)
     n = points.shape[0]
@@ -77,28 +93,29 @@ def ward_labels(
         return np.arange(n)
     if n <= exact_threshold:
         return _ward_labels_exact(points, n_clusters)
-    return _ward_labels_kdsplit(points, n_clusters, exact_threshold)
+    return _ward_labels_kdsplit(points, n_clusters, exact_threshold, map)
 
 
 def cluster_with_max_size(
     points: np.ndarray,
     max_size: int,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    map=map,
 ) -> np.ndarray:
     """Ward clustering into ceil(n / max_size) groups, none exceeding ``max_size``.
 
     Ward merging alone does not bound cluster sizes, so oversized
     clusters are recursively re-split with Ward until every cluster
     fits an Ising macro (the paper's "maximum TSP size confidently
-    solvable by an Ising macro").
+    solvable by an Ising macro").  KD blocks and re-splits run through ``map``.
     """
     points = _check_points(points)
     if max_size < 1:
         raise ClusteringError(f"max_size must be >= 1, got {max_size}")
     n = points.shape[0]
     n_clusters = int(np.ceil(n / max_size))
-    labels = ward_labels(points, n_clusters, exact_threshold)
-    return _split_oversized(points, labels, max_size, exact_threshold)
+    labels = ward_labels(points, n_clusters, exact_threshold, map)
+    return _split_oversized(points, labels, max_size, exact_threshold, map)
 
 
 # ----------------------------------------------------------------------
@@ -192,25 +209,21 @@ def _ward_labels_exact(points: np.ndarray, n_clusters: int) -> np.ndarray:
 
 
 def _ward_labels_kdsplit(
-    points: np.ndarray, n_clusters: int, exact_threshold: int
+    points: np.ndarray, n_clusters: int, exact_threshold: int, map=map
 ) -> np.ndarray:
     """Locality-approximate Ward for very large point sets.
 
     Recursively median-split along the widest axis until blocks fit the
     exact solver, allocate each block a share of clusters proportional
-    to its size, and cluster blocks independently.
+    to its size, and cluster blocks independently (through ``map``).
     """
     n = points.shape[0]
-    labels = np.empty(n, dtype=int)
+    leaves: list[tuple[np.ndarray, int]] = []
 
-    def recurse(indices: np.ndarray, k: int, next_label: int) -> int:
-        if k <= 1:
-            labels[indices] = next_label
-            return next_label + 1
-        if indices.size <= exact_threshold:
-            sub = _ward_labels_exact(points[indices], min(k, indices.size))
-            labels[indices] = sub + next_label
-            return next_label + int(sub.max()) + 1
+    def recurse(indices: np.ndarray, k: int) -> None:
+        if k <= 1 or indices.size <= exact_threshold:
+            leaves.append((indices, k))
+            return
         block = points[indices]
         axis = int(np.argmax(block.max(axis=0) - block.min(axis=0)))
         median = np.median(block[:, axis])
@@ -224,16 +237,23 @@ def _ward_labels_kdsplit(
         left = indices[left_mask]
         right = indices[~left_mask]
         k_left = max(1, min(k - 1, int(round(k * left.size / indices.size))))
-        k_right = k - k_left
-        next_label = recurse(left, k_left, next_label)
-        return recurse(right, k_right, next_label)
+        recurse(left, k_left)
+        recurse(right, k - k_left)
 
-    recurse(np.arange(n), n_clusters, 0)
+    recurse(np.arange(n), n_clusters)
+    blocks = [(points[indices], min(k, indices.size)) for indices, k in leaves if k > 1]
+    solved = _map_ward_labels(map, blocks, exact_threshold)
+    labels = np.empty(n, dtype=int)
+    next_label = 0
+    for indices, k in leaves:
+        sub = next(solved) if k > 1 else 0  # a one-cluster leaf is one label
+        labels[indices] = sub + next_label
+        next_label += int(np.max(sub)) + 1
     return labels
 
 
 def _split_oversized(
-    points: np.ndarray, labels: np.ndarray, max_size: int, exact_threshold: int
+    points: np.ndarray, labels: np.ndarray, max_size: int, exact_threshold: int, map=map
 ) -> np.ndarray:
     """Recursively re-split any cluster larger than ``max_size``."""
     labels = labels.copy()
@@ -244,11 +264,29 @@ def _split_oversized(
         oversized = np.flatnonzero(sizes > max_size)
         if oversized.size == 0:
             return labels
-        for label in oversized:
-            members = np.flatnonzero(labels == label)
-            parts = int(np.ceil(members.size / max_size))
-            sub = ward_labels(points[members], parts, exact_threshold)
+        # A re-split only hands out labels above every oversized one, so
+        # the pass's members can all be collected before any relabel.
+        groups = [np.flatnonzero(labels == label) for label in oversized]
+        parts = [int(np.ceil(members.size / max_size)) for members in groups]
+        problems = [(points[members], count) for members, count in zip(groups, parts)]
+        solved = _map_ward_labels(map, problems, exact_threshold)
+        for members, count, sub in zip(groups, parts, solved):
             # Part 0 keeps the old label, the rest get fresh ones.
-            for part in range(1, parts):
+            for part in range(1, count):
                 labels[members[sub == part]] = next_label
                 next_label += 1
+
+
+def _map_ward_labels(map, problems: list, exact_threshold: int) -> Iterator[np.ndarray]:
+    """``ward_labels`` of each ``(points, n_clusters)``, in order, via ``map``."""
+    total = sum(points.shape[0] for points, _ in problems)
+    count = max(1, min(len(problems), -(-total // MAP_TASK_POINTS)))
+    cuts = [len(problems) * task // count for task in range(count + 1)]
+    tasks = [problems[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    solve = functools.partial(_ward_labels_each, exact_threshold=exact_threshold)
+    return (labels for task_labels in map(solve, tasks) for labels in task_labels)
+
+
+def _ward_labels_each(problems: list, exact_threshold: int) -> list[np.ndarray]:
+    """One map task; module-level so it pickles, and it never maps again."""
+    return [ward_labels(points, k, exact_threshold) for points, k in problems]

@@ -36,6 +36,7 @@ shared with the endpoint-fixing step.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from collections.abc import Sequence
@@ -136,6 +137,7 @@ def solve_hierarchical(
     executor=None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cache: SubmatrixCache | None = None,
+    pool: WavefrontPool | None = None,
 ) -> SolveResult | list[SolveResult]:
     """Solve the hierarchy top-down for one solver or R replica solvers.
 
@@ -172,6 +174,9 @@ def solve_hierarchical(
         Distance-submatrix cache.  Defaults to a fresh budgeted
         per-solve cache shared by the replicas; callers solving one
         hierarchy repeatedly may pass their own to reuse its slices.
+    pool:
+        An open :class:`~repro.engine.wavefront.WavefrontPool` to use
+        instead of one from ``workers`` and ``executor``.
     """
     single = not isinstance(solvers, Sequence)
     solvers = [solvers] if single else list(solvers)
@@ -196,7 +201,9 @@ def solve_hierarchical(
         if isinstance(solver, BatchedMacroSolver) else 0
         for solver in solvers
     ]
-    with WavefrontPool(workers=workers, executor=executor) as pool:
+    with contextlib.ExitStack() as scope:
+        if pool is None:
+            pool = scope.enter_context(WavefrontPool(workers=workers, executor=executor))
         solve_wave = functools.partial(
             _solve_wave, pool, solvers, master_seeds, schedule, chunk_size
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.clustering.kmeans import kmeans_with_max_size
 from repro.core.config import TAXIConfig
 from repro.core.pipeline import solve_hierarchical
 from repro.core.result import PhaseTimes, TAXIResult
+from repro.engine.wavefront import WavefrontPool
 from repro.errors import ConfigError, SolverError
 from repro.macro.batch import BatchedMacroSolver
 from repro.tsp.instance import TSPInstance
@@ -86,29 +88,30 @@ def solve_taxi_replicas(
     rngs = [ensure_rng(seed) for seed in seeds]
     # Every solve's first draw is the cluster seed (ward ignores it).
     cluster_seeds = [int(rng.integers(0, 2**31 - 1)) for rng in rngs]
-    if config.clustering == "ward":
-        cluster_fn = cluster_with_max_size
-    else:
-        def cluster_fn(points: np.ndarray, max_size: int) -> np.ndarray:
-            return kmeans_with_max_size(points, max_size, seed=cluster_seeds[0])
+    # One pool per solve: the Ward KD blocks and re-splits, then the waves.
+    with WavefrontPool(workers=config.workers, executor=executor) as pool:
+        if config.clustering == "ward":
+            cluster_fn = functools.partial(cluster_with_max_size, map=pool.map)
+        else:
+            def cluster_fn(points: np.ndarray, max_size: int) -> np.ndarray:
+                return kmeans_with_max_size(points, max_size, seed=cluster_seeds[0])
 
-    start = time.perf_counter()
-    hierarchy = build_hierarchy(instance, config.max_cluster_size, cluster_fn)
-    clustering_seconds = (time.perf_counter() - start) / len(seeds)
+        start = time.perf_counter()
+        hierarchy = build_hierarchy(instance, config.max_cluster_size, cluster_fn)
+        clustering_seconds = (time.perf_counter() - start) / len(seeds)
 
-    solvers = [
-        BatchedMacroSolver(config.macro_config(), seed=rng, backend=config.backend)
-        for rng in rngs
-    ]
-    results = solve_hierarchical(
-        hierarchy,
-        solvers,
-        config.schedule(),
-        endpoint_fixing=config.endpoint_fixing,
-        workers=config.workers,
-        executor=executor,
-        chunk_size=config.chunk_size,
-    )
+        solvers = [
+            BatchedMacroSolver(config.macro_config(), seed=rng, backend=config.backend)
+            for rng in rngs
+        ]
+        results = solve_hierarchical(
+            hierarchy,
+            solvers,
+            config.schedule(),
+            endpoint_fixing=config.endpoint_fixing,
+            chunk_size=config.chunk_size,
+            pool=pool,
+        )
     out: list[TAXIResult] = []
     for order, times, level_stats in results:
         times.clustering = clustering_seconds

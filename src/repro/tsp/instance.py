@@ -133,7 +133,7 @@ class TSPInstance:
         """Distance between cities ``i`` and ``j`` under the metric."""
         if i == j:
             return 0.0
-        return float(self.distance_rows(np.asarray([i]))[0, j])
+        return float(self.distance_block([i], [j])[0, 0])
 
     def distance_rows(self, rows: np.ndarray) -> np.ndarray:
         """Distances from each city in ``rows`` to every city.

@@ -17,13 +17,17 @@ The PR-7 robustness surface, tested at every layer:
   are quarantined, counted, and logged instead of crashing startup.
 """
 
+import functools
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from repro.clustering.agglomerative import cluster_with_max_size
 from repro.core.config import LoadgenConfig, ServiceConfig
 from repro.engine import RetryPolicy, run_with_recovery, set_task_hook
 from repro.engine.wavefront import WavefrontPool
@@ -36,6 +40,7 @@ from repro.errors import (
 from repro.service import ResultCache, SolveRequest, SolveService
 from repro.service.faults import FaultConfig, FaultInjector
 from repro.service.loadgen import classify_error, run_loadtest
+from repro.tsp.generators import clustered_instance
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +197,16 @@ def _slow_square(task: int) -> int:
     return task * task
 
 
+def _kill_once_then(sentinel: str, fn, task):
+    """SIGKILL the calling worker if it wins the sentinel create, else run ``fn``."""
+    try:
+        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL)
+    except FileExistsError:
+        return fn(task)
+    os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestPoolRecovery:
     def test_kill_respawn_replay_is_bit_identical(self):
         baseline = WavefrontPool(workers=1).map(_square, list(range(12)))
@@ -244,8 +259,6 @@ class TestPoolRecovery:
             except FileExistsError:
                 return
             os.close(fd)
-            import signal
-
             os.kill(os.getpid(), signal.SIGKILL)
 
         def make_tasks():
@@ -269,6 +282,34 @@ class TestPoolRecovery:
         for mine, theirs in zip(results, baseline):
             assert mine.length == theirs.length
             assert (mine.order == theirs.order).all()
+
+    def test_hierarchy_kd_map_replays_after_worker_kill(self, tmp_path):
+        """A worker SIGKILLed in the KD-block map is replaced, its tasks replayed.
+
+        The first worker to win an atomic sentinel create dies; the
+        respawned pool replays the lost blocks and the labels equal the
+        inline ones.
+        """
+        points = clustered_instance(3000, seed=7).coords
+        inline = cluster_with_max_size(points, 12, exact_threshold=256)
+        sentinel = str(tmp_path / "killed-once")
+        maps = 0
+        with WavefrontPool(workers=2) as pool:
+
+            def kill_in_kd_map(fn, tasks):
+                nonlocal maps
+                maps += 1
+                if maps == 1:  # level 0's KD blocks
+                    fn = functools.partial(_kill_once_then, sentinel, fn)
+                return pool.map(fn, tasks)
+
+            labels = cluster_with_max_size(
+                points, 12, exact_threshold=256, map=kill_in_kd_map
+            )
+            respawns = pool.respawns
+        assert os.path.exists(sentinel)  # the kill actually fired
+        assert respawns >= 1
+        assert np.array_equal(labels, inline)
 
     def test_external_executor_break_raises_pool_broken(self):
         class BrokenOnPurpose(ThreadPoolExecutor):

@@ -1,14 +1,18 @@
 """Tests for Ward agglomerative clustering, k-means, and the hierarchy."""
 
+import contextlib
 import functools
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clustering import agglomerative
 from repro.clustering.agglomerative import (
+    MAP_TASK_POINTS,
     _nn_chain_merges,
     cluster_with_max_size,
     ward_labels,
@@ -16,6 +20,7 @@ from repro.clustering.agglomerative import (
 )
 from repro.clustering.hierarchy import build_hierarchy
 from repro.clustering.kmeans import kmeans_labels, kmeans_with_max_size
+from repro.engine.wavefront import WavefrontPool
 from repro.errors import ClusteringError
 from repro.tsp.benchmarks import load_benchmark
 from repro.tsp.generators import clustered_instance, uniform_instance
@@ -307,17 +312,59 @@ class TestHierarchy:
     # byte-identical.  The KD case runs KD-split levels (3,000 and 389
     # nodes over a 256-point threshold), oversized re-splits and an exact
     # top level.
-    @pytest.mark.parametrize(
-        "make, cluster_fn, expected",
-        [
-            (lambda: load_benchmark("syn1060"), None, "4c8c6fe292d6df06"),
-            (
-                lambda: clustered_instance(3000, seed=7),
-                functools.partial(cluster_with_max_size, exact_threshold=256),
-                "eec56c2f7c0f8b6f",
-            ),
-        ],
-        ids=["syn1060", "clustered3000-kd256"],
-    )
-    def test_pinned_digest(self, make, cluster_fn, expected):
+    PINNED = [
+        pytest.param(
+            lambda: load_benchmark("syn1060"), {}, "4c8c6fe292d6df06", id="syn1060"
+        ),
+        pytest.param(
+            lambda: clustered_instance(3000, seed=7),
+            {"exact_threshold": 256},
+            "eec56c2f7c0f8b6f",
+            id="clustered3000-kd256",
+        ),
+    ]
+
+    @pytest.mark.parametrize("make, options, expected", PINNED)
+    def test_pinned_digest(self, make, options, expected):
+        cluster_fn = functools.partial(cluster_with_max_size, **options)
         assert hierarchy_digest(build_hierarchy(make(), 12, cluster_fn)) == expected
+
+    @pytest.mark.parametrize("executor", ["process", "thread"])
+    @pytest.mark.parametrize("make, options, expected", PINNED)
+    def test_pinned_digest_through_pool(self, make, options, expected, executor):
+        """KD blocks and re-splits through a 2-worker pool's ``map``."""
+        tasks_per_map = []
+        with contextlib.ExitStack() as stack:
+            threads = (
+                stack.enter_context(ThreadPoolExecutor(2)) if executor == "thread" else None
+            )
+            pool = stack.enter_context(WavefrontPool(workers=2, executor=threads))
+
+            def recorded_map(fn, tasks):
+                tasks = list(tasks)
+                tasks_per_map.append(len(tasks))
+                return pool.map(fn, tasks)
+
+            cluster_fn = functools.partial(
+                cluster_with_max_size, map=recorded_map, **options
+            )
+            hierarchy = build_hierarchy(make(), 12, cluster_fn)
+        assert hierarchy_digest(hierarchy) == expected
+        if options:
+            # Level 0's KD blocks are the first map; its re-split passes
+            # (then level 1's KD split and re-splits) follow.
+            kd_tasks, *later_tasks = tasks_per_map
+            assert kd_tasks >= 2
+            assert sum(later_tasks) >= 2
+
+    @pytest.mark.parametrize("task_points", [MAP_TASK_POINTS, 64])
+    def test_pool_labels_equal_inline(self, monkeypatch, task_points):
+        """The map task size is a dispatch bound, not part of the labels."""
+        points = clustered_instance(3000, seed=7).coords
+        inline = cluster_with_max_size(points, 12, exact_threshold=256)
+        monkeypatch.setattr(agglomerative, "MAP_TASK_POINTS", task_points)
+        with WavefrontPool(workers=2) as pool:
+            pooled = cluster_with_max_size(
+                points, 12, exact_threshold=256, map=pool.map
+            )
+        assert np.array_equal(pooled, inline)

@@ -115,6 +115,42 @@ class TestBlocks:
         sub = square.distance_submatrix(np.array([1, 3]))
         assert sub[0, 1] == full[1, 3]
 
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            EdgeWeightType.EUC_2D,
+            EdgeWeightType.CEIL_2D,
+            EdgeWeightType.ATT,
+            EdgeWeightType.GEO,
+            EdgeWeightType.MAX_2D,
+            EdgeWeightType.MAN_2D,
+            "explicit",
+            "explicit-asymmetric",
+        ],
+    )
+    def test_pair_distance_equals_block(self, metric):
+        """``distance(i, j)`` is the full block's entry, bit for bit."""
+        rng = np.random.default_rng(5)
+        n = 9
+        # DDD.MM-style values are valid GEO coordinates too.
+        coords = np.round(rng.uniform(-80.0, 80.0, size=(n, 2)), 2)
+        if isinstance(metric, EdgeWeightType):
+            inst = TSPInstance("pair", coords, metric)
+        else:
+            matrix = np.round(rng.uniform(1.0, 100.0, size=(n, n)), 3)
+            matrix = matrix + matrix.T
+            if metric == "explicit-asymmetric":
+                # Inside the constructor's symmetry tolerance, yet not equal.
+                matrix = matrix + np.triu(rng.uniform(1e-8, 1e-6, size=(n, n)), 1)
+                assert not np.array_equal(matrix, matrix.T)
+            np.fill_diagonal(matrix, 0.0)
+            inst = TSPInstance("pair", None, EdgeWeightType.EXPLICIT, matrix=matrix)
+        block = inst.distance_block(np.arange(n))
+        pairs = np.array([[inst.distance(i, j) for j in range(n)] for i in range(n)])
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(pairs[off].view(np.uint64), block[off].view(np.uint64))
+        assert all(inst.distance(i, i) == 0.0 for i in range(n))
+
     def test_matrix_guard_on_huge(self):
         coords = np.zeros((20_000, 2))
         coords[:, 0] = np.arange(20_000)
