@@ -75,6 +75,12 @@ DEFAULT_CHUNK_SIZE = 8
 #: kernel arrays small.
 MAX_BATCH_ROWS = 512
 
+#: Clusters per slice of a level's sub-problem build: their square
+#: blocks come from the cache in one padded call and their initial
+#: orders are built in lock-step.  A memory bound, NOT part of the
+#: solve identity: slices never change a sub-problem.
+BUILD_SLICE_CLUSTERS = 64
+
 #: One solve's result: (city order, phase times, per-level stats).
 SolveResult = tuple[np.ndarray, PhaseTimes, list[LevelStats]]
 
@@ -211,7 +217,7 @@ def solve_hierarchical(
         k = top.n_nodes
         if k <= 3:
             # Any cyclic order of <= 3 nodes has the same length.
-            sequences = [list(range(k)) for _ in solvers]
+            sequences = [np.arange(k) for _ in solvers]
         else:
             problem = SubProblem(
                 centroid_distance_matrix(top.centroids),
@@ -227,7 +233,7 @@ def solve_hierarchical(
                 all_stats[r].append(
                     _level_stats(hierarchy.depth - 1, [problem], [solution])
                 )
-                sequences.append([int(c) for c in solution.order])
+                sequences.append(solution.order.astype(int))
 
         for level_idx in range(hierarchy.depth - 1, 0, -1):
             _solve_level(
@@ -341,7 +347,7 @@ def _super_batches(
 def _solve_level(
     hierarchy: Hierarchy,
     level,
-    sequences: list[list[int]],
+    sequences: list[np.ndarray],
     endpoint_fixing: bool,
     cache: SubmatrixCache,
     solve_wave,
@@ -353,18 +359,25 @@ def _solve_level(
     A function of its own so that one level's sub-problems are freed
     before the next level builds its own.
     """
-    waves, placements = [], []
+    child_of_leaf = None
+    if endpoint_fixing:
+        start = time.perf_counter()
+        child_of_leaf = _child_of_leaf(hierarchy, level)
+        share = (time.perf_counter() - start) / len(sequences)
+        for times in all_times:
+            times.fixing += share
+    waves = []
     for r, sequence in enumerate(sequences):
         fixings = _fix_endpoints_for(
-            hierarchy, level, sequence, endpoint_fixing, all_times[r], cache
+            hierarchy, level, sequence, child_of_leaf, all_times[r], cache
         )
         build_start = time.perf_counter()
-        problems, placed = _build_child_problems(
-            hierarchy, level, sequence, fixings, cache
+        waves.append(
+            _build_child_problems(
+                hierarchy, level, sequence, fixings, cache, child_of_leaf
+            )
         )
         all_times[r].merge += time.perf_counter() - build_start
-        waves.append(problems)
-        placements.append(placed)
 
     solved, share = solve_wave(waves, level.level)
 
@@ -372,8 +385,7 @@ def _solve_level(
         all_times[r].ising += share
         merge_start = time.perf_counter()
         sequences[r] = _merge_child_orders(
-            level, sequences[r], placements[r],
-            {p.tag: s.order for p, s in zip(problems, solutions)},
+            level, sequences[r], [(p.tag, s.order) for p, s in zip(problems, solutions)]
         )
         all_times[r].merge += time.perf_counter() - merge_start
         if problems:
@@ -392,32 +404,43 @@ def _level_stats(
     )
 
 
+def _child_of_leaf(hierarchy: Hierarchy, level) -> np.ndarray:
+    """City id -> local index, within its ``level`` cluster, of its child."""
+    below = hierarchy.levels[level.level - 1]
+    sizes = np.fromiter(
+        (c.size for c in level.children), dtype=np.intp, count=len(level.children)
+    )
+    position = np.empty(below.n_nodes, dtype=np.intp)
+    position[np.concatenate(level.children)] = np.arange(sizes.sum()) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    leaf_counts = np.fromiter(
+        (leaves.size for leaves in below.leaves), dtype=np.intp, count=below.n_nodes
+    )
+    child_of_leaf = np.empty(hierarchy.instance.n, dtype=np.intp)
+    child_of_leaf[np.concatenate(below.leaves)] = np.repeat(position, leaf_counts)
+    return child_of_leaf
+
+
 def _fix_endpoints_for(
     hierarchy: Hierarchy,
     level,
-    sequence: list[int],
-    endpoint_fixing: bool,
+    sequence: np.ndarray,
+    child_of_leaf: np.ndarray | None,
     times: PhaseTimes,
     cache: SubmatrixCache,
 ) -> list[EndpointFixing] | None:
-    if not endpoint_fixing or len(sequence) < 2:
+    """One replica's endpoint fixing; ``None`` without ``child_of_leaf``."""
+    if child_of_leaf is None or len(sequence) < 2:
         return None
     start = time.perf_counter()
-    below = hierarchy.levels[level.level - 1]
-    leaves_in_order = [level.leaves[node] for node in sequence]
-    child_maps = []
-    for node in sequence:
-        mapping: dict[int, int] = {}
-        for child_pos, child in enumerate(level.children[node]):
-            for leaf in below.leaves[child]:
-                mapping[int(leaf)] = child_pos
-        child_maps.append(mapping)
+    nodes = sequence.tolist()
     fixings = fix_level_endpoints(
         hierarchy.instance,
-        leaves_in_order,
-        child_maps,
+        [level.leaves[node] for node in nodes],
+        child_of_leaf,
         cache=cache,
-        cluster_keys=[(level.level, int(node)) for node in sequence],
+        cluster_keys=[(level.level, node) for node in nodes],
     )
     times.fixing += time.perf_counter() - start
     return fixings
@@ -426,120 +449,107 @@ def _fix_endpoints_for(
 def _build_child_problems(
     hierarchy: Hierarchy,
     level,
-    sequence: list[int],
+    sequence: np.ndarray,
     fixings: list[EndpointFixing] | None,
     cache: SubmatrixCache,
-) -> tuple[list[SubProblem], list[tuple[int, np.ndarray] | tuple[int, None]]]:
-    """One level's child-ordering sub-problems plus placement records.
+    child_of_leaf: np.ndarray | None,
+) -> list[SubProblem]:
+    """One level's child-ordering sub-problems, tagged with their position.
 
-    A placement ``(position, children)`` records a single-child node
-    emitted directly; ``(position, None)`` marks a node whose solved
-    order arrives tagged with ``position``.  Pure function of
+    Every node of ``sequence`` with more than one child gets a
+    sub-problem; single-child nodes need none.  The nodes are built in
+    slices of :data:`BUILD_SLICE_CLUSTERS`.  Pure function of
     ``(hierarchy, sequence, fixings)``, so each replica's problems are
     built independently of the others.
     """
     below = hierarchy.levels[level.level - 1]
+    nodes = sequence.tolist()
+    children = [level.children[node] for node in nodes]
+    positions = [p for p, group in enumerate(children) if group.size > 1]
+    if fixings is None:
+        entry = np.zeros(len(positions), dtype=np.intp)
+        exit_ = np.full(len(positions), -1)
+    else:
+        entry = child_of_leaf[[fixings[p].entry_leaf for p in positions]]
+        exit_ = child_of_leaf[[fixings[p].exit_leaf for p in positions]]
+        # Same child at both ends: pin the entry side only; the annealer
+        # may choose the exit child freely.
+        exit_[exit_ == entry] = -1
     problems: list[SubProblem] = []
-    placements: list[tuple[int, np.ndarray] | tuple[int, None]] = []
-    for position, node in enumerate(sequence):
-        children = level.children[node]
-        if children.size == 1:
-            placements.append((position, children))
-            continue
-        entry_child = exit_child = None
-        if fixings is not None:
-            fixing = fixings[position]
-            entry_child = _locate_child(below, children, fixing.entry_leaf)
-            exit_child = _locate_child(below, children, fixing.exit_leaf)
+    for lo in range(0, len(positions), BUILD_SLICE_CLUSTERS):
+        batch = positions[lo : lo + BUILD_SLICE_CLUSTERS]
+        groups = [children[p] for p in batch]
         if level.level == 1:
-            dist = cache.submatrix(("sub", level.level, int(node)), children)
-        else:
-            dist = centroid_distance_matrix(below.centroids[children])
-        initial, fixed_first, fixed_last = _initial_child_order(
-            children.size, entry_child, exit_child, dist
-        )
-        problems.append(
-            SubProblem(
-                dist,
-                initial_order=initial,
-                closed=False,
-                fixed_first=fixed_first,
-                fixed_last=fixed_last,
-                tag=position,
+            dists = cache.submatrices(
+                [("sub", level.level, nodes[p]) for p in batch], groups
             )
-        )
-        placements.append((position, None))
-    return problems, placements
+        else:
+            dists = [centroid_distance_matrix(below.centroids[g]) for g in groups]
+        ends = exit_[lo : lo + BUILD_SLICE_CLUSTERS]
+        orders = _nn_chains(dists, entry[lo : lo + BUILD_SLICE_CLUSTERS], ends)
+        for position, dist, order, end in zip(batch, dists, orders, ends.tolist()):
+            problems.append(
+                SubProblem(
+                    dist,
+                    initial_order=order,
+                    closed=False,
+                    fixed_first=fixings is not None,
+                    fixed_last=end >= 0,
+                    tag=position,
+                )
+            )
+    return problems
 
 
 def _merge_child_orders(
-    level,
-    sequence: list[int],
-    placements: list[tuple[int, np.ndarray] | tuple[int, None]],
-    solved_orders: dict[int, np.ndarray],
-) -> list[int]:
-    """Expand a node sequence into its ordered children."""
-    new_sequence: list[int] = []
-    for position, direct in placements:
-        node = sequence[position]
-        children = level.children[node]
-        if direct is not None:
-            new_sequence.extend(int(c) for c in direct)
-            continue
-        local_order = solved_orders[position]
-        new_sequence.extend(int(children[i]) for i in local_order)
-    return new_sequence
+    level, sequence: np.ndarray, solved: list[tuple[int, np.ndarray]]
+) -> np.ndarray:
+    """Expand a node sequence into its ordered children.
+
+    ``solved`` pairs a sequence position with the solved local order of
+    that node's children; every other node has a single child.
+    """
+    pieces = [level.children[node] for node in sequence.tolist()]
+    for position, local_order in solved:
+        pieces[position] = pieces[position][local_order]
+    return np.concatenate(pieces)
 
 
-def _locate_child(below, children: np.ndarray, leaf: int) -> int:
-    """Which local child index contains the given leaf city."""
-    for local, child in enumerate(children):
-        if leaf in below.leaves[child]:
-            return local
-    raise SolverError(f"leaf {leaf} not found under the expected cluster")
-
-
-def _initial_child_order(
-    count: int,
-    entry_child: int | None,
-    exit_child: int | None,
-    dist: np.ndarray,
-) -> tuple[np.ndarray, bool, bool]:
-    """Initial visiting order ("input order") for one sub-problem.
+def _nn_chains(
+    dists: list[np.ndarray], starts: np.ndarray, ends: np.ndarray
+) -> list[np.ndarray]:
+    """Initial visiting orders ("input orders") of many sub-problems.
 
     The paper initializes each macro with the input order; the pipeline
-    defines that input as a nearest-neighbour chain from the entry
-    child (ending at the exit child when one is pinned) — a cheap
-    host-side construction that every solver variant shares.
+    defines that input as a greedy nearest-neighbour chain from
+    ``starts[c]``, ending at ``ends[c]`` when that is not ``-1`` — a
+    cheap host-side construction that every solver variant shares.
+    The chains advance in lock-step over one ``+inf``-padded stack:
+    padding sits after every real row and column, so each step's
+    first-index argmin equals the one over the sub-problem's own
+    matrix.
     """
-    if entry_child is None or exit_child is None:
-        start = 0 if entry_child is None else entry_child
-        chain = _nn_chain(dist, start, None)
-        return chain, entry_child is not None, False
-    if entry_child == exit_child:
-        # Conflict (same child holds both endpoints): pin the entry side
-        # only; the annealer may choose the exit child freely.
-        chain = _nn_chain(dist, entry_child, None)
-        return chain, True, False
-    chain = _nn_chain(dist, entry_child, exit_child)
-    return chain, True, True
-
-
-def _nn_chain(dist: np.ndarray, start: int, end: int | None) -> np.ndarray:
-    """Greedy nearest-neighbour order from ``start`` (optionally ending at ``end``)."""
-    count = dist.shape[0]
-    visited = np.zeros(count, dtype=bool)
-    order = [start]
-    visited[start] = True
-    if end is not None:
-        visited[end] = True
-    current = start
-    for _ in range(count - 1 - (1 if end is not None else 0)):
-        row = dist[current].copy()
-        row[visited] = np.inf
-        current = int(np.argmin(row))
-        order.append(current)
-        visited[current] = True
-    if end is not None:
-        order.append(end)
-    return np.asarray(order, dtype=int)
+    count = len(dists)
+    sizes = np.fromiter((d.shape[0] for d in dists), dtype=np.intp, count=count)
+    width = int(sizes.max())
+    stack = np.full((count, width, width), np.inf)
+    for c, dist in enumerate(dists):
+        stack[c, : dist.shape[0], : dist.shape[0]] = dist
+    rows = np.arange(count)
+    pinned = ends >= 0
+    visited = np.zeros((count, width), dtype=bool)
+    visited[rows[pinned], ends[pinned]] = True
+    visited[rows, starts] = True
+    order = np.empty((count, width), dtype=int)
+    order[:, 0] = starts
+    current = np.array(starts, dtype=np.intp)
+    steps = sizes - 1 - pinned
+    for step in range(1, int(steps.max()) + 1):
+        live = rows[steps >= step]
+        scores = np.where(visited[live], np.inf, stack[live, current[live]])
+        chosen = scores.argmin(axis=1)
+        order[live, step] = chosen
+        visited[live, chosen] = True
+        current[live] = chosen
+    order[rows[pinned], sizes[pinned] - 1] = ends[pinned]
+    return [order[c, :size].copy() for c, size in enumerate(sizes.tolist())]

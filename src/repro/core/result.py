@@ -16,7 +16,9 @@ class PhaseTimes:
     ``clustering`` and ``fixing`` run in software (host CPU) in TAXI
     too; ``ising`` here is the *simulation* wall-clock of the macro
     annealing — the modelled hardware latency lives in the architecture
-    simulator's report.
+    simulator's report.  ``merge`` covers the host work around each
+    wave: building the level's sub-problems (distance blocks, initial
+    orders) and expanding the solved orders into the next sequence.
     """
 
     clustering: float = 0.0

@@ -158,32 +158,6 @@ class BatchedMacroSolver:
                 solutions[idx] = solution
         return solutions  # type: ignore[return-value]
 
-    def _select_replica(
-        self, problem: SubProblem, orders: list[np.ndarray]
-    ) -> np.ndarray:
-        """Pick the replica with the largest quantized attraction total.
-
-        The comparison uses the ideal quantized W_D levels (a digital
-        sum over the read-out solution), not each replica's analog
-        weights, so replicas from different physical macros compare on
-        a common scale.
-        """
-        if len(orders) == 1:
-            return orders[0]
-        levels = inverse_distance_levels(
-            problem.distances, self.config.bits
-        ).astype(float)
-        best_order = orders[0]
-        best_score = -np.inf
-        for order in orders:
-            score = float(levels[order[:-1], order[1:]].sum())
-            if problem.closed:
-                score += float(levels[order[-1], order[0]])
-            if score > best_score:
-                best_score = score
-                best_order = order
-        return best_order
-
 
 def solve_chunks(
     solvers: list[BatchedMacroSolver],
@@ -224,9 +198,6 @@ def solve_chunks(
     if any(p.closed != closed for problems in chunk_problems for p in problems):
         raise MacroError("merged chunks must be all closed or all open")
     restarts = config.restarts
-    groups = [
-        [p for p in problems for _ in range(restarts)] for problems in chunk_problems
-    ]
     positions = [
         _optimizable_positions(*problems[0].shape_key) for problems in chunk_problems
     ]
@@ -235,10 +206,21 @@ def solve_chunks(
         i for i, problems in enumerate(chunk_problems)
         if positions[i].size and problems[0].n - _fixed_count(problems[0]) >= 2
     ]
-    sweeps = [0] * len(groups)
-    orders = [[p.initial_order for p in group] for group in groups]
+    sweeps = [0] * len(chunk_problems)
+    # One order per problem: every restart copy of a chunk the annealer
+    # leaves alone keeps the initial order, so that is the pick.
+    orders = [[p.initial_order for p in problems] for problems in chunk_problems]
     if live:
-        prepared = [_prepare(solvers[i], groups[i]) for i in live]
+        levels = [
+            inverse_distance_levels(
+                np.stack([p.distances for p in chunk_problems[i]]), config.bits
+            )
+            for i in live
+        ]
+        prepared = [
+            _prepare(solvers[i], chunk_problems[i], chunk_levels, restarts)
+            for i, chunk_levels in zip(live, levels)
+        ]
         kernel_args = dict(
             closed=closed,
             read_noise=config.crossbar.variation.read_noise_sigma,
@@ -259,22 +241,19 @@ def solve_chunks(
             )
             for i in live:
                 sweeps[i] = done
-        for i, arrays in zip(live, prepared):
-            orders[i] = arrays[1]
+        for i, chunk_levels, arrays in zip(live, levels, prepared):
+            orders[i] = _pick_restarts(chunk_levels, arrays[1], closed)
 
     results: list[list[SubSolution]] = []
-    for solver, problems, group, chunk_orders, chunk_sweeps, chunk_positions in zip(
-        solvers, chunk_problems, groups, orders, sweeps, positions
+    for solver, problems, chunk_orders, chunk_sweeps, chunk_positions in zip(
+        solvers, chunk_problems, orders, sweeps, positions
     ):
         iterations = chunk_sweeps * chunk_positions.size
         solver.total_sweeps += chunk_sweeps
-        solver.total_iterations += iterations * len(group)
+        solver.total_iterations += iterations * len(problems) * restarts
         solutions = []
-        for idx, problem in enumerate(problems):
-            order = solver._select_replica(
-                problem,
-                [chunk_orders[idx * restarts + r].copy() for r in range(restarts)],
-            )
+        for problem, order in zip(problems, chunk_orders):
+            order = order.copy()
             solutions.append(
                 SubSolution(
                     order=order,
@@ -288,22 +267,50 @@ def solve_chunks(
     return results
 
 
+def _pick_restarts(levels: np.ndarray, orders: np.ndarray, closed: bool) -> np.ndarray:
+    """Each problem's restart with the largest quantized attraction total.
+
+    ``levels`` is a chunk's ``(p, n, n)`` W_D levels and ``orders`` its
+    ``(p * restarts, n)`` annealed orders, each problem's restarts
+    adjacent.  The comparison uses the ideal quantized levels (a
+    digital sum over the read-out solution), not each restart's analog
+    weights, so restarts from different physical macros compare on a
+    common scale.  Scores are exact integer sums; the first maximum
+    wins.  Returns the ``(p, n)`` picked orders.
+    """
+    p, n = levels.shape[0], orders.shape[1]
+    orders = orders.reshape(p, -1, n)
+    if orders.shape[1] == 1:
+        return orders[:, 0]
+    problem = np.arange(p)[:, None]
+    scores = levels[problem[:, :, None], orders[:, :, :-1], orders[:, :, 1:]].sum(axis=-1)
+    if closed:
+        scores += levels[problem, orders[:, :, -1], orders[:, :, 0]]
+    return orders[np.arange(p), scores.argmax(axis=1)]
+
+
 def _prepare(
-    solver: BatchedMacroSolver, group: list[SubProblem]
+    solver: BatchedMacroSolver,
+    problems: list[SubProblem],
+    levels: np.ndarray,
+    restarts: int,
 ) -> tuple[np.ndarray, ...]:
     """One chunk's kernel inputs: weights, order, pos_of, allowed, proxy.
 
-    The effective weights are the chunk's first draw from its RNG.
+    ``levels`` is the chunk's ``(p, n, n)`` W_D levels; each problem
+    gets ``restarts`` adjacent macro rows.  The effective weights are
+    the chunk's first draw from its RNG.
     """
-    m = len(group)
-    n, closed, fixed_first, fixed_last = group[0].shape_key
-    levels = np.stack(
-        [inverse_distance_levels(p.distances, solver.config.bits) for p in group]
-    )
+    _, closed, fixed_first, fixed_last = problems[0].shape_key
+    initial = np.stack([p.initial_order for p in problems])
     weights = effective_weight_matrices(
-        levels, solver.config.bits, solver.config.crossbar, solver._rng
+        np.repeat(levels, restarts, axis=0),
+        solver.config.bits,
+        solver.config.crossbar,
+        solver._rng,
     )  # (m, n, n)
-    order = np.stack([p.initial_order for p in group]).astype(int)  # (m, n)
+    order = np.repeat(initial, restarts, axis=0).astype(int)  # (m, n)
+    m, n = order.shape
     pos_of = np.argsort(order, axis=1)
     allowed = np.ones((m, n), dtype=bool)
     if not closed:

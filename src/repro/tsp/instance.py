@@ -151,16 +151,23 @@ class TSPInstance:
         Returns ``(len(rows), len(cols))``; ``cols=None`` means all
         cities.  Only the requested block is computed — essential for
         the endpoint-fixing step on 85k-city instances.
+
+        Leading batch axes are allowed: ``rows`` of shape ``(..., a)``
+        and ``cols`` of shape ``(..., b)`` give ``(..., a, b)``, one
+        block per batch slice, each bit-identical to its own call.
         """
         rows = np.asarray(rows, dtype=int)
+        if cols is not None:
+            cols = np.asarray(cols, dtype=int)
         if self.metric is EdgeWeightType.EXPLICIT:
-            block = self.matrix[rows]  # type: ignore[index]
-            return block if cols is None else block[:, np.asarray(cols, dtype=int)]
-        coords = self.coords
+            if cols is None:
+                return self.matrix[rows]  # type: ignore[index]
+            return self.matrix[rows[..., :, None], cols[..., None, :]]  # type: ignore[index]
         if self.metric is EdgeWeightType.GEO:
             return self._geo_block(rows, cols)
-        col_coords = coords if cols is None else coords[np.asarray(cols, dtype=int)]  # type: ignore[index]
-        delta = coords[rows, None, :] - col_coords[None, :, :]  # type: ignore[index]
+        coords = self.coords
+        col_coords = coords if cols is None else coords[cols]  # type: ignore[index]
+        delta = coords[rows][..., :, None, :] - col_coords[..., None, :, :]  # type: ignore[index]
         if self.metric is EdgeWeightType.EUC_2D:
             return np.rint(np.sqrt((delta**2).sum(axis=-1)))
         if self.metric is EdgeWeightType.CEIL_2D:
@@ -179,11 +186,12 @@ class TSPInstance:
         if self._geo_cache is None:
             self._geo_cache = _geo_radians(self.coords)  # type: ignore[arg-type]
         rad = self._geo_cache
-        col_rad = rad if cols is None else rad[np.asarray(cols, dtype=int)]
-        lat_i = rad[rows, 0][:, None]
-        lon_i = rad[rows, 1][:, None]
-        lat_j = col_rad[None, :, 0]
-        lon_j = col_rad[None, :, 1]
+        row_rad = rad[rows]
+        col_rad = rad if cols is None else rad[cols]
+        lat_i = row_rad[..., :, None, 0]
+        lon_i = row_rad[..., :, None, 1]
+        lat_j = col_rad[..., None, :, 0]
+        lon_j = col_rad[..., None, :, 1]
         q1 = np.cos(lon_i - lon_j)
         q2 = np.cos(lat_i - lat_j)
         q3 = np.cos(lat_i + lat_j)
@@ -191,17 +199,10 @@ class TSPInstance:
         arg = np.clip(arg, -1.0, 1.0)
         dist = _GEO_RRR * np.arccos(arg) + 1.0
         out = np.trunc(dist)
-        # TSPLIB defines d(i, i) = 0 even though the formula gives +1.
-        col_index = (
-            {int(c): k for k, c in enumerate(np.asarray(cols, dtype=int))}
-            if cols is not None
-            else None
-        )
-        for k, row in enumerate(rows):
-            if col_index is None:
-                out[k, row] = 0.0
-            elif int(row) in col_index:
-                out[k, col_index[int(row)]] = 0.0
+        # TSPLIB defines d(i, i) = 0 even though the formula gives +1:
+        # every entry whose row and column are one city, duplicates too.
+        col_ids = np.arange(self.n) if cols is None else cols
+        out[rows[..., :, None] == col_ids[..., None, :]] = 0.0
         return out
 
     def distance_submatrix(self, indices: np.ndarray) -> np.ndarray:

@@ -179,8 +179,10 @@ def closest_pair_between(
         and group_a.size * group_b.size > 4096
     ):
         # KD-tree path for big groups: query B against a tree on A.
+        # Single-threaded: at these sizes starting a thread pool per
+        # query costs more than it saves.
         tree = cKDTree(instance.coords[group_a])
-        dists, idx = tree.query(instance.coords[group_b], k=1, workers=-1)
+        dists, idx = tree.query(instance.coords[group_b], k=1)
         best_b = int(np.argmin(dists))
         best_a = int(idx[best_b])
         a_city, b_city = int(group_a[best_a]), int(group_b[best_b])

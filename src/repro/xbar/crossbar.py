@@ -238,9 +238,7 @@ def effective_weight_matrices(
             f"levels_batch must be (m, n, n), got {levels_batch.shape}"
         )
     m, n, _ = levels_batch.shape
-    slices = np.stack(
-        [bit_slices(levels_batch[i], bits) for i in range(m)]
-    )  # (m, bits, n, n) MSB first
+    slices = bit_slices(levels_batch, bits)  # (m, bits, n, n) MSB first
     g_on = 1.0 / config.mtj.r_parallel
     g_off = 1.0 / config.mtj.r_antiparallel
     # Conductance per cell; transpose city axes so rows drive axis -2

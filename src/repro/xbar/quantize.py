@@ -32,33 +32,34 @@ def inverse_distance_levels(distances: np.ndarray, bits: int) -> np.ndarray:
     ----------
     distances:
         Symmetric ``(n, n)`` distance matrix; the diagonal is ignored
-        (treated as infinite distance, level 0).
+        (treated as infinite distance, level 0).  A ``(..., n, n)``
+        stack is quantized slice by slice, each with its own D_min.
     bits:
         Bit precision B; levels are integers in ``[0, 2^B - 1]``.
 
     Notes
     -----
     Zero off-diagonal distances (coincident cities) saturate at full
-    scale, like D_min itself.
+    scale, like D_min itself; so does every pair of a slice whose
+    cities all coincide.
     """
     scale = full_scale(bits)
     dist = np.asarray(distances, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+    if dist.ndim < 2 or dist.shape[-1] != dist.shape[-2]:
         raise CrossbarError(f"distances must be square, got shape {dist.shape}")
-    n = dist.shape[0]
+    n = dist.shape[-1]
     off_diag = ~np.eye(n, dtype=bool)
-    positive = dist[off_diag & (dist > 0)]
-    if positive.size == 0:
-        # All cities coincident: every pair saturates.
-        levels = np.full((n, n), scale, dtype=np.int64)
-        np.fill_diagonal(levels, 0)
-        return levels
-    d_min = float(positive.min())
+    positive = off_diag & (dist > 0)
+    # Per-slice D_min; inf where every city of the slice coincides, so
+    # that every off-diagonal ratio below saturates.
+    d_min = np.where(positive, dist, np.inf).min(axis=(-2, -1), initial=np.inf)
     with np.errstate(divide="ignore"):
-        ratio = np.where(dist > 0, d_min / np.where(dist > 0, dist, 1.0), np.inf)
+        ratio = np.where(
+            dist > 0, d_min[..., None, None] / np.where(dist > 0, dist, 1.0), np.inf
+        )
     levels = np.rint(np.clip(ratio, 0.0, 1.0) * scale).astype(np.int64)
     levels[off_diag & (dist == 0)] = scale  # coincident pairs saturate
-    np.fill_diagonal(levels, 0)
+    levels[..., ~off_diag] = 0
     return levels
 
 
@@ -76,7 +77,8 @@ def bit_slices(levels: np.ndarray, bits: int) -> np.ndarray:
 
     Returns an ``(bits, n, n)`` uint8 array, index 0 = MSB (stored
     nearest the drivers in the paper to minimize wire-resistance impact
-    on the most significant bits).
+    on the most significant bits).  A ``(..., n, n)`` stack gives
+    ``(..., bits, n, n)``.
     """
     levels = np.asarray(levels)
     scale = full_scale(bits)
@@ -85,7 +87,9 @@ def bit_slices(levels: np.ndarray, bits: int) -> np.ndarray:
             f"levels must be in [0, {scale}] for {bits}-bit precision"
         )
     shifts = np.arange(bits - 1, -1, -1)  # MSB first
-    return ((levels[None, :, :] >> shifts[:, None, None]) & 1).astype(np.uint8)
+    return (
+        (levels[..., None, :, :] >> shifts[:, None, None]) & 1
+    ).astype(np.uint8)
 
 
 def reconstruct_levels(slices: np.ndarray) -> np.ndarray:

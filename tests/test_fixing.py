@@ -73,11 +73,11 @@ class TestFixLevelEndpoints:
         )
         inst = TSPInstance("conflict", coords)
         leaves = [np.array([0]), np.array([1, 2]), np.array([3])]
-        child_maps = [{0: 0}, {1: 0, 2: 1}, {3: 0}]
-        fixings = fix_level_endpoints(inst, leaves, child_maps)
+        child_of_leaf = np.array([0, 0, 1, 0])
+        fixings = fix_level_endpoints(inst, leaves, child_of_leaf)
         middle = fixings[1]
-        entry_child = child_maps[1][middle.entry_leaf]
-        exit_child = child_maps[1][middle.exit_leaf]
+        entry_child = child_of_leaf[middle.entry_leaf]
+        exit_child = child_of_leaf[middle.exit_leaf]
         assert entry_child != exit_child
 
     def test_needs_two_clusters(self, line_instance):

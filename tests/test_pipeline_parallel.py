@@ -229,11 +229,10 @@ class TestEndpointFixingInvariants:
         level = hierarchy.levels[1]
         sequence = list(range(level.n_nodes))
         leaves = [level.leaves[node] for node in sequence]
-        child_maps = [
-            {int(leaf): pos for pos, leaf in enumerate(cluster)}
-            for cluster in leaves
-        ]
-        fixings = fix_level_endpoints(inst, leaves, child_maps)
+        child_of_leaf = np.empty(inst.n, dtype=int)
+        for cluster in leaves:
+            child_of_leaf[cluster] = np.arange(cluster.size)
+        fixings = fix_level_endpoints(inst, leaves, child_of_leaf)
         for position, (fixing, cluster_leaves) in enumerate(
             zip(fixings, leaves)
         ):
@@ -279,7 +278,7 @@ class TestSubmatrixCache:
         )
         inst = TSPInstance("conflict", coords)
         leaves = [np.array([0]), np.array([1, 2]), np.array([3])]
-        child_maps = [{0: 0}, {1: 0, 2: 1}, {3: 0}]
+        child_of_leaf = np.array([0, 0, 1, 0])
         calls = {"n": 0}
         original = TSPInstance.distance_block
 
@@ -292,12 +291,12 @@ class TestSubmatrixCache:
             cache = SubmatrixCache(inst)
             keys = ["A", "B", "C"]
             fixings = fix_level_endpoints(
-                inst, leaves, child_maps, cache=cache, cluster_keys=keys
+                inst, leaves, child_of_leaf, cache=cache, cluster_keys=keys
             )
             # Re-fixing with the shared cache (a second replica over the
             # same deterministic clustering) must not slice again.
             second = fix_level_endpoints(
-                inst, leaves, child_maps, cache=cache, cluster_keys=keys
+                inst, leaves, child_of_leaf, cache=cache, cluster_keys=keys
             )
         finally:
             TSPInstance.distance_block = original
@@ -307,8 +306,8 @@ class TestSubmatrixCache:
         assert calls["n"] == 3
         assert cache.hits >= 3  # the whole second pass ran from cache
         assert second == fixings
-        entry = child_maps[1][fixings[1].entry_leaf]
-        exit_ = child_maps[1][fixings[1].exit_leaf]
+        entry = child_of_leaf[fixings[1].entry_leaf]
+        exit_ = child_of_leaf[fixings[1].exit_leaf]
         assert entry != exit_
 
     def test_shared_cache_without_keys_rejected(self):

@@ -50,6 +50,11 @@ class TestLazyDistanceParity:
         cols = np.array([2, 7, 30, 58, 59])
         block = inst.distance_block(rows, cols)
         np.testing.assert_array_equal(block, full[np.ix_(rows, cols)])
+        # Duplicate columns (padded batches repeat ids): d(i, i) = 0 in
+        # every copy, not only the last.
+        cols = np.array([0, 0, 7, 59, 7, 59])
+        block = inst.distance_block(rows, cols)
+        np.testing.assert_array_equal(block, full[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize("metric", COORD_METRICS, ids=lambda m: m.name)
     def test_overlapping_block_diagonal_is_zero(self, metric):
