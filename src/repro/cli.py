@@ -428,6 +428,7 @@ def _solver_params(args: argparse.Namespace) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from repro.kernels.macro import sweep_path
     from repro.utils.hashing import tour_hash
 
     instance = _load_instance(args)
@@ -470,6 +471,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"{result.total_subproblems} sub-problems")
     for phase, seconds in result.phase_seconds.as_dict().items():
         print(f"  {phase:<10s}: {format_seconds(seconds)}")
+    print(f"macro sweep   : "
+          f"{sweep_path(config.backend, config.crossbar.variation.read_noise_sigma)}")
     if args.reference:
         from repro.baselines import reference_length
 

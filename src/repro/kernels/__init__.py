@@ -11,6 +11,9 @@ software solvers.  Each hot path ships two implementations:
   of a whole hierarchy level, of any shapes, into one ragged batch)
   that is either bit-exact with the reference (2-opt SA) or validated
   against it at distribution level (spin annealing, macro batches).
+  The macro sweeps run in C (:mod:`repro.kernels.compiled` builds
+  ``_sweep.c`` with the system C compiler at first use), bit-identical
+  to their NumPy loop, which runs when no compiler is available.
 
 ``auto`` (the default everywhere a ``backend=`` knob exists) resolves
 to ``fast``, and so does ``array``, the name of a former replica-batched

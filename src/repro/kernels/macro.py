@@ -25,6 +25,14 @@ Every operation of a step is row-local, so a chunk evolves
 bit-identically whatever else shares its batch.  Both kernels mutate
 their chunks' ``order``/``pos_of``/``proxy`` in place and return the
 number of sweeps executed.
+
+Without read noise, ``fast`` runs every sweep of its batch in one call
+into compiled C (``_sweep.c``, loaded by :mod:`repro.kernels.compiled`).
+The C step follows :meth:`_Batch.step` operation by operation and draws
+from each chunk's own NumPy bit generator in the same order, so it is
+bit-identical to the NumPy loop, which stays as the fallback (no
+compiler, read noise) and as the test oracle.  :func:`sweep_path`
+reports which loop runs.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.kernels import BACKEND_REFERENCE, compiled, resolve_backend
+
 #: One chunk's kernel inputs: weights ``(m, n, n)``, order and pos_of
 #: ``(m, n)``, allowed-city mask ``(m, n)`` and guard proxy ``(m,)``.
 Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -40,6 +50,20 @@ Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: Terms NumPy's pairwise summation adds in one unrolled block
 #: (``PW_BLOCKSIZE``); longer sums split at a length-dependent point.
 _PAIRWISE_BLOCK = 128
+
+
+def sweep_path(backend: str | None = None, read_noise: float = 0.0) -> str:
+    """Which loop runs macro sweeps: ``compiled`` or ``numpy (<reason>)``.
+
+    ``backend`` and ``read_noise`` are the solve's kernel backend and
+    read-noise sigma.  Builds the compiled sweep if no call has yet.
+    """
+    if resolve_backend(backend) == BACKEND_REFERENCE:
+        return "numpy (reference backend)"
+    if read_noise > 0:
+        return "numpy (read noise)"
+    library, reason = compiled.load()
+    return reason if library is not None else f"numpy ({reason})"
 
 
 def batch_proxy(weights: np.ndarray, orders: np.ndarray, closed: bool) -> np.ndarray:
@@ -63,7 +87,8 @@ def ragged_proxy(
     Row ``i`` has ``sizes[i]`` real cities; beyond them ``weights`` is
     zero and ``orders`` is the identity (the ragged kernel's padding).
     """
-    return _RaggedProxy(weights, np.asarray(sizes), closed)(
+    edges = np.asarray(sizes) - 1
+    return _RaggedProxy(weights, edges, _row_widths(edges, weights.shape[-1]), closed)(
         np.arange(orders.shape[0]), orders
     )
 
@@ -80,6 +105,11 @@ def _sum_width(edges: int, padded: int) -> int:
     if edges > _PAIRWISE_BLOCK:
         return edges
     return min(edges | 7, padded)
+
+
+def _row_widths(edges: np.ndarray, width: int) -> np.ndarray:
+    """Each padded row's :func:`_sum_width`, from its real edge count."""
+    return np.array([_sum_width(int(e), width - 1) for e in edges], dtype=np.int64)
 
 
 def _neighbours(
@@ -109,14 +139,14 @@ def _gate_bias(gate: np.ndarray, p_sw: float, allowed: np.ndarray) -> np.ndarray
 class _RaggedProxy:
     """Guard proxies of padded rows, each summed at its own width class."""
 
-    def __init__(self, weights: np.ndarray, sizes: np.ndarray, closed: bool) -> None:
+    def __init__(
+        self, weights: np.ndarray, last: np.ndarray, sum_width: np.ndarray, closed: bool
+    ) -> None:
         self.width = weights.shape[-1]
         self.flat = weights.reshape(-1)
         self.closed = closed
-        self.last = sizes - 1
-        widths = [_sum_width(int(e), self.width - 1) for e in sizes - 1]
-        self.widths = sorted(set(widths))
-        self.width_class = np.searchsorted(self.widths, widths)
+        self.last = last
+        self.widths, self.width_class = np.unique(sum_width, return_inverse=True)
 
     def __call__(self, rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
         """Proxies of candidate ``orders`` (one per batch row in ``rows``)."""
@@ -152,6 +182,7 @@ class _Batch:
         resolution: float,
         guarded: bool,
     ) -> None:
+        self.closed = closed
         self.resolution = resolution
         self.guarded = guarded
         # Stable: equal position counts keep their input order.
@@ -165,36 +196,44 @@ class _Batch:
         self.sizes = sizes
         self.steps = steps
 
-        weights = np.zeros((m, n, n))
-        self.order = np.tile(np.arange(n), (m, 1))
+        self.weights = np.zeros((m, n, n))
+        self.order = np.tile(np.arange(n, dtype=np.int64), (m, 1))
         self.pos_of = self.order.copy()
         self.allowed = np.zeros((m, n), dtype=bool)
         self.proxy = np.empty(m)
-        pos_tab = np.zeros((steps[0], m), dtype=int)
-        prev_tab = np.zeros_like(pos_tab)
-        next_tab = np.zeros_like(pos_tab)
+        # Per step and row: its position, then its previous and next
+        # neighbours' positions.
+        self.tables = np.zeros((3, steps[0], m), dtype=np.int64)
         for lane, c, k, s in zip(self.lanes, self.rank, sizes, steps):
             chunk_weights, order, pos_of, allowed, proxy = chunks[c]
-            weights[lane, :k, :k] = chunk_weights
+            self.weights[lane, :k, :k] = chunk_weights
             self.order[lane, :k] = order
             self.pos_of[lane, :k] = pos_of
             self.allowed[lane, :k] = allowed
             self.proxy[lane] = proxy
-            prev_pos, next_pos = _neighbours(positions[c], k, closed)
-            pos_tab[:s, lane] = positions[c][:, None]
-            prev_tab[:s, lane] = prev_pos[:, None]
-            next_tab[:s, lane] = next_pos[:, None]
+            around = _neighbours(positions[c], k, closed)
+            for table, column in zip(self.tables, (positions[c], *around)):
+                table[:s, lane] = column[:, None]
+        self.active = np.array(
+            [sum(r for r, s in zip(rows, steps) if s > t) for t in range(steps[0])],
+            dtype=np.int64,
+        )
+        # Each row's last real index (its edge count) and the width its
+        # guard proxy is summed at.
+        self.last = np.repeat(np.array(sizes, dtype=np.int64), rows) - 1
+        self.sum_width = _row_widths(self.last, n)
+        self.plan: list[tuple] | None = None
 
+    def _build_plan(self) -> None:
+        """The NumPy step's flat views and per-step plan."""
+        m, n = self.order.shape
         # Flat views: entry (row, column) of an (M, N) array sits at
         # row * N + column, so every gather/scatter is one 1-D index.
         self.row_base = np.arange(m) * n
         self.order_flat = self.order.reshape(-1)
         self.pos_flat = self.pos_of.reshape(-1)
-        self.score_rows = weights.reshape(m * n, n)
-        self.proxy_of = _RaggedProxy(weights, np.repeat(sizes, rows), closed)
-        self.active = [
-            sum(r for r, s in zip(rows, steps) if s > t) for t in range(steps[0])
-        ]
+        self.score_rows = self.weights.reshape(m * n, n)
+        self.proxy_of = _RaggedProxy(self.weights, self.last, self.sum_width, self.closed)
         # Per step: active rows, their flat row offsets, flat indices of
         # their previous-then-next neighbours (and those rows' offsets),
         # flat indices of their current position, the positions, and
@@ -202,7 +241,7 @@ class _Batch:
         self.plan = []
         for t, active in enumerate(self.active):
             base = self.row_base[:active]
-            prev_pos, next_pos = prev_tab[t, :active], next_tab[t, :active]
+            positions, prev_pos, next_pos = self.tables[:, t, :active]
             # Rows whose neighbours coincide (an open path's end) score
             # one neighbour only.
             same = np.flatnonzero(prev_pos == next_pos)
@@ -211,8 +250,8 @@ class _Batch:
                 base,
                 np.concatenate([base + prev_pos, base + next_pos]),
                 np.concatenate([base, base]),
-                base + pos_tab[t, :active],
-                pos_tab[t, :active],
+                base + positions,
+                positions,
                 same if same.size else None,
             ))
 
@@ -233,6 +272,8 @@ class _Batch:
         write-path draws, or is ``None`` to draw them from ``rng`` for
         the proposed rows only.
         """
+        if self.plan is None:
+            self._build_plan()
         m, base, around, around_base, here, positions, same = self.plan[t]
         order = self.order_flat
         # Previous then next neighbours' weight rows, in one gather.
@@ -342,11 +383,19 @@ def anneal_group_fast(
     order a solo anneal of that chunk draws them; the blocks are
     scattered into padded ``(steps, M, N)`` blocks and one step per
     position advances every chunk still annealing.  With one chunk this
-    *is* the solo anneal.
+    *is* the solo anneal.  Without read noise, one call into the
+    compiled sweep (:mod:`repro.kernels.compiled`) runs every sweep with
+    bit-identical results; without it, the NumPy loop below does.
     """
     batch = _Batch(
         chunks, positions, closed=closed, resolution=resolution, guarded=guarded
     )
+    if not read_noise > 0:
+        library, _ = compiled.load()
+        if library is not None:
+            sweeps = compiled.anneal(library, batch, probabilities, rngs)
+            batch.unpack(chunks)
+            return sweeps
     m, n = batch.order.shape
     shape = (batch.steps[0], m, n)
     # Padded entries stay zero: finite jitter keeps gated-off units at -inf.

@@ -1,4 +1,5 @@
-"""Shared pytest configuration: the golden-regression update flag."""
+"""Shared pytest configuration: the golden-regression update flag and
+a fixture that forces the macro kernel's NumPy sweep loop."""
 
 import pytest
 
@@ -17,3 +18,11 @@ def pytest_addoption(parser):
 def update_golden(request):
     """True when the run should regenerate golden fixtures."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def numpy_sweeps(monkeypatch):
+    """Run the macro kernel's NumPy loop instead of the compiled sweep."""
+    from repro.kernels import compiled
+
+    monkeypatch.setattr(compiled, "_loaded", (None, "disabled by test"))

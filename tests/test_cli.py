@@ -33,6 +33,17 @@ class TestCommands:
         assert "tour length" in out
         assert "syn76" in out
 
+    def test_solve_reports_macro_sweep_path(self, capsys):
+        from repro.kernels.macro import sweep_path
+
+        assert main(["solve", "--size", "76", "--sweeps", "20"]) == 0
+        assert f"macro sweep   : {sweep_path()}\n" in capsys.readouterr().out
+
+    def test_solve_reports_numpy_fallback(self, capsys, numpy_sweeps):
+        assert main(["solve", "--size", "76", "--sweeps", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "macro sweep   : numpy (disabled by test)\n" in out
+
     def test_solve_tsplib_file(self, tmp_path, capsys):
         inst = uniform_instance(30, seed=3, name="cli30")
         path = tmp_path / "cli30.tsp"

@@ -76,7 +76,18 @@ def test_golden_tours(solver, instance_key, update_golden):
             json.dumps(pinned, indent=2, sort_keys=True) + "\n"
         )
         return
+    _assert_pinned(solver, instance_key, actual)
 
+
+@pytest.mark.parametrize("instance_key", sorted(GOLDEN_INSTANCES))
+@pytest.mark.parametrize("solver", solver_names())
+def test_golden_tours_on_numpy_sweeps(solver, instance_key, numpy_sweeps):
+    """The macro kernel's NumPy loop reproduces the same pinned tours."""
+    _assert_pinned(solver, instance_key, _solve(solver, instance_key))
+
+
+def _assert_pinned(solver: str, instance_key: str, actual: dict) -> None:
+    path = _golden_path(solver)
     assert path.exists(), (
         f"missing golden fixture {path.name}; "
         "run `pytest tests/test_golden.py --update-golden`"

@@ -122,6 +122,13 @@ class TestKernelBitIdentity:
     def test_merged_macro_kernel_equals_solo_per_chunk(self, monkeypatch):
         # Chunks of different shapes share one ragged kernel call, yet
         # each evolves exactly as its own solo solve.
+        self._check_merged_equals_solo(monkeypatch)
+
+    def test_merged_equals_solo_on_numpy_sweeps(self, monkeypatch, numpy_sweeps):
+        self._check_merged_equals_solo(monkeypatch)
+
+    @staticmethod
+    def _check_merged_equals_solo(monkeypatch):
         calls = []
         kernel = batch.anneal_group_fast
         monkeypatch.setattr(
