@@ -428,6 +428,7 @@ def _solver_params(args: argparse.Namespace) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from repro.clustering.agglomerative import ward_path
     from repro.kernels.macro import sweep_path
     from repro.utils.hashing import tour_hash
 
@@ -473,6 +474,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"  {phase:<10s}: {format_seconds(seconds)}")
     print(f"macro sweep   : "
           f"{sweep_path(config.backend, config.crossbar.variation.read_noise_sigma)}")
+    if config.clustering == "ward":
+        print(f"ward chain    : {ward_path()}")
     if args.reference:
         from repro.baselines import reference_length
 

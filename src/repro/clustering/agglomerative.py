@@ -9,9 +9,17 @@ Ward dissimilarity:
     d(A, B) = |A||B| / (|A| + |B|) * ||centroid_A - centroid_B||^2
 
 which equals the increase in total within-cluster variance caused by
-merging A and B.  NN-chain needs only O(n) memory (no distance matrix)
-and O(n^2) time, and Ward linkage is *reducible*, so the dendrogram it
-produces is exactly the one a naive greedy merge would build.
+merging A and B.  NN-chain needs only O(n) memory (no distance matrix),
+and Ward linkage is *reducible*, so the dendrogram it produces is
+exactly the one a naive greedy merge would build.
+
+The chain runs in C when the compiled kernels load
+(``kernels/_ward.c`` through :mod:`repro.kernels.compiled`), with the
+NumPy chain below as its fallback and test oracle; :func:`ward_path`
+says which.  The NumPy chain scans every live slot per step, O(n^2) in
+all; the C chain keeps its walk and arithmetic but scans only the grid
+cells that can hold the nearest slot, near-linear on typical inputs and
+O(n^2) at worst.  Both give bit-identical merges and labels.
 
 Scalability: exact NN-chain is used up to ``exact_threshold`` points;
 beyond that the point set is recursively median-split (KD fashion) into
@@ -34,6 +42,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import ClusteringError
+from repro.kernels import compiled
 
 #: Largest level clustered by exact NN-chain before KD-splitting kicks in.
 DEFAULT_EXACT_THRESHOLD = 4096
@@ -49,8 +58,8 @@ def ward_linkage_matrix(points: np.ndarray) -> np.ndarray:
     """The full Ward dendrogram as an ``(n-1, 4)`` scipy-style linkage.
 
     Columns: merged cluster ids (original points are 0..n-1, merges are
-    n, n+1, ...), merge dissimilarity (sqrt of the Ward distance, the
-    scipy convention), and new cluster size.
+    n, n+1, ...), merge dissimilarity ``sqrt(2 * d(A, B))``, the scipy
+    convention, and new cluster size.
     """
     points = _check_points(points)
     n = points.shape[0]
@@ -59,16 +68,25 @@ def ward_linkage_matrix(points: np.ndarray) -> np.ndarray:
     order = np.argsort([m[2] for m in merges], kind="stable")
     linkage = np.zeros((n - 1, 4))
     cluster_ids = {i: i for i in range(n)}  # slot -> current dendrogram id
-    sizes = {i: 1 for i in range(n)}
     next_id = n
     for row, merge_idx in enumerate(order):
         a, b, height, new_size = merges[merge_idx]
         ida, idb = cluster_ids[a], cluster_ids[b]
-        linkage[row] = (min(ida, idb), max(ida, idb), np.sqrt(height), new_size)
+        linkage[row] = (min(ida, idb), max(ida, idb), np.sqrt(2 * height), new_size)
         cluster_ids[a] = next_id
-        sizes[next_id] = new_size
         next_id += 1
     return linkage
+
+
+def ward_path() -> str:
+    """Which exact Ward chain runs: ``compiled`` or ``numpy (<reason>)``.
+
+    Builds the compiled kernels if no call has yet.  Point sets with a
+    coordinate beyond ``compiled.WARD_COORD_LIMIT`` take the NumPy chain
+    either way.
+    """
+    library, reason = compiled.load()
+    return reason if library is not None else f"numpy ({reason})"
 
 
 def ward_labels(
@@ -143,7 +161,14 @@ def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float, int]]:
     squared differences column by column rounds exactly like a NumPy row
     sum of fewer than 8 terms, and the merge height is the distance row
     entry of the slot merged away.
+
+    This NumPy chain is the fallback and oracle of the compiled one,
+    which returns the same merges bit for bit.
     """
+    chain = _compiled_chain(points, 0)
+    if chain is not None:
+        slot_a, slot_b, heights, sizes, _ = chain
+        return list(zip(slot_a.tolist(), slot_b.tolist(), heights.tolist(), sizes.tolist()))
     n = points.shape[0]
     columns = [column.copy() for column in points.T]
     sizes = np.ones(n)
@@ -187,6 +212,9 @@ def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float, int]]:
 
 
 def _ward_labels_exact(points: np.ndarray, n_clusters: int) -> np.ndarray:
+    chain = _compiled_chain(points, n_clusters)
+    if chain is not None:
+        return chain[-1]  # the same cut, in C
     n = points.shape[0]
     merges = _nn_chain_merges(points)
     order = np.argsort([m[2] for m in merges], kind="stable")
@@ -206,6 +234,12 @@ def _ward_labels_exact(points: np.ndarray, n_clusters: int) -> np.ndarray:
     roots = np.fromiter((find(i) for i in range(n)), dtype=int, count=n)
     _, labels = np.unique(roots, return_inverse=True)
     return labels
+
+
+def _compiled_chain(points: np.ndarray, n_clusters: int):
+    """``compiled.ward``'s result, or ``None`` where the NumPy chain runs."""
+    library, _ = compiled.load()
+    return None if library is None else compiled.ward(library, points, n_clusters)
 
 
 def _ward_labels_kdsplit(

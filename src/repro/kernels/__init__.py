@@ -13,7 +13,10 @@ software solvers.  Each hot path ships two implementations:
   against it at distribution level (spin annealing, macro batches).
   The macro sweeps run in C (:mod:`repro.kernels.compiled` builds
   ``_sweep.c`` with the system C compiler at first use), bit-identical
-  to their NumPy loop, which runs when no compiler is available.
+  to their NumPy loop, which runs when no compiler is available.  The
+  same library holds Ward clustering's exact nearest-neighbour chain
+  (``_ward.c``), bit-identical to the NumPy chain in
+  :mod:`repro.clustering.agglomerative`.
 
 ``auto`` (the default everywhere a ``backend=`` knob exists) resolves
 to ``fast``, and so does ``array``, the name of a former replica-batched

@@ -1,17 +1,19 @@
-"""The compiled macro sweep: build ``_sweep.c`` at first use, call it.
+"""The compiled kernels: build ``_sweep.c`` and ``_ward.c`` at first use, call them.
 
-The C source ships beside this module.  The first kernel call that
-asks for it compiles it with the system C compiler (``$CC``, default
-``cc``) into ``__pycache__/_sweep.<digest>.so`` next to Python's own
+Two C sources ship beside this module: the macro anneal sweep
+(:func:`anneal`) and the exact Ward nearest-neighbour chain with its
+dendrogram cut (:func:`ward`).  The first call that asks for either
+compiles both with the system C compiler (``$CC``, default ``cc``) into
+one library, ``__pycache__/_kernels.<digest>.so`` next to Python's own
 bytecode, and loads it through :mod:`ctypes`.  The digest covers the
-source, the flags and the machine, so an edited source builds afresh.
+sources, the flags and the machine, so an edited source builds afresh.
 Spawned workers may build at the same time: each compiles to its own
 temp file and moves it into place with :func:`os.replace`.
 
 Without a compiler, or when the build or the load fails, :func:`load`
-returns no library and the reason, and the kernel runs its NumPy loop.
-The outcome is decided once per process.  Which path ran never changes
-a result: the C code is bit-identical to the NumPy loop (see
+returns no library and the reason, and the callers run their NumPy
+code.  The outcome is decided once per process.  Which path ran never
+changes a result: the C code is bit-identical to the NumPy code (see
 ``docs/backends.md``).
 """
 
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("_sweep.c")
+SOURCES = (Path(__file__).with_name("_sweep.c"), Path(__file__).with_name("_ward.c"))
 
 #: Where built libraries go (tests point it elsewhere).
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -41,8 +43,13 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: ``-ffast-math`` or ``-march=native``.
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: Seconds a build may take before the NumPy loop is used instead.
+#: Seconds a build may take before the NumPy code is used instead.
 BUILD_TIMEOUT_S = 120
+
+#: Largest coordinate magnitude :func:`ward` takes: below it no square,
+#: weight product or merged centroid can overflow.  Beyond it the NumPy
+#: chain runs, whose inf and NaN ties follow NumPy's own semantics.
+WARD_COORD_LIMIT = 1e100
 
 _lock = threading.Lock()
 #: ``(library or None, "compiled" or the reason it is missing)``, once
@@ -51,10 +58,10 @@ _loaded: tuple[ctypes.CDLL | None, str] | None = None
 
 
 def load() -> tuple[ctypes.CDLL | None, str]:
-    """The compiled sweep library, building it on first use.
+    """The compiled kernel library, building it on first use.
 
     Returns ``(library, "compiled")``, or ``(None, reason)`` when the
-    NumPy loop must run instead.
+    NumPy code must run instead.
     """
     global _loaded
     with _lock:
@@ -64,12 +71,14 @@ def load() -> tuple[ctypes.CDLL | None, str]:
 
 
 def _build_and_load() -> tuple[ctypes.CDLL | None, str]:
-    try:
-        source = SOURCE.read_bytes()
-    except OSError:
-        return None, f"no C source ({SOURCE.name})"
-    key = b"\0".join([source, " ".join(CFLAGS).encode(), platform.machine().encode()])
-    target = CACHE_DIR / f"_sweep.{hashlib.sha256(key).hexdigest()[:16]}.so"
+    sources = []
+    for source in SOURCES:
+        try:
+            sources.append(source.read_bytes())
+        except OSError:
+            return None, f"no C source ({source.name})"
+    key = b"\0".join([*sources, " ".join(CFLAGS).encode(), platform.machine().encode()])
+    target = CACHE_DIR / f"_kernels.{hashlib.sha256(key).hexdigest()[:16]}.so"
     if not target.exists():
         failure = _build(target)
         if failure is not None:
@@ -83,7 +92,7 @@ def _build_and_load() -> tuple[ctypes.CDLL | None, str]:
 
 
 def _build(target: Path) -> str | None:
-    """Compile :data:`SOURCE` into ``target``; the failure reason, if any."""
+    """Compile :data:`SOURCES` into ``target``; the failure reason, if any."""
     compiler = shlex.split(os.environ.get("CC") or "cc")
     if shutil.which(compiler[0]) is None:
         return "no C compiler"
@@ -95,7 +104,7 @@ def _build(target: Path) -> str | None:
     os.close(fd)
     try:
         done = subprocess.run(
-            [*compiler, *CFLAGS, "-o", temp, str(SOURCE), "-lm"],
+            [*compiler, *CFLAGS, "-o", temp, *map(str, SOURCES), "-lm"],
             capture_output=True, text=True, timeout=BUILD_TIMEOUT_S,
         )
         if done.returncode != 0:
@@ -113,7 +122,7 @@ def _build(target: Path) -> str | None:
 
 
 def _declare(library: ctypes.CDLL) -> None:
-    """Argument and result types of ``anneal_sweeps`` (checked per call)."""
+    """Argument and result types of the C entry points (checked per call)."""
 
     def array(dtype, *flags):
         return np.ctypeslib.ndpointer(dtype, flags=("C_CONTIGUOUS", *flags))
@@ -129,6 +138,10 @@ def _declare(library: ctypes.CDLL) -> None:
         f64_out, f64_out, f64_out,
     ]
     library.anneal_sweeps.restype = ctypes.c_int64
+    library.ward_chain.argtypes = [
+        size, size, f64, size, i64_out, i64_out, f64_out, i64_out, i64_out,
+    ]
+    library.ward_chain.restype = ctypes.c_int64
 
 
 def anneal(
@@ -178,3 +191,31 @@ def anneal(
             batch.closed, batch.resolution, batch.guarded,
             np.zeros((steps, m, n)), np.zeros((steps, m, n)), np.zeros((steps, m)),
         )
+
+
+def ward(
+    library: ctypes.CDLL, points: np.ndarray, n_clusters: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The exact Ward NN-chain over ``points`` ``(n, d)`` in one C call.
+
+    Returns the merges in chain order as arrays ``(slot_a, slot_b,
+    heights, sizes)`` (see ``agglomerative._nn_chain_merges``) and, for
+    ``1 <= n_clusters <= n``, the labels of the dendrogram cut into
+    ``n_clusters`` groups (else ``None``).  Returns ``None`` instead
+    when the NumPy chain must run: a coordinate beyond
+    :data:`WARD_COORD_LIMIT`, or an error in the C code.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n, d = points.shape
+    if n < 1 or d < 1 or not np.abs(points).max() <= WARD_COORD_LIMIT:
+        return None
+    cut = 1 <= n_clusters <= n
+    merge_a, merge_b, sizes = (np.empty(n - 1, dtype=np.int64) for _ in range(3))
+    heights = np.empty(n - 1)
+    labels = np.empty(n if cut else 0, dtype=np.int64)
+    status = library.ward_chain(
+        n, d, points, n_clusters if cut else 0, merge_a, merge_b, heights, sizes, labels
+    )
+    if status != 0:
+        return None
+    return merge_a, merge_b, heights, sizes, labels if cut else None

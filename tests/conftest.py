@@ -1,5 +1,5 @@
 """Shared pytest configuration: the golden-regression update flag and
-a fixture that forces the macro kernel's NumPy sweep loop."""
+a fixture that forces the NumPy code in place of the compiled kernels."""
 
 import pytest
 
@@ -22,7 +22,11 @@ def update_golden(request):
 
 @pytest.fixture
 def numpy_sweeps(monkeypatch):
-    """Run the macro kernel's NumPy loop instead of the compiled sweep."""
+    """Run the NumPy code instead of both compiled kernels.
+
+    The macro kernel runs its NumPy sweep loop and Ward clustering its
+    NumPy chain.  Workers forked while it is active inherit it.
+    """
     from repro.kernels import compiled
 
     monkeypatch.setattr(compiled, "_loaded", (None, "disabled by test"))

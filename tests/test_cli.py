@@ -44,6 +44,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "macro sweep   : numpy (disabled by test)\n" in out
 
+    def test_solve_reports_ward_chain(self, capsys):
+        from repro.clustering.agglomerative import ward_path
+
+        assert main(["solve", "--size", "76", "--sweeps", "20"]) == 0
+        assert f"ward chain    : {ward_path()}\n" in capsys.readouterr().out
+
+    def test_solve_reports_numpy_ward_chain(self, capsys, numpy_sweeps):
+        assert main(["solve", "--size", "76", "--sweeps", "20"]) == 0
+        assert "ward chain    : numpy (disabled by test)\n" in capsys.readouterr().out
+
+    def test_kmeans_solve_prints_no_ward_chain(self, capsys):
+        assert main(["solve", "--size", "76", "--sweeps", "20", "--clustering", "kmeans"]) == 0
+        assert "ward chain" not in capsys.readouterr().out
+
     def test_solve_tsplib_file(self, tmp_path, capsys):
         inst = uniform_instance(30, seed=3, name="cli30")
         path = tmp_path / "cli30.tsp"

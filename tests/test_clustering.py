@@ -190,6 +190,18 @@ class TestWardLabels:
         # Final merge contains all points.
         assert linkage[-1, 3] == 20
 
+    @pytest.mark.parametrize("seed, n, dims", [(0, 12, 2), (1, 40, 2), (2, 90, 3), (3, 25, 1)])
+    def test_linkage_matrix_equals_scipy(self, seed, n, dims):
+        # Uniform random points: no two merge heights tie, so the order
+        # of the rows is the same too.
+        from scipy.cluster.hierarchy import linkage
+
+        points = np.random.default_rng(seed).uniform(0, 100, size=(n, dims))
+        ours = ward_linkage_matrix(points)
+        theirs = linkage(points, method="ward")
+        np.testing.assert_array_equal(ours[:, [0, 1, 3]], theirs[:, [0, 1, 3]])
+        np.testing.assert_allclose(ours[:, 2], theirs[:, 2], rtol=1e-12)
+
     def test_matches_scipy_ward(self):
         # Cross-check cluster assignments against scipy's Ward linkage.
         from scipy.cluster.hierarchy import fcluster, linkage
@@ -309,9 +321,10 @@ class TestHierarchy:
             build_hierarchy(inst, 1)
 
     # Digests of the row-wise NN-chain's hierarchies: clustering must stay
-    # byte-identical.  The KD case runs KD-split levels (3,000 and 389
-    # nodes over a 256-point threshold), oversized re-splits and an exact
-    # top level.
+    # byte-identical, on the compiled chain and on the NumPy chain.  The
+    # KD case runs KD-split levels (3,000 and 389 nodes over a 256-point
+    # threshold), oversized re-splits and an exact top level; syn33810
+    # runs the default threshold's KD blocks and a 4,082-node exact level.
     PINNED = [
         pytest.param(
             lambda: load_benchmark("syn1060"), {}, "4c8c6fe292d6df06", id="syn1060"
@@ -322,17 +335,40 @@ class TestHierarchy:
             "eec56c2f7c0f8b6f",
             id="clustered3000-kd256",
         ),
+        pytest.param(
+            lambda: load_benchmark("syn33810"), {}, "7ea87755a426624d", id="syn33810"
+        ),
     ]
 
     @pytest.mark.parametrize("make, options, expected", PINNED)
     def test_pinned_digest(self, make, options, expected):
-        cluster_fn = functools.partial(cluster_with_max_size, **options)
-        assert hierarchy_digest(build_hierarchy(make(), 12, cluster_fn)) == expected
+        self._assert_pinned(make, options, expected)
+
+    @pytest.mark.parametrize("make, options, expected", PINNED)
+    def test_pinned_digest_on_numpy_chain(self, make, options, expected, numpy_sweeps):
+        self._assert_pinned(make, options, expected)
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     @pytest.mark.parametrize("make, options, expected", PINNED)
     def test_pinned_digest_through_pool(self, make, options, expected, executor):
         """KD blocks and re-splits through a 2-worker pool's ``map``."""
+        self._assert_pinned_through_pool(make, options, expected, executor)
+
+    @pytest.mark.parametrize("executor", ["process", "thread"])
+    @pytest.mark.parametrize("make, options, expected", PINNED)
+    def test_pinned_digest_through_pool_on_numpy_chain(
+        self, make, options, expected, executor, numpy_sweeps
+    ):
+        """The same, with the NumPy chain (forked workers inherit it)."""
+        self._assert_pinned_through_pool(make, options, expected, executor)
+
+    @staticmethod
+    def _assert_pinned(make, options, expected):
+        cluster_fn = functools.partial(cluster_with_max_size, **options)
+        assert hierarchy_digest(build_hierarchy(make(), 12, cluster_fn)) == expected
+
+    @staticmethod
+    def _assert_pinned_through_pool(make, options, expected, executor):
         tasks_per_map = []
         with contextlib.ExitStack() as stack:
             threads = (

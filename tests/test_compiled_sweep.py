@@ -188,7 +188,7 @@ class TestLoader:
         if broken == "source":
             source = tmp_path / "_sweep.c"
             source.write_text("this is not C\n")
-            monkeypatch.setattr(compiled, "SOURCE", source)
+            monkeypatch.setattr(compiled, "SOURCES", (source, *compiled.SOURCES[1:]))
         else:
             monkeypatch.setenv("CC", "false")
         library, reason = compiled.load()
@@ -228,7 +228,7 @@ class TestLoader:
         outputs = [worker.communicate(timeout=120)[0].split() for worker in workers]
         assert outputs == [["compiled"], ["compiled"]]
         [built] = cache.iterdir()
-        assert built.name.startswith("_sweep.") and built.suffix == ".so"
+        assert built.name.startswith("_kernels.") and built.suffix == ".so"
 
     @needs_cc
     def test_kernel_runs_compiled_with_cc(self, monkeypatch, tmp_path):

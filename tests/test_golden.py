@@ -82,7 +82,7 @@ def test_golden_tours(solver, instance_key, update_golden):
 @pytest.mark.parametrize("instance_key", sorted(GOLDEN_INSTANCES))
 @pytest.mark.parametrize("solver", solver_names())
 def test_golden_tours_on_numpy_sweeps(solver, instance_key, numpy_sweeps):
-    """The macro kernel's NumPy loop reproduces the same pinned tours."""
+    """The NumPy sweep loop and Ward chain reproduce the same pinned tours."""
     _assert_pinned(solver, instance_key, _solve(solver, instance_key))
 
 
