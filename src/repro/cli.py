@@ -10,7 +10,7 @@ Commands
 ``serve``     run the solve service (HTTP, content-addressed result cache)
 ``loadtest``  drive the solve service with seeded traffic, report latency
 ``solvers``   list the solver registry
-``bench``     time the kernel backends and write ``BENCH_<rev>.json``
+``bench``     time the replica fold, scale ladder and portfolio -> ``BENCH_<rev>.json``
 ``table1``    print the Table I circuit-simulation reproduction
 ``devices``   print the SOT-MRAM switching operating points
 ``bench-info``  list the benchmark registry
@@ -45,12 +45,6 @@ from repro.tsp.benchmarks import BENCHMARK_SIZES, benchmark_spec
 
 #: bench --grid name -> the argparse attribute holding that grid's sizes.
 _BENCH_GRID_SIZE_ARGS = {
-    "ising": "ising_sizes",
-    "sa_tsp": "tsp_sizes",
-    "engine": "engine_sizes",
-    "pipeline": "pipeline_sizes",
-    "service": "service_sizes",
-    "loadtest": "loadtest_sizes",
     "replica_batch": "replica_batch_sizes",
     "scale": "scale_sizes",
     "portfolio": "portfolio_sizes",
@@ -78,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="best",
                        help="best: race every planned arm; first: stop at "
                             "the first acceptable arm and cancel the rest")
-    solve.add_argument("--trajectory-dir", default=None,
-                       help="directory of BENCH_*/LOADTEST_* payloads that "
-                            "tune portfolio arm cost estimates "
-                            "(default: static table)")
     solve.add_argument("--cluster-size", type=int, default=12,
                        help="maximum cluster size (macro capacity)")
     solve.add_argument("--bits", type=int, default=4, help="W_D bit precision")
@@ -268,10 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: LOADTEST_<rev>.json in the cwd)")
 
     bench = sub.add_parser(
-        "bench", help="time kernel backends over a solver x size grid"
+        "bench",
+        help="time the replica fold, the sparse scale ladder and the "
+             "portfolio; exits 1 if a bit-identity or best-arm check fails",
     )
     bench.add_argument("--quick", action="store_true",
-                       help="small grid (still covers the headline cells)")
+                       help="small grid (one cell or two per kind)")
     bench.add_argument("--grid", choices=tuple(_BENCH_GRID_SIZE_ARGS),
                        default=None,
                        help="run only one grid kind (explicit --*-sizes "
@@ -282,26 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3,
                        help="timing repetitions per cell (best-of)")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--replicas", type=int, default=2,
-                       help="replicas per engine cell")
-    bench.add_argument("--ising-sizes", nargs="*", type=int, default=None,
-                       help="Metropolis spin counts (empty list skips)")
-    bench.add_argument("--tsp-sizes", nargs="*", type=int, default=None,
-                       help="SA-TSP city counts (empty list skips)")
-    bench.add_argument("--engine-sizes", nargs="*", type=int, default=None,
-                       help="engine-cell instance sizes (empty list skips)")
-    bench.add_argument("--engine-solvers", nargs="*", default=None,
-                       help="registered solvers for the engine cells")
-    bench.add_argument("--pipeline-sizes", nargs="*", type=int, default=None,
-                       help="hierarchical-pipeline instance sizes "
-                            "(empty list skips)")
-    bench.add_argument("--pipeline-workers", nargs="*", type=int,
-                       default=(1, 4),
-                       help="wavefront pool widths for the pipeline cells")
-    bench.add_argument("--service-sizes", nargs="*", type=int, default=None,
-                       help="solve-service instance sizes (empty list skips)")
-    bench.add_argument("--loadtest-sizes", nargs="*", type=int, default=None,
-                       help="loadgen-cell instance sizes (empty list skips)")
     bench.add_argument("--replica-batch-sizes", nargs="*", type=int,
                        default=None,
                        help="replica-fold cell instance sizes "
@@ -318,16 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--replica-batch-replicas", type=int, default=8,
                        help="replicas per replica-fold cell")
     bench.add_argument("--replica-batch-sweeps", type=int, default=60)
-    bench.add_argument("--loadtest-requests", type=int, default=32,
-                       help="requests per loadgen cell")
-    bench.add_argument("--loadtest-concurrency", type=int, default=4,
-                       help="closed-loop workers per loadgen cell")
-    bench.add_argument("--ising-sweeps", type=int, default=200)
-    bench.add_argument("--tsp-sweeps", type=int, default=400)
-    bench.add_argument("--engine-sweeps", type=int, default=30)
-    bench.add_argument("--pipeline-sweeps", type=int, default=60)
-    bench.add_argument("--service-sweeps", type=int, default=30)
-    bench.add_argument("--loadtest-sweeps", type=int, default=30)
 
     sub.add_parser("solvers", help="list the solver registry")
     sub.add_parser("table1", help="print the Table I reproduction")
@@ -495,7 +457,6 @@ def _solve_portfolio(args: argparse.Namespace, instance) -> int:
         seed=args.seed,
         budget_seconds=args.budget if args.budget is not None else 2.0,
         mode=args.portfolio_mode,
-        trajectory=args.trajectory_dir,
     )
     print(f"instance      : {instance.name} ({instance.n} cities)")
     print(f"budget        : {result.budget_seconds:g}s ({result.mode})")
@@ -662,7 +623,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import run_bench, write_bench
+    from repro.engine.bench import failed_checks, run_bench, write_bench
 
     if args.grid is not None:
         # Zero every other grid's sizes unless the user listed them
@@ -672,29 +633,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 setattr(args, attr, [])
     payload = run_bench(
         quick=args.quick,
-        ising_sizes=args.ising_sizes,
-        tsp_sizes=args.tsp_sizes,
-        engine_solvers=args.engine_solvers,
-        engine_sizes=args.engine_sizes,
-        pipeline_sizes=args.pipeline_sizes,
-        service_sizes=args.service_sizes,
-        loadtest_sizes=args.loadtest_sizes,
         replica_batch_sizes=args.replica_batch_sizes,
         scale_sizes=args.scale_sizes,
         portfolio_sizes=args.portfolio_sizes,
         portfolio_deadlines=args.portfolio_deadlines,
         replica_batch_replicas=args.replica_batch_replicas,
         replica_batch_sweeps=args.replica_batch_sweeps,
-        ising_sweeps=args.ising_sweeps,
-        tsp_sweeps=args.tsp_sweeps,
-        engine_sweeps=args.engine_sweeps,
-        pipeline_sweeps=args.pipeline_sweeps,
-        service_sweeps=args.service_sweeps,
-        loadtest_sweeps=args.loadtest_sweeps,
-        loadtest_requests=args.loadtest_requests,
-        loadtest_concurrency=args.loadtest_concurrency,
-        pipeline_workers=args.pipeline_workers,
-        replicas=args.replicas,
         seed=args.seed,
         repeats=args.repeats,
     )
@@ -716,56 +660,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows,
         title=f"bench @ {payload['revision']} (best of {payload['repeats']})",
     ))
-    if payload["speedups"]:
-        rows = [
-            [
-                cell["kind"],
-                cell["name"],
-                str(cell["n"]),
-                format_seconds(cell["reference_seconds"]),
-                format_seconds(cell["fast_seconds"]),
-                f"{cell['speedup']:.2f}x",
-            ]
-            for cell in payload["speedups"]
-        ]
-        print()
-        print(ascii_table(
-            ["kind", "name", "n", "reference", "fast", "speedup"],
-            rows, title="fast-vs-reference speedups",
-        ))
-    if payload.get("pipeline_speedups"):
-        rows = [
-            [
-                str(cell["n"]),
-                str(cell["workers"]),
-                format_seconds(cell["serial_seconds"]),
-                format_seconds(cell["wavefront_seconds"]),
-                f"{cell['speedup']:.2f}x",
-                "yes" if cell["identical_quality"] else "NO",
-            ]
-            for cell in payload["pipeline_speedups"]
-        ]
-        print()
-        print(ascii_table(
-            ["n", "workers", "serial", "wavefront", "speedup", "bit-identical"],
-            rows, title="pipeline serial-vs-wavefront dispatch",
-        ))
-    if payload.get("service_speedups"):
-        rows = [
-            [
-                str(cell["n"]),
-                format_seconds(cell["cold_seconds"]),
-                format_seconds(cell["cached_seconds"]),
-                f"{cell['speedup']:.0f}x" if cell["speedup"] else "-",
-                f"{cell['requests_per_sec']:.0f}" if cell["requests_per_sec"] else "-",
-            ]
-            for cell in payload["service_speedups"]
-        ]
-        print()
-        print(ascii_table(
-            ["n", "cold solve", "cache hit", "hit speedup", "hit req/s"],
-            rows, title="solve service cold-vs-cached",
-        ))
     if payload.get("replica_batch_speedups"):
         rows = [
             [
@@ -835,30 +729,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
              "winner", "arms", "beats worst"],
             rows, title="portfolio quality vs deadline",
         ))
-    loadtest_cells = [e for e in payload["entries"] if e["kind"] == "loadtest"]
-    if loadtest_cells:
-        rows = [
-            [
-                str(cell["n"]),
-                str(cell["requests"]),
-                str(cell["concurrency"]),
-                _format_latency(cell["p50_seconds"]),
-                _format_latency(cell["p99_seconds"]),
-                f"{cell['requests_per_sec']:.1f}" if cell["requests_per_sec"] else "-",
-                f"{cell['cache_hit_rate']:.2f}",
-                f"{cell['mean_batch_size']:.2f}",
-            ]
-            for cell in loadtest_cells
-        ]
-        print()
-        print(ascii_table(
-            ["n", "requests", "conc", "p50", "p99", "req/s", "hit rate",
-             "mean batch"],
-            rows, title="loadgen closed-loop traffic",
-        ))
     path = write_bench(payload, args.out)
     print(f"wrote {path}")
-    return 0
+    failures = failed_checks(payload)
+    for failure in failures:
+        print(f"check failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _format_latency(seconds) -> str:

@@ -205,10 +205,6 @@ class ServiceConfig:
     warm_threshold:
         Minimum locality-signature similarity (``0..1``) for a cached
         tour to qualify as a warm-start source.
-    trajectory_dir:
-        Directory scanned for ``BENCH_*``/``LOADTEST_*`` payloads that
-        tune portfolio arm cost estimates.  ``None`` (default) uses the
-        static cost table — fully deterministic with no external state.
     """
 
     queue_depth: int = 64
@@ -226,7 +222,6 @@ class ServiceConfig:
     request_timeout: float = 30.0
     warm_start: str = "on"
     warm_threshold: float = 0.9
-    trajectory_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:

@@ -12,8 +12,9 @@ The engine turns the single-shot :class:`~repro.core.solver.TAXISolver`
   streamed batch progress;
 * :mod:`repro.engine.wavefront` — deterministic chunked fan-out used
   by the hierarchical pipeline's per-level sub-problem batches;
-* :mod:`repro.engine.bench` — the perf-tracking bench harness behind
-  ``repro bench`` (kernel/solver grids -> ``BENCH_<rev>.json``).
+* :mod:`repro.engine.bench` — the bench harness behind ``repro bench``
+  (replica fold, sparse scale ladder and portfolio grids ->
+  ``BENCH_<rev>.json``); the canonical benchmark is ``perfbench/``.
 
 Quickstart::
 

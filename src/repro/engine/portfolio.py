@@ -3,12 +3,10 @@
 Production traffic names instances and deadlines, not solvers.  This
 module closes that gap (ROADMAP item 5) with three pieces:
 
-* **Arm planning** (:func:`plan_arms`) — a deterministic function of
-  ``(n, budget_seconds, seed, instance digest)`` that selects N
-  (solver, params, seed) *arms* whose estimated total compute fits the
-  budget.  Cost estimates come from a static model, refined by a
-  :class:`Trajectory` built from accumulated ``BENCH_*``/``LOADTEST_*``
-  payloads when a trajectory directory is supplied.
+* **Arm planning** (:func:`plan_arms`) — a pure function of
+  ``(n, budget_seconds, seed, instance digest, max_arms)`` that selects
+  N (solver, params, seed) *arms* whose estimated total compute fits
+  the budget, under a static cost model.
 * **Racing** (:func:`race`) — runs the arms inline or fanned across a
   :class:`~repro.engine.wavefront.WavefrontPool`, in deterministic
   waves.  ``mode="best"`` runs every planned arm and picks the minimum
@@ -21,17 +19,14 @@ module closes that gap (ROADMAP item 5) with three pieces:
   fingerprint so provenance is auditable.
 
 Determinism contract: the arm set and every arm seed derive from the
-instance content digest plus the explicit master seed.  Two portfolio
-solves with the same fingerprint and seed (and the same trajectory
-files, if any) return bit-identical tours and identical win ledgers.
+instance content digest plus the explicit master seed.  Two
+``mode="best"`` portfolio solves with the same fingerprint and seed
+return bit-identical tours and identical win ledgers.
 """
 
 from __future__ import annotations
 
-import glob
 import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -47,8 +42,8 @@ PORTFOLIO_SCHEMA = "repro-portfolio/1"
 #: Solvers whose arms accept a warm-start tour (seeded annealing).
 WARM_CAPABLE = frozenset({"sa_tsp"})
 
-#: Sweep ladder for annealing arms — coarse on purpose so
-#: trajectory-informed tuning still lands on a small, stable arm space.
+#: Sweep ladder for annealing arms — coarse on purpose, so the arm
+#: space stays small and stable.
 _SWEEP_LADDER = (100, 400, 1600)
 
 
@@ -165,62 +160,8 @@ def arm_seed(digest: str, master_seed: int, index: int) -> int:
     return int.from_bytes(raw[:8], "big") >> 1
 
 
-# ----------------------------------------------------------------------
-# Autotuner trajectory
-# ----------------------------------------------------------------------
-class Trajectory:
-    """Per-solver runtime samples mined from BENCH_*/LOADTEST_* payloads.
-
-    The tuner never changes *which* knobs exist — it only refines the
-    cost estimates behind :func:`plan_arms`, and chosen sweeps stay on
-    the coarse :data:`_SWEEP_LADDER`, so determinism holds for any
-    fixed set of trajectory files.
-    """
-
-    def __init__(self, samples: dict[str, list[tuple[int, int, float]]]):
-        # solver -> sorted [(n, sweeps_or_0, seconds)]
-        self.samples = {k: sorted(v) for k, v in samples.items()}
-
-    @classmethod
-    def load(cls, directory: str) -> "Trajectory":
-        """Mine every ``BENCH_*.json``/``LOADTEST_*.json`` under ``directory``."""
-        samples: dict[str, list[tuple[int, int, float]]] = {}
-        pattern = [os.path.join(directory, "BENCH_*.json"),
-                   os.path.join(directory, "LOADTEST_*.json")]
-        for path in sorted(p for pat in pattern for p in glob.glob(pat)):
-            try:
-                with open(path) as stream:
-                    payload = json.load(stream)
-            except (OSError, ValueError):
-                continue
-            for entry in payload.get("entries", []) if isinstance(payload, dict) else []:
-                if not isinstance(entry, dict):
-                    continue
-                solver = entry.get("solver") or str(entry.get("name", "")).split("-")[0]
-                n = entry.get("n")
-                seconds = entry.get("seconds")
-                if not solver or not isinstance(n, int) or not seconds:
-                    continue
-                sweeps = entry.get("sweeps") or 0
-                samples.setdefault(solver, []).append(
-                    (int(n), int(sweeps), float(seconds)))
-        return cls(samples)
-
-    def estimate(self, solver: str, n: int, sweeps: int = 0) -> float | None:
-        """Nearest-n sample scaled linearly in n (and sweeps when known)."""
-        rows = self.samples.get(solver)
-        if not rows:
-            return None
-        best = min(rows, key=lambda r: (abs(np.log(max(n, 1) / max(r[0], 1))), r))
-        sample_n, sample_sweeps, seconds = best
-        scale = n / max(sample_n, 1)
-        if sweeps and sample_sweeps:
-            scale *= sweeps / sample_sweeps
-        return float(seconds * scale)
-
-
 def _static_estimate(solver: str, n: int, params: dict) -> float:
-    """Fallback cost model when no trajectory sample exists (seconds)."""
+    """Estimated seconds for one arm: the planner's static cost model."""
     if solver == "two_opt":
         k = int(params.get("k", 8))
         rounds = int(params.get("max_rounds", 30))
@@ -235,17 +176,7 @@ def _static_estimate(solver: str, n: int, params: dict) -> float:
     return 1e-3 * n
 
 
-def estimate_arm_seconds(solver: str, n: int, params: dict,
-                         trajectory: Trajectory | None = None) -> float:
-    tuned = None
-    if trajectory is not None:
-        tuned = trajectory.estimate(solver, n, int(params.get("sweeps") or 0))
-    if tuned is not None:
-        return tuned
-    return _static_estimate(solver, n, params)
-
-
-def _candidate_ladder(n: int, trajectory: Trajectory | None) -> list[tuple[str, dict, float]]:
+def _candidate_ladder(n: int) -> list[tuple[str, dict, float]]:
     """(solver, params, est_seconds) in racing priority order.
 
     The first entry is the cheap deterministic baseline; it is always
@@ -256,8 +187,7 @@ def _candidate_ladder(n: int, trajectory: Trajectory | None) -> list[tuple[str, 
     ladder: list[tuple[str, dict, float]] = []
 
     def add(solver: str, params: dict) -> None:
-        ladder.append((solver, params,
-                       estimate_arm_seconds(solver, n, params, trajectory)))
+        ladder.append((solver, params, _static_estimate(solver, n, params)))
 
     add("two_opt", {"k": 8, "max_rounds": 30})
     if n <= _FULL_MATRIX_LIMIT:
@@ -274,22 +204,20 @@ def plan_arms(
     seed: int,
     digest: str,
     max_arms: int = 4,
-    trajectory: Trajectory | None = None,
 ) -> tuple[Arm, ...]:
     """Deterministic arm set whose estimated total compute fits the budget.
 
-    A pure function of its arguments (plus the trajectory samples): the
-    ladder is scanned in priority order, each arm admitted while the
-    cumulative estimate stays under ``budget_seconds`` and the arm count
-    under ``max_arms``.  At least one arm — the cheapest candidate — is
-    always planned, so a tight deadline degrades to the fastest solver
-    rather than to failure.
+    A pure function of its arguments: the ladder is scanned in priority
+    order, each arm admitted while the cumulative estimate stays under
+    ``budget_seconds`` and the arm count under ``max_arms``.  At least
+    one arm — the cheapest candidate — is always planned, so a tight
+    deadline degrades to the fastest solver rather than to failure.
     """
     if budget_seconds <= 0:
         raise ConfigError(f"budget_seconds must be > 0, got {budget_seconds}")
     if max_arms < 1:
         raise ConfigError(f"max_arms must be >= 1, got {max_arms}")
-    ladder = _candidate_ladder(int(n), trajectory)
+    ladder = _candidate_ladder(int(n))
     chosen: list[tuple[str, dict, float]] = []
     spent = 0.0
     for solver, params, est in ladder:
@@ -491,7 +419,6 @@ def solve_portfolio(
     max_arms: int = 4,
     mode: str = "best",
     accept_ratio: float = 1.0,
-    trajectory: str | None = None,
     pool=None,
     spec=None,
     warm_start=None,
@@ -501,14 +428,12 @@ def solve_portfolio(
     from repro.engine.arena import content_key
 
     digest = content_key(instance)
-    traj = Trajectory.load(trajectory) if trajectory else None
     arms = plan_arms(
         instance.n,
         budget_seconds=budget_seconds,
         seed=seed,
         digest=digest,
         max_arms=max_arms,
-        trajectory=traj,
     )
     return race(
         arms,

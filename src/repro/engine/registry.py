@@ -382,7 +382,6 @@ def _portfolio(
     max_arms: int = 4,
     mode: str = "best",
     accept_ratio: float = 1.0,
-    trajectory: str = "",
 ) -> SolveFn:
     from repro.engine.portfolio import solve_portfolio
 
@@ -394,7 +393,6 @@ def _portfolio(
             max_arms=max_arms,
             mode=mode,
             accept_ratio=accept_ratio,
-            trajectory=trajectory or None,
         )
         return result.tour(instance)
 

@@ -221,13 +221,14 @@ def run_tasks(
 ) -> list[ReplicaResult]:
     """Run explicit :class:`ReplicaTask` lists; results align with input.
 
-    Reuse hook for layers that need the engine's task machinery (per
-    -process instance caches, finite validation, setup/solve timing)
-    but *not* the replica-seed derivation of :func:`run_batch` — the
-    solve service builds one task per request with the request's exact
-    seed, so a service solve is bit-identical to ``repro solve`` with
-    the same instance/config/seed.  ``tasks[i].instance_index`` must be
-    ``i`` so results can be re-ordered deterministically regardless of
+    The engine's task machinery (per-process instance caches, finite
+    validation, setup/solve timing) without the replica-seed derivation
+    of :func:`run_batch`: each task runs with its own seed as given.
+    The ``replica_batch`` bench kind times it as the per-replica
+    baseline of a folded :func:`run_batch`.  (The solve service builds
+    one task per request and maps :func:`run_replica_task` over its
+    pool directly.)  ``tasks[i].instance_index`` must be ``i`` so
+    results can be re-ordered deterministically regardless of
     completion order.
     """
     for position, task in enumerate(tasks):

@@ -10,8 +10,8 @@ serving process:
   (backpressure, never unbounded memory);
 * **micro-batching** — an asyncio dispatcher collects requests for up
   to ``batch_window`` seconds, groups compatible ones (same solver /
-  params / seed), and runs each group as one engine job
-  (:func:`repro.engine.runner.run_tasks`) over the service's shared
+  params / seed), and maps each group's tasks through
+  :func:`repro.engine.runner.run_replica_task` on the service's shared
   :class:`~repro.engine.wavefront.WavefrontPool`;
 * **determinism** — every request carries an explicit integer seed
   that the engine task uses *directly* (no replica-seed derivation),
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from repro.core.config import ServiceConfig
 from repro.engine.arena import MATRIX_SHARE_LIMIT, InstanceArena, content_key
 from repro.engine.jobs import InstanceSpec, spec_from_token
-from repro.engine.portfolio import WARM_CAPABLE, Trajectory, plan_arms, race
+from repro.engine.portfolio import WARM_CAPABLE, plan_arms, race
 from repro.engine.recovery import RetryPolicy
 from repro.engine.runner import ReplicaTask, run_replica_task
 from repro.engine.wavefront import WavefrontPool
@@ -838,17 +838,13 @@ class SolveService:
             instance = request.spec.resolve()
             params = dict(request.params)
             budget = float(params.get("budget_seconds", 2.0))
-            trajectory = (
-                Trajectory.load(self.config.trajectory_dir)
-                if self.config.trajectory_dir else None
-            )
+            mode = str(params.get("mode", "best"))
             arms = plan_arms(
                 instance.n,
                 budget_seconds=budget,
                 seed=request.seed,
                 digest=content_key(instance),
                 max_arms=int(params.get("max_arms", 4)),
-                trajectory=trajectory,
             )
             # Near-match warm start: this job is here because its exact
             # fingerprint missed; a geometrically similar cached tour
@@ -867,7 +863,7 @@ class SolveService:
                 arms,
                 spec=self._dispatch_spec(request),
                 pool=self.pool,
-                mode=str(params.get("mode", "best")),
+                mode=mode,
                 accept_ratio=float(params.get("accept_ratio", 1.0)),
                 budget_seconds=budget,
                 warm_start=warm_start,
@@ -902,7 +898,12 @@ class SolveService:
         }
         if result.warm_source is not None:
             value["warm_start"] = result.warm_source[:16]
-        self.cache.put(job.fingerprint, value, signature=signature)
+        # A first-mode race stops on its wave width (the pool's workers)
+        # and on wall-clock overrun, so the fingerprint does not
+        # determine its result: it is answered but never cached, which
+        # also keeps it out of the warm-start tier.
+        if mode != "first":
+            self.cache.put(job.fingerprint, value, signature=signature)
         if self._conclude(job, result=value):
             self.metrics.completed.inc()
             self.metrics.solve_latency.observe(

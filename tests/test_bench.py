@@ -4,40 +4,17 @@ import json
 
 import pytest
 
-from repro.engine.bench import (
-    bench_ising_model,
-    compute_speedups,
-    git_revision,
-    run_bench,
-    write_bench,
-)
+from repro.engine.bench import git_revision, run_bench, write_bench
 from repro.errors import ConfigError
 
 #: A grid small enough for test runs (sub-second) but covering all kinds.
 TINY = dict(
-    ising_sizes=[40],
-    tsp_sizes=[24],
-    engine_solvers=["sa_tsp"],
-    engine_sizes=[24],
-    pipeline_sizes=[80],
-    service_sizes=[40],
-    ising_sweeps=10,
-    tsp_sweeps=10,
-    engine_sweeps=10,
-    pipeline_sweeps=10,
-    service_sweeps=10,
-    pipeline_workers=(1, 2),
-    loadtest_sizes=[24],
-    loadtest_sweeps=5,
-    loadtest_requests=8,
-    loadtest_concurrency=2,
     replica_batch_sizes=[24],
     replica_batch_sweeps=8,
     replica_batch_replicas=2,
     scale_sizes=[60],
     portfolio_sizes=[40],
     portfolio_deadlines=[0.2],
-    replicas=2,
     repeats=1,
 )
 
@@ -48,19 +25,12 @@ def payload():
 
 
 class TestRunBench:
-    def test_entries_cover_grid_and_backends(self, payload):
-        cells = {(e["kind"], e["backend"]) for e in payload["entries"]}
-        for kind in ("ising", "sa_tsp", "engine"):
-            assert (kind, "reference") in cells
-            assert (kind, "fast") in cells
-
     def test_entry_fields(self, payload):
         for entry in payload["entries"]:
             assert entry["seconds"] > 0
-            if entry["kind"] in ("loadtest", "scale", "portfolio"):
-                # Traffic cells report req/s (in quality); scale and
-                # portfolio cells are single sweepless racing/local
-                # search runs.
+            if entry["kind"] in ("scale", "portfolio"):
+                # Scale and portfolio cells are single sweepless
+                # racing/local search runs.
                 assert entry["sweeps_per_sec"] is None
             else:
                 assert entry["sweeps_per_sec"] > 0
@@ -68,47 +38,11 @@ class TestRunBench:
             assert isinstance(entry["quality"], float)
             assert entry["n"] > 0
 
-    def test_speedups_pair_reference_and_fast(self, payload):
-        assert len(payload["speedups"]) == 3  # one per grid cell
-        for cell in payload["speedups"]:
-            assert cell["speedup"] == pytest.approx(
-                cell["reference_seconds"] / cell["fast_seconds"]
-            )
-
-    def test_sa_tsp_quality_identical_across_backends(self, payload):
-        # The 2-opt fast kernel is bit-exact: same seed, same tour.
-        lengths = {
-            e["backend"]: e["quality"]
-            for e in payload["entries"]
-            if e["kind"] == "sa_tsp"
-        }
-        assert lengths["reference"] == lengths["fast"]
-
-    def test_pipeline_cells_cover_worker_widths(self, payload):
-        cells = [e for e in payload["entries"] if e["kind"] == "pipeline"]
-        assert {e["workers"] for e in cells} == {1, 2}
-        # Wavefront dispatch must not change the tour: same quality.
-        qualities = {e["quality"] for e in cells}
-        assert len(qualities) == 1
-
-    def test_pipeline_speedups_pair_serial_and_wavefront(self, payload):
-        assert len(payload["pipeline_speedups"]) == 1
-        cell = payload["pipeline_speedups"][0]
-        assert cell["workers"] == 2
-        assert cell["identical_quality"]
-        assert cell["speedup"] == pytest.approx(
-            cell["serial_seconds"] / cell["wavefront_seconds"]
-        )
-
     def test_payload_metadata(self, payload):
         assert payload["schema"] == "repro-bench/1"
         assert payload["revision"]
         assert payload["platform"]["numpy"]
         assert payload["seed"] == 0
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            run_bench(backends=("reference", "tpu"), **TINY)
 
     def test_bad_repeats_rejected(self):
         bad = dict(TINY)
@@ -118,45 +52,11 @@ class TestRunBench:
 
     def test_empty_grids_skip(self):
         payload = run_bench(
-            ising_sizes=[], tsp_sizes=[24], engine_solvers=[], engine_sizes=[],
-            pipeline_sizes=[], service_sizes=[], loadtest_sizes=[],
-            replica_batch_sizes=[], scale_sizes=[], portfolio_sizes=[],
-            tsp_sweeps=5, repeats=1,
+            replica_batch_sizes=[24], scale_sizes=[], portfolio_sizes=[],
+            replica_batch_sweeps=5, replica_batch_replicas=2, repeats=1,
         )
         kinds = {e["kind"] for e in payload["entries"]}
-        assert kinds == {"sa_tsp"}
-
-    def test_service_cells_record_cold_vs_cached(self, payload):
-        cells = [e for e in payload["entries"] if e["kind"] == "service"]
-        assert len(cells) == 1
-        cell = cells[0]
-        assert cell["seconds"] > 0  # cold solve latency
-        assert cell["cached_seconds"] > 0
-        assert cell["cache_hit_requests_per_sec"] > 0
-        assert cell["cache_hits"] >= 1
-        assert cell["tour_hash"]
-
-    def test_service_speedups_pair_cold_and_cached(self, payload):
-        assert len(payload["service_speedups"]) == 1
-        cell = payload["service_speedups"][0]
-        assert cell["speedup"] == pytest.approx(
-            cell["cold_seconds"] / cell["cached_seconds"]
-        )
-        assert cell["requests_per_sec"] > 0
-
-    def test_loadtest_cells_report_traffic_statistics(self, payload):
-        cells = [e for e in payload["entries"] if e["kind"] == "loadtest"]
-        assert len(cells) == 1
-        cell = cells[0]
-        assert cell["requests"] == 8
-        assert cell["completed"] == 8
-        assert cell["errors"] == 0
-        assert cell["requests_per_sec"] > 0
-        assert cell["p99_seconds"] >= cell["p50_seconds"] > 0
-        assert 0.0 <= cell["cache_hit_rate"] < 1.0
-        assert cell["mean_batch_size"] >= 1.0
-        assert cell["quality"] == pytest.approx(cell["requests_per_sec"])
-        assert len(cell["schedule_digest"]) == 64
+        assert kinds == {"replica_batch"}
 
 
 class TestWriteBench:
@@ -174,21 +74,8 @@ class TestWriteBench:
 
 
 class TestHelpers:
-    def test_bench_ising_model_is_sparse_and_symmetric(self):
-        model = bench_ising_model(50, seed=1)
-        assert model.n == 50
-        assert (model.couplings != 0).sum() == 50 * 4  # degree-4 ring lattice
-
     def test_git_revision_nonempty(self):
         assert git_revision()
-
-    def test_compute_speedups_skips_unpaired(self):
-        entries = [{
-            "kind": "ising", "name": "metropolis", "n": 10, "sweeps": 5,
-            "backend": "fast", "seconds": 1.0, "sweeps_per_sec": 5.0,
-            "quality": 0.0,
-        }]
-        assert compute_speedups(entries) == []
 
 
 class TestBenchCLI:
@@ -197,11 +84,10 @@ class TestBenchCLI:
         from repro.cli import main
 
         code = main([
-            "bench", "--ising-sizes", "40", "--tsp-sizes", "24",
-            "--engine-sizes", "--engine-solvers", "--pipeline-sizes",
-            "--service-sizes", "--loadtest-sizes", "--replica-batch-sizes",
-            "--scale-sizes", "--portfolio-sizes",
-            "--ising-sweeps", "10", "--tsp-sweeps", "10",
+            "bench", "--replica-batch-sizes", "24",
+            "--replica-batch-replicas", "2", "--replica-batch-sweeps", "5",
+            "--scale-sizes", "--portfolio-sizes", "40",
+            "--portfolio-deadlines", "0.2",
             "--repeats", "1", "--out", str(tmp_path),
         ])
         out = capsys.readouterr().out
@@ -211,7 +97,67 @@ class TestBenchCLI:
         files = list(tmp_path.glob("BENCH_*.json"))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
-        assert {e["kind"] for e in payload["entries"]} == {"ising", "sa_tsp"}
+        assert {e["kind"] for e in payload["entries"]} == {
+            "replica_batch", "portfolio"}
+
+
+def _checked_payload(bit_identical: bool, matches_best: bool) -> dict:
+    """A BENCH payload with one row per checked summary block."""
+    return {
+        "schema": "repro-bench/1",
+        "revision": "test",
+        "repeats": 1,
+        "entries": [],
+        "replica_batch_speedups": [{
+            "kind": "replica_batch", "n": 24, "sweeps": 5, "replicas": 2,
+            "tasks_seconds": 1.0, "folded_seconds": 0.5, "speedup": 2.0,
+            "bit_identical": bit_identical,
+        }],
+        "scale_curvature": [],
+        "portfolio_curves": [{
+            "kind": "portfolio", "n": 40, "deadline_seconds": 0.2,
+            "portfolio_quality": 10.0,
+            "best_arm_quality": 10.0 if matches_best else 9.0,
+            "worst_arm_quality": 12.0, "winner": "two_opt@0",
+            "arms_raced": 2, "matches_best": matches_best,
+            "beats_worst": True,
+        }],
+    }
+
+
+class TestBenchExitStatus:
+    """``repro bench`` fails when its own correctness checks fail.
+
+    CI gates on the exit code alone, so a false ``bit_identical`` or
+    ``matches_best`` row must surface there, not only in the JSON.
+    """
+
+    @pytest.mark.parametrize("bit_identical, matches_best, row", [
+        (False, True, "replica_batch n=24 replicas=2"),
+        (True, False, "portfolio n=40 deadline=0.2s"),
+    ], ids=["replica_batch", "portfolio"])
+    def test_false_row_exits_nonzero(self, monkeypatch, tmp_path, capsys,
+                                     bit_identical, matches_best, row):
+        from repro.cli import main
+
+        monkeypatch.setattr(
+            "repro.engine.bench.run_bench",
+            lambda **_: _checked_payload(bit_identical, matches_best))
+        code = main(["bench", "--quick", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert row in err
+        # The JSON is still written, so the failing run can be read.
+        assert len(list(tmp_path.glob("BENCH_*.json"))) == 1
+
+    def test_true_rows_exit_zero(self, monkeypatch, tmp_path, capsys):
+        from repro.cli import main
+
+        monkeypatch.setattr(
+            "repro.engine.bench.run_bench",
+            lambda **_: _checked_payload(True, True))
+        assert main(["bench", "--quick", "--out", str(tmp_path)]) == 0
+        assert "check failed" not in capsys.readouterr().err
 
 
 class TestScaleRssIsolation:

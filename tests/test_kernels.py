@@ -9,7 +9,6 @@ from repro.errors import ConfigError
 from repro.ising.annealer import MetropolisAnnealer
 from repro.ising.model import IsingModel
 from repro.ising.sa_tsp import SimulatedAnnealingTSP
-from repro.engine.bench import bench_ising_model as lattice_model
 from repro.kernels import BACKEND_FAST, BACKENDS, resolve_backend
 from repro.kernels.macro import batch_proxy, ragged_proxy
 from repro.kernels.spin import color_classes
@@ -17,6 +16,24 @@ from repro.macro.batch import BatchedMacroSolver, SubProblem
 from repro.macro.schedule import paper_schedule
 from repro.tsp.benchmarks import load_benchmark
 from repro.tsp.generators import uniform_instance
+
+
+def lattice_model(n: int, seed: int = 0) -> IsingModel:
+    """A ring-lattice Ising model (degree 4, random Gaussian couplings).
+
+    Sparse and small-chromatic-number by construction — the model class
+    batched hardware annealers (and the checkerboard kernel) target.
+    """
+    rng = np.random.default_rng(seed)
+    couplings = np.zeros((n, n))
+    for offset in (1, 2):
+        i = np.arange(n)
+        j = (i + offset) % n
+        w = rng.normal(size=n)
+        couplings[i, j] = w
+        couplings[j, i] = w
+    fields = 0.1 * rng.normal(size=n)
+    return IsingModel(couplings, fields=fields)
 
 
 def dense_model(n: int = 8) -> IsingModel:

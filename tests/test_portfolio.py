@@ -12,7 +12,12 @@ Covers the PR-10 determinism contract end to end:
   the content-address recipe for existing solver requests.
 """
 
+import json
+import re
+import threading
 import types
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -24,7 +29,6 @@ from repro.core.config import ServiceConfig
 from repro.engine.portfolio import (
     WARM_CAPABLE,
     Arm,
-    Trajectory,
     arm_seed,
     plan_arms,
     race,
@@ -33,7 +37,7 @@ from repro.engine.portfolio import (
 from repro.engine.registry import build_solver
 from repro.errors import ConfigError
 from repro.service import ResultCache, SolveRequest, SolveService
-from repro.service.cache import InstanceSignature, instance_signature
+from repro.service.cache import instance_signature
 from repro.service.fingerprint import solve_fingerprint
 from repro.tsp.generators import clustered_instance, uniform_instance
 from repro.tsp.instance import EdgeWeightType, TSPInstance
@@ -233,22 +237,6 @@ class TestArmPlanning:
             plan_arms(50, budget_seconds=1.0, seed=0, digest=DIGEST,
                       max_arms=0)
 
-    def test_trajectory_refines_estimates_not_the_ladder(self, tmp_path):
-        (tmp_path / "BENCH_x.json").write_text(
-            '{"entries": [{"kind": "sa_tsp", "name": "sa_tsp-anneal",'
-            ' "n": 120, "sweeps": 100, "backend": "fast",'
-            ' "seconds": 0.5, "sweeps_per_sec": 200.0, "quality": 1.0}]}'
-        )
-        trajectory = Trajectory.load(str(tmp_path))
-        assert trajectory.estimate("sa_tsp", 120, 100) == pytest.approx(0.5)
-        # 0.5 s per sa arm busts a 0.6 s budget that the static model
-        # would have filled: the tuner changes selection, not the menu.
-        tuned = plan_arms(120, budget_seconds=0.6, seed=0, digest=DIGEST,
-                          trajectory=trajectory)
-        static = plan_arms(120, budget_seconds=0.6, seed=0, digest=DIGEST)
-        assert sum(1 for a in tuned if a.solver == "sa_tsp") < sum(
-            1 for a in static if a.solver == "sa_tsp")
-
 
 # ----------------------------------------------------------------------
 # racing
@@ -423,3 +411,54 @@ class TestServicePortfolio:
             assert "warm_start" not in warm["result"]
             assert service.metrics.snapshot()[
                 "repro_warm_starts_total"] == 0
+
+    def test_first_mode_results_are_never_cached(self):
+        # A first-mode race stops on the pool width and on wall-clock
+        # overrun, so its fingerprint does not determine its result.
+        with SolveService(ServiceConfig(workers=1, **self.CONFIG)) as service:
+            self._solve(service, params={"mode": "first"})
+            size = len(service.cache)
+            request, again = self._solve(service, params={"mode": "first"})
+            assert not again["cached"]
+            assert len(service.cache) == size
+            assert request.fingerprint() not in service.cache
+            # Best mode is reproducible, so an identical pair still hits.
+            self._solve(service, params={"mode": "best"})
+            _, hit = self._solve(service, params={"mode": "best"})
+            assert hit["cached"]
+            assert len(service.cache) == size + 1
+
+    def test_trajectory_param_rejected_at_admission(self):
+        # The arm plan reads no state outside the fingerprinted params,
+        # so a param the service would ignore must not split cache keys.
+        params = {"budget_seconds": 0.5, "trajectory": "/tmp"}
+        request = SolveRequest.create(
+            "clustered:48:4", solver="portfolio", params=params, seed=2)
+        accepted = re.escape(
+            "accepted: ['accept_ratio', 'budget_seconds', 'max_arms', "
+            "'mode', 'seed']")
+        with pytest.raises(ConfigError, match=accepted):
+            request.fingerprint()
+
+        from repro.service.http import make_server
+
+        server, service = make_server(ServiceConfig(**self.CONFIG), port=0)
+        service.start()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            body = {"instance": "clustered:48:4", "portfolio": True,
+                    "seed": 2, "params": params}
+            post = urllib.request.Request(
+                f"http://127.0.0.1:{server.server_address[1]}/solve",
+                data=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(post)
+            assert err.value.code == 400
+            assert "'trajectory'" in json.load(err.value)["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()

@@ -300,10 +300,8 @@ class TestScaleBenchGrid:
         from repro.engine.bench import run_bench
 
         payload = run_bench(
-            quick=True,
-            ising_sizes=[], tsp_sizes=[], engine_solvers=[], engine_sizes=[],
-            pipeline_sizes=[], service_sizes=[], loadtest_sizes=[],
-            replica_batch_sizes=[], scale_sizes=[300, 900],
+            quick=True, replica_batch_sizes=[], scale_sizes=[300, 900],
+            portfolio_sizes=[],
         )
         cells = [e for e in payload["entries"] if e["kind"] == "scale"]
         assert [c["n"] for c in cells] == [300, 900]

@@ -22,8 +22,8 @@ seeds both sides ran, the envelope records:
 * per-layer medians and deltas of the ``--trace 1`` records, where
   both sides have them for a seed.
 
-The envelope has no ``entries`` key, so the portfolio's trajectory
-loader, which mines ``BENCH_*.json`` files, ignores it.
+The envelope is also named ``BENCH_<rev>.json`` but has no ``entries``
+key: it is not a ``repro bench`` payload, and no tool reads it as one.
 """
 
 from __future__ import annotations

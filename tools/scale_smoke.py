@@ -86,10 +86,8 @@ def main(argv=None) -> int:
 
     # Gate 3: the scale bench grid emits nonzero cells + curvature.
     payload = run_bench(
-        quick=True,
-        ising_sizes=[], tsp_sizes=[], engine_solvers=[], engine_sizes=[],
-        pipeline_sizes=[], service_sizes=[], loadtest_sizes=[],
-        replica_batch_sizes=[], scale_sizes=args.bench_sizes,
+        quick=True, replica_batch_sizes=[], scale_sizes=args.bench_sizes,
+        portfolio_sizes=[],
     )
     cells = [e for e in payload["entries"] if e["kind"] == "scale"]
     if not cells:
