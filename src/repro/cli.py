@@ -866,19 +866,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
             transient_rate=args.chaos_transient_rate,
         )
     if args.shards > 1:
-        from repro.service.shards import serve_sharded_forever
+        from repro.service.shards import ShardedService
 
-        serve_sharded_forever(args.shards, config, host=args.host,
-                              port=args.port, verbose=args.verbose,
-                              fault_config=fault_config)
-        return 0
-    from repro.service.faults import FaultInjector
+        backend = ShardedService(args.shards, config, host=args.host,
+                                 verbose=args.verbose,
+                                 fault_config=fault_config)
+    else:
+        from repro.service.faults import FaultInjector
+        from repro.service.queue import SolveService
+
+        backend = SolveService(config, fault_injector=(
+            FaultInjector(fault_config) if fault_config is not None else None
+        ))
     from repro.service.http import serve_forever
 
-    fault_injector = (FaultInjector(fault_config)
-                      if fault_config is not None else None)
-    serve_forever(config, host=args.host, port=args.port,
-                  verbose=args.verbose, fault_injector=fault_injector)
+    serve_forever(backend, host=args.host, port=args.port,
+                  verbose=args.verbose)
     return 0
 
 

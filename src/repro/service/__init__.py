@@ -10,7 +10,12 @@ kernels (PR 2), and the wavefront pipeline (PR 3):
 * :mod:`repro.service.queue` — asyncio dispatcher with in-flight
   deduplication and micro-batching over the engine's wavefront pool;
 * :mod:`repro.service.http` — the stdlib HTTP front-end behind
-  ``repro serve`` (``/solve``, ``/jobs``, ``/stats``, ``/metrics``);
+  ``repro serve`` (``/solve``, ``/jobs``, ``/stats``, ``/metrics``):
+  one handler whose backend is a :class:`SolveService` or a sharded
+  fleet;
+* :mod:`repro.service.shards` — ``repro serve --shards N``: shard
+  processes, each a full service, behind a fingerprint-routing
+  :class:`~repro.service.shards.ShardedService` backend;
 * :mod:`repro.service.metrics` — lock-safe counters/gauges/streaming
   histograms behind ``GET /metrics`` (JSON + Prometheus text);
 * :mod:`repro.service.loadgen` — the seeded closed/open-loop load

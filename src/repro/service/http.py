@@ -1,5 +1,22 @@
 """Stdlib HTTP front-end for the solve service (``repro serve``).
 
+One handler, :class:`ServiceHandler`, serves both deployments.  Its
+*backend* is a :class:`~repro.service.queue.SolveService`, or for
+``--shards N`` a :class:`~repro.service.shards.ShardedService` that
+routes to N shard processes.  The handler does all the HTTP work:
+routes, body checks, ``?wait=`` parsing, the error mapping and
+response counting.  Both backends answer the same calls:
+
+* ``post_solve(request, raw)`` and ``get_job(job_id, timeout)`` reply
+  ``(status, body, headers)``, the body a dict or a shard's JSON bytes
+  relayed as they are; ``get_job`` gives ``None`` for an unknown job;
+* ``stats()``, ``health()``, ``ready()``, ``metrics_snapshot()`` and
+  ``render_prometheus()`` back the GET views;
+* ``count_response(status)``, ``retry_after`` (of a 503 ``/readyz``)
+  and ``config`` (its ``request_timeout`` bounds each connection);
+* ``start()``, ``close()``, ``banner(url)`` and ``draining`` serve
+  :func:`serve_forever`.
+
 Endpoints (JSON in, JSON out; no dependencies beyond ``http.server``):
 
 ``POST /solve``
@@ -36,9 +53,11 @@ Endpoints (JSON in, JSON out; no dependencies beyond ``http.server``):
     report — the three views are cross-checkable number-for-number.
 
 Error mapping: validation problems -> 400, unknown jobs/paths -> 404,
-queue backpressure -> 429, degraded-mode shedding -> 503 with
-``Retry-After``.  Every error body is a JSON object with an ``error``
-key.
+queue backpressure -> 429, degraded-mode shedding (and, behind the
+router, a shard that stayed dead) -> 503 with ``Retry-After``.  Every
+error body is a JSON object with an ``error`` key.  A ``POST`` body is
+refused before any byte of it is read unless its ``Content-Length`` is
+an integer in ``1..MAX_BODY_BYTES``.
 """
 
 from __future__ import annotations
@@ -48,9 +67,8 @@ import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.core.config import ServiceConfig
 from repro.errors import ConfigError, ReproError, ServiceError, ShedError
-from repro.service.queue import SolveRequest, SolveService
+from repro.service.queue import SolveRequest
 
 #: Request bodies beyond this are refused (inline coords for ~500k
 #: cities still fit; anything bigger should arrive as a token).
@@ -128,127 +146,131 @@ def parse_wait(raw: str) -> float:
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    """One request handler bound to the server's :class:`SolveService`."""
+    """One request handler bound to the server's backend."""
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
 
-    #: Per-connection socket timeout; ``setup()`` (stdlib) applies it
-    #: via ``connection.settimeout`` and ``handle_one_request`` treats
-    #: a timed-out read as end-of-connection, so a stalled or half-open
-    #: client releases its handler thread instead of pinning it.
-    timeout = 30.0
-
     def setup(self) -> None:
-        self.timeout = getattr(self.server, "request_timeout", type(self).timeout)
+        # Per-connection socket timeout: the stdlib ``setup()`` applies
+        # it via ``connection.settimeout`` and ``handle_one_request``
+        # treats a timed-out read as end-of-connection, so a stalled or
+        # half-open client releases its handler thread.
+        self.timeout = self.backend.config.request_timeout
         super().setup()
 
     @property
-    def service(self) -> SolveService:
-        return self.server.service  # type: ignore[attr-defined]
+    def backend(self):
+        return self.server.backend  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
-        if urlparse(self.path).path != "/solve":
-            self._send(404, {"error": f"unknown endpoint {self.path!r}"})
-            return
+        self._answer(self._post)
+
+    def do_GET(self) -> None:  # noqa: N802
+        self._answer(self._get)
+
+    def _answer(self, route) -> None:
+        """Send ``route``'s ``(status, body, headers)`` reply, or its error's."""
         try:
-            body = self._read_json()
-            request = build_request(body)
-            job = self.service.submit(request)
+            status, payload, headers = route(urlparse(self.path))
         except ShedError as exc:
-            self._send(503, {"error": str(exc)},
-                       {"Retry-After": f"{exc.retry_after:g}"})
-            return
+            status, payload = 503, {"error": str(exc)}
+            headers = {"Retry-After": f"{exc.retry_after:g}"}
         except ServiceError as exc:
-            self._send(429, {"error": str(exc)})
-            return
+            status, payload, headers = 429, {"error": str(exc)}, {}
         except ReproError as exc:
-            self._send(400, {"error": str(exc)})
-            return
+            status, payload, headers = 400, {"error": str(exc)}, {}
         except (ValueError, TypeError) as exc:
             # e.g. jagged/non-numeric inline coords: numpy raises before
             # the library's own validation can; still a caller error.
-            self._send(400, {"error": f"invalid request: {exc}"})
-            return
-        self._send(200, job.as_dict())
+            status, payload = 400, {"error": f"invalid request: {exc}"}
+            headers = {}
+        self._send(status, payload, headers)
 
-    def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path == "/stats":
-            self._send(200, self.service.stats())
-            return
-        if parsed.path == "/healthz":
-            self._send(200, self.service.health())
-            return
-        if parsed.path == "/readyz":
-            ready, info = self.service.ready()
+    def _post(self, url) -> tuple:
+        if url.path != "/solve":
+            self.close_connection = True  # the body stays unread
+            return 404, {"error": f"unknown endpoint {self.path!r}"}, {}
+        raw = self._read_body()
+        try:
+            body = json.loads(raw)
+        except ValueError as exc:
+            raise ConfigError(f"request body is not valid JSON: {exc}") from exc
+        return self.backend.post_solve(build_request(body), raw)
+
+    def _get(self, url) -> tuple:
+        backend = self.backend
+        if url.path == "/stats":
+            return 200, backend.stats(), {}
+        if url.path == "/healthz":
+            return 200, backend.health(), {}
+        if url.path == "/readyz":
+            ready, info = backend.ready()
             if ready:
-                self._send(200, info)
-            else:
-                self._send(503, info, {
-                    "Retry-After": f"{self.service.config.shed_retry_after:g}"
-                })
-            return
-        if parsed.path == "/metrics":
-            query = parse_qs(parsed.query)
+                return 200, info, {}
+            return 503, info, {"Retry-After": f"{backend.retry_after:g}"}
+        query = parse_qs(url.query)
+        if url.path == "/metrics":
             fmt = (query.get("format") or [""])[0].lower()
             accept = self.headers.get("Accept", "")
             if fmt in ("prometheus", "prom", "text") or (
                 not fmt and "text/plain" in accept
             ):
-                self._send_text(200, self.service.metrics.render_prometheus())
-            else:
-                self._send(200, self.service.metrics.snapshot())
-            return
-        if parsed.path.startswith("/jobs/"):
-            job_id = parsed.path[len("/jobs/"):]
-            job = self.service.job(job_id)
-            if job is None:
-                self._send(404, {"error": f"unknown job {job_id!r}"})
-                return
-            wait = parse_qs(parsed.query).get("wait")
-            if wait:
-                try:
-                    timeout = parse_wait(wait[0])
-                except ConfigError as exc:
-                    self._send(400, {"error": str(exc)})
-                    return
-                if job.status in ("queued", "running"):
-                    job.done_event.wait(timeout)
-            self._send(200, job.as_dict())
-            return
-        self._send(404, {"error": f"unknown endpoint {parsed.path!r}"})
+                return 200, backend.render_prometheus(), {}
+            return 200, backend.metrics_snapshot(), {}
+        if url.path.startswith("/jobs/"):
+            return self._get_job(url.path[len("/jobs/"):], query.get("wait"))
+        return 404, {"error": f"unknown endpoint {url.path!r}"}, {}
+
+    def _get_job(self, job_id: str, wait: list[str] | None) -> tuple:
+        # The job is looked up before ``wait`` is judged: an unknown job
+        # is a 404 whatever its ``?wait=``; a bad one on a known job is
+        # a 400, answered without waiting.
+        try:
+            timeout, bad_wait = (parse_wait(wait[0]) if wait else None), None
+        except ConfigError as exc:
+            timeout, bad_wait = None, exc
+        reply = self.backend.get_job(job_id, timeout)
+        if reply is None:
+            return 404, {"error": f"unknown job {job_id!r}"}, {}
+        if bad_wait is not None and reply[0] != 404:
+            return 400, {"error": str(bad_wait)}, {}
+        return reply
 
     # ------------------------------------------------------------------
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ConfigError("empty request body; POST a JSON object")
-        if length > MAX_BODY_BYTES:
-            raise ConfigError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+    def _read_body(self) -> bytes:
+        """The ``POST`` body, refused unread unless its length is sane."""
         try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise ConfigError(f"request body is not valid JSON: {exc}") from exc
+            length = int(self.headers.get("Content-Length") or 0)
+            if length <= 0:
+                raise ConfigError("empty request body; POST a JSON object")
+            if length > MAX_BODY_BYTES:
+                raise ConfigError(
+                    f"request body exceeds {MAX_BODY_BYTES} bytes"
+                )
+        except (ValueError, ConfigError):
+            # An unread body must not be parsed as the connection's
+            # next request: answer, then close.
+            self.close_connection = True
+            raise
+        return self.rfile.read(length)
 
-    def _send(self, status: int, payload: dict,
-              headers: dict | None = None) -> None:
-        self._send_bytes(status, json.dumps(payload).encode(),
-                         "application/json", headers)
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_bytes(status, text.encode(),
-                         "text/plain; version=0.0.4; charset=utf-8")
-
-    def _send_bytes(self, status: int, data: bytes, content_type: str,
-                    headers: dict | None = None) -> None:
-        self.service.metrics.http_response(status)
+    def _send(self, status: int, payload, headers: dict) -> None:
+        """Send a dict as JSON, bytes (a shard's JSON) as they are, and
+        a str as the Prometheus text exposition."""
+        if isinstance(payload, str):
+            data = payload.encode()
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            data = (payload if isinstance(payload, bytes)
+                    else json.dumps(payload).encode())
+            content_type = "application/json"
+        self.backend.count_response(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
@@ -259,39 +281,34 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    config: ServiceConfig | None = None,
+    backend,
     host: str = "127.0.0.1",
     port: int = 8080,
     verbose: bool = False,
-    fault_injector=None,
-) -> tuple[ThreadingHTTPServer, SolveService]:
-    """Build (but do not start) the HTTP server + its solve service.
+) -> ThreadingHTTPServer:
+    """Build (but do not start) the HTTP server in front of ``backend``.
 
-    The caller owns the lifecycle: ``service.start()``, then
-    ``server.serve_forever()``; shut down with ``server.shutdown()``
-    followed by ``service.close()`` (which persists the cache).
-    ``fault_injector`` (a :class:`~repro.service.faults.FaultInjector`)
-    enables server-side chaos injection behind ``repro serve
-    --chaos-seed``.
+    ``backend`` is a :class:`~repro.service.queue.SolveService` or a
+    :class:`~repro.service.shards.ShardedService`.  The caller owns the
+    lifecycle: ``backend.start()``, then ``server.serve_forever()``;
+    shut down with ``server.shutdown()`` followed by ``backend.close()``
+    (which drains and persists the cache).
     """
-    service = SolveService(config, fault_injector=fault_injector)
     server = ThreadingHTTPServer((host, port), ServiceHandler)
-    server.service = service  # type: ignore[attr-defined]
+    server.backend = backend  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
-    server.request_timeout = service.config.request_timeout  # type: ignore[attr-defined]
-    return server, service
+    return server
 
 
 def serve_forever(
-    config: ServiceConfig | None = None,
+    backend,
     host: str = "127.0.0.1",
     port: int = 8080,
     verbose: bool = False,
-    fault_injector=None,
 ) -> None:
-    """Blocking entry point behind ``repro serve``."""
-    server, service = make_server(config, host, port, verbose, fault_injector)
-    service.start()
+    """Blocking entry point behind ``repro serve``, with or without shards."""
+    server = make_server(backend, host, port, verbose)
+    backend.start()
     # SIGTERM (systemd/docker/CI `kill`) must unwind through the
     # finally below: the graceful drain solves the jobs already
     # admitted and persists --cache-path before the process exits.
@@ -305,19 +322,14 @@ def serve_forever(
     except ValueError:  # not the main thread (tests drive make_server)
         pass
     bound = server.server_address
-    print(f"repro serve: listening on http://{bound[0]}:{bound[1]} "
-          f"(workers={service.config.workers}, "
-          f"cache={service.config.cache_size})", flush=True)
-    if fault_injector is not None:
-        print(f"repro serve: CHAOS ENABLED (seed "
-              f"{fault_injector.config.seed}, schedule "
-              f"{fault_injector.schedule_digest()[:16]})", flush=True)
+    for line in backend.banner(f"http://{bound[0]}:{bound[1]}"):
+        print(f"repro serve: {line}", flush=True)
     try:
         server.serve_forever()
     except (KeyboardInterrupt, SystemExit):
         pass
     finally:
         server.server_close()
-        print("repro serve: draining in-flight jobs...", flush=True)
-        service.stop(drain=True)
+        print(f"repro serve: draining {backend.draining}...", flush=True)
+        backend.close()
         print("repro serve: drained; bye", flush=True)

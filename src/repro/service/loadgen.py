@@ -258,7 +258,12 @@ class HTTPDriver:
                 raise ShedError(message, retry_after=retry_after) from exc
             raise ReproError(message) from exc
 
+    def _base_for(self, planned: PlannedRequest) -> str:
+        """The base URL that answers ``planned``."""
+        return self.base_url
+
     def solve(self, planned: PlannedRequest, timeout: float) -> dict:
+        base = self._base_for(planned)
         body = {
             "instance": planned.token,
             "solver": planned.solver,
@@ -267,11 +272,11 @@ class HTTPDriver:
         }
         if planned.deadline is not None:
             body["deadline_seconds"] = planned.deadline
-        view = self._call("/solve", body, timeout=timeout)
+        view = self._call("/solve", body, timeout=timeout, base=base)
         if view["status"] in ("queued", "running"):
             view = self._call(
                 f"/jobs/{view['job_id']}?wait={timeout:g}",
-                timeout=timeout + 10.0,
+                timeout=timeout + 10.0, base=base,
             )
         return _check_done(view)
 
@@ -298,9 +303,8 @@ class ShardedHTTPDriver(HTTPDriver):
 
     def __init__(self, fleet) -> None:
         self.fleet = fleet
-        self.base_url = fleet.shard_url(0)
 
-    def _shard_base(self, planned: PlannedRequest) -> str:
+    def _base_for(self, planned: PlannedRequest) -> str:
         from repro.service.shards import shard_for
 
         request = SolveRequest.create(
@@ -311,24 +315,6 @@ class ShardedHTTPDriver(HTTPDriver):
         return self.fleet.shard_url(
             shard_for(request.fingerprint(), self.fleet.shards)
         )
-
-    def solve(self, planned: PlannedRequest, timeout: float) -> dict:
-        base = self._shard_base(planned)
-        body = {
-            "instance": planned.token,
-            "solver": planned.solver,
-            "seed": planned.seed,
-            "params": dict(planned.params),
-        }
-        if planned.deadline is not None:
-            body["deadline_seconds"] = planned.deadline
-        view = self._call("/solve", body, timeout=timeout, base=base)
-        if view["status"] in ("queued", "running"):
-            view = self._call(
-                f"/jobs/{view['job_id']}?wait={timeout:g}",
-                timeout=timeout + 10.0, base=base,
-            )
-        return _check_done(view)
 
     def stats(self) -> dict:
         return self.fleet.stats()

@@ -555,6 +555,50 @@ class SolveService:
         }
 
     # ------------------------------------------------------------------
+    # HTTP backend: the calls :class:`~repro.service.http.ServiceHandler`
+    # makes (a ShardedService answers the same ones)
+    # ------------------------------------------------------------------
+    #: Noun of the ``repro serve: draining ...`` line.
+    draining = "in-flight jobs"
+
+    def post_solve(self, request: SolveRequest, _raw: bytes) -> tuple:
+        """``POST /solve``: admit locally; ``(200, job view, {})``."""
+        return 200, self.submit(request).as_dict(), {}
+
+    def get_job(self, job_id: str, timeout: float | None) -> tuple | None:
+        """``GET /jobs/<id>``: wait up to ``timeout`` for an unfinished job."""
+        job = self.job(job_id)
+        if job is None:
+            return None
+        if timeout is not None and job.status in ("queued", "running"):
+            job.done_event.wait(timeout)
+        return 200, job.as_dict(), {}
+
+    @property
+    def retry_after(self) -> float:
+        return self.config.shed_retry_after
+
+    def metrics_snapshot(self) -> dict:
+        return self.metrics.snapshot()
+
+    def render_prometheus(self) -> str:
+        return self.metrics.render_prometheus()
+
+    def count_response(self, status: int) -> None:
+        self.metrics.http_response(status)
+
+    def banner(self, url: str) -> list[str]:
+        """The ``repro serve`` start-up lines for this service at ``url``."""
+        lines = [f"listening on {url} (workers={self.config.workers}, "
+                 f"cache={self.config.cache_size})"]
+        if self.fault_injector is not None:
+            lines.append(
+                f"CHAOS ENABLED (seed {self.fault_injector.config.seed}, "
+                f"schedule {self.fault_injector.schedule_digest()[:16]})"
+            )
+        return lines
+
+    # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     async def _dispatch(self) -> None:

@@ -6,6 +6,9 @@ complete single service (own queue, own :class:`~repro.service.cache
 .ResultCache`, own :class:`~repro.engine.wavefront.WavefrontPool`, own
 shared-memory arena) listening on an ephemeral localhost port, fronted
 by a router that hash-routes every request by its solve fingerprint.
+The router is the one HTTP front-end of :mod:`repro.service.http`
+with a :class:`ShardedService` as its backend, so both deployments
+share the routes, body checks and error mapping.
 
 Routing is a pure function of content (:func:`shard_for`): the sha256
 of the fingerprint's job-id prefix, mod the shard count.  Both ``POST
@@ -28,11 +31,13 @@ Aggregation: the router's ``/stats`` sums every shard's counters into
 the same shape a single service reports (plus a ``shards`` block), so
 existing clients — the loadgen's counter-delta bookkeeping included —
 work unchanged.  ``/metrics`` merges JSON snapshots numerically and,
-in Prometheus form, re-labels each shard's samples with ``shard="i"``.
+in Prometheus form, re-labels each shard's samples with ``shard="i"``;
+the router's own responses count in ``repro_router_responses_total``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -43,14 +48,16 @@ import urllib.error
 import urllib.request
 from collections import OrderedDict
 from http.client import HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import ServiceConfig
-from repro.errors import ConfigError, ReproError
-from repro.service.http import build_request, parse_wait
+from repro.errors import ConfigError, ReproError, ShedError
 from repro.service.metrics import MetricsRegistry
-from repro.service.queue import _JOB_ID_DIGITS, job_id_for
+from repro.service.queue import (
+    _JOB_ID_DIGITS,
+    SolveRequest,
+    SolveService,
+    job_id_for,
+)
 
 #: Seconds the manager waits for a spawned shard to report its port.
 _SHARD_START_TIMEOUT = 60.0
@@ -110,7 +117,8 @@ def _shard_entry(index: int, host: str, conn, config: ServiceConfig,
     from repro.service.http import make_server
 
     injector = FaultInjector(fault_config) if fault_config is not None else None
-    server, service = make_server(config, host, 0, verbose, injector)
+    service = SolveService(config, fault_injector=injector)
+    server = make_server(service, host, 0, verbose)
     service.start()
 
     def _sigterm(_signum, _frame):
@@ -209,11 +217,20 @@ class ShardProcess:
 class ShardedService:
     """Manager of N shard processes + fingerprint routing + recovery.
 
-    Transport-agnostic core: the HTTP router (:func:`make_router_server`)
-    and the loadgen's direct sharded driver both drive this object.
-    Thread-safe — handler threads forward concurrently while the
-    monitor thread watches for dead shards.
+    The backend of the router: :func:`repro.service.http.make_server`
+    serves it through the same handler as a single
+    :class:`~repro.service.queue.SolveService`, and the loadgen's
+    direct sharded driver drives it too.  Thread-safe — handler
+    threads forward concurrently while the monitor thread watches for
+    dead shards.
     """
+
+    #: ``Retry-After`` seconds of the router's own 503s: ``/readyz``
+    #: while a shard is down, and a request whose shard stayed dead.
+    retry_after = 1.0
+
+    #: Noun of the ``repro serve: draining ...`` line.
+    draining = "shards"
 
     def __init__(self, shards: int, config: ServiceConfig | None = None,
                  host: str = "127.0.0.1", verbose: bool = False,
@@ -242,7 +259,10 @@ class ShardedService:
         #: job_id -> (shard index, raw POST body) for admitted-but-
         #: unfinished submissions; the crash-replay worklist.
         self._ledger: OrderedDict[str, tuple[int, bytes]] = OrderedDict()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the ledger only
+        #: One per shard index: a respawn (up to the shard start
+        #: timeout) blocks only the requests bound for that shard.
+        self._respawn_locks = [threading.Lock() for _ in range(shards)]
         self._stop_event = threading.Event()
         self._monitor: threading.Thread | None = None
 
@@ -321,10 +341,11 @@ class ShardedService:
     def _revive(self, index: int) -> None:
         """Respawn one dead shard and replay its undelivered jobs.
 
-        Serialized under the manager lock so the monitor and a
-        forwarding handler that both notice the death respawn once.
+        Serialized under that shard's respawn lock, so the monitor and
+        a forwarding handler that both notice the death respawn once,
+        while traffic to the other shards goes on.
         """
-        with self._lock:
+        with self._respawn_locks[index]:
             proc = self._procs[index]
             if proc.alive:
                 return
@@ -336,12 +357,13 @@ class ShardedService:
             fresh.await_port()
             self._procs[index] = fresh
             self.shard_respawns.inc()
+        with self._lock:
             replay = [
                 (job_id, body)
                 for job_id, (shard, body) in self._ledger.items()
                 if shard == index
             ]
-        # Replay outside the lock: each re-submission is idempotent
+        # Replay outside the locks: each re-submission is idempotent
         # (same fingerprint -> same job id -> same tour), so clients
         # polling GET /jobs/<id> find their job again on the new shard.
         for job_id, body in replay:
@@ -372,86 +394,90 @@ class ShardedService:
 
     def _forward(self, index: int, method: str, path: str,
                  body: bytes | None = None,
-                 timeout: float = 30.0) -> tuple[int, dict, bytes]:
-        """Forward to one shard, respawning + retrying through deaths."""
+                 timeout: float = 30.0) -> tuple[int, bytes, dict]:
+        """Forward to one shard, respawning + retrying through deaths.
+
+        Returns the shard's ``(status, body, headers)`` with only its
+        ``Retry-After`` header kept; a shard still dead after the last
+        attempt sheds the request (:class:`ShedError`, a 503).
+        """
         last: ShardDownError | None = None
         for _attempt in range(_FORWARD_ATTEMPTS):
             try:
-                return self._http(
+                status, headers, payload = self._http(
                     method, self.shard_url(index) + path, body, timeout
                 )
             except ShardDownError as exc:
                 last = exc
                 self.router_errors.inc()
                 self._revive(index)
-        raise last  # type: ignore[misc]
+                continue
+            return status, payload, {
+                name: value for name, value in headers.items()
+                if name.title() == "Retry-After"
+            }
+        raise ShedError(str(last), retry_after=self.retry_after) from last
 
     # ------------------------------------------------------------------
-    # request paths (transport-agnostic; the HTTP router wraps these)
+    # HTTP backend: the calls :class:`~repro.service.http.ServiceHandler`
+    # makes (a SolveService answers the same ones)
     # ------------------------------------------------------------------
-    def submit_raw(self, raw: bytes) -> tuple[int, dict, bytes]:
-        """Route one ``POST /solve`` body; returns (status, headers, body).
+    def post_solve(self, request: SolveRequest, raw: bytes) -> tuple:
+        """Relay one ``POST /solve`` to the shard owning its fingerprint.
 
-        The router computes the fingerprint itself (content addressing
-        is cheap and memoized) purely to pick the shard; the shard then
-        re-validates on its own admission path.
+        The router fingerprints the request (content addressing is
+        cheap and memoized) purely to pick the shard, and forwards the
+        client's bytes; the shard re-validates them on its own
+        admission path.
         """
         self.router_requests.inc()
-        try:
-            body = json.loads(raw)
-            request = build_request(body)
-            fingerprint = request.fingerprint()
-        except ReproError as exc:
-            return 400, {}, json.dumps({"error": str(exc)}).encode()
-        except (ValueError, TypeError) as exc:
-            return 400, {}, json.dumps(
-                {"error": f"invalid request: {exc}"}
-            ).encode()
+        fingerprint = request.fingerprint()
         index = shard_for(fingerprint, self.shards)
-        try:
-            status, headers, payload = self._forward(
-                index, "POST", "/solve", raw
-            )
-        except ShardDownError as exc:
-            return 503, {"Retry-After": "1"}, json.dumps(
-                {"error": str(exc)}
-            ).encode()
-        self._track(job_id_for(fingerprint), index, raw, status, payload)
-        return status, headers, payload
+        status, payload, headers = self._forward(index, "POST", "/solve", raw)
+        self._track(job_id_for(fingerprint), status, payload, (index, raw))
+        return status, payload, headers
 
-    def forward_job(self, job_id: str, query: str) -> tuple[int, dict, bytes]:
-        """Route one ``GET /jobs/<id>`` (the id embeds the fingerprint)."""
+    def get_job(self, job_id: str, timeout: float | None) -> tuple | None:
+        """Relay one ``GET /jobs/<id>`` (the id embeds the fingerprint)."""
         self.router_requests.inc()
         try:
             index = shard_for_job(job_id, self.shards)
-        except ConfigError as exc:
-            return 404, {}, json.dumps({"error": str(exc)}).encode()
-        timeout = 30.0
-        wait = parse_qs(query).get("wait")
-        if wait:
-            try:
-                # Long-poll forwards need headroom past the shard-side
-                # wait; invalid values still go through so the shard's
-                # own validation answers with its 400.
-                timeout = parse_wait(wait[0]) + 30.0
-            except ConfigError:
-                pass
-        path = f"/jobs/{job_id}" + (f"?{query}" if query else "")
-        try:
-            status, headers, payload = self._forward(
-                index, "GET", path, timeout=timeout
-            )
-        except ShardDownError as exc:
-            return 503, {"Retry-After": "1"}, json.dumps(
-                {"error": str(exc)}
-            ).encode()
-        if status == 200:
-            self._settle(job_id, payload)
-        return status, headers, payload
+        except ConfigError:
+            return None
+        path = f"/jobs/{job_id}"
+        if timeout is not None:
+            path += f"?wait={timeout!r}"
+        # Long-poll forwards need headroom past the shard-side wait.
+        status, payload, headers = self._forward(
+            index, "GET", path, timeout=(timeout or 0.0) + 30.0
+        )
+        self._track(job_id, status, payload)
+        return status, payload, headers
 
-    def _track(self, job_id: str, index: int, raw: bytes,
-               status: int, payload: bytes) -> None:
-        """Ledger admitted-but-unfinished jobs for crash replay."""
+    def count_response(self, status: int) -> None:
+        self.registry.counter(
+            "repro_router_responses_total",
+            "Router HTTP responses by status code",
+            labels={"status": str(int(status))},
+        ).inc()
+
+    def banner(self, url: str) -> list[str]:
+        """The ``repro serve --shards N`` start-up lines (router at ``url``)."""
+        ports = [proc.port for proc in self._procs]
+        lines = [f"router on {url} fronting {self.shards} shard(s) on ports "
+                 f"{ports} (workers={self.config.workers}/shard)"]
+        if self.fault_config is not None:
+            lines.append(f"CHAOS ENABLED per shard (base seed "
+                         f"{self.fault_config.seed})")
+        return lines
+
+    def _track(self, job_id: str, status: int, payload: bytes,
+               entry: tuple[int, bytes] | None = None) -> None:
+        """Keep the crash-replay ledger from one shard answer.
+
+        A finished job leaves the ledger; an unfinished submission
+        (``entry`` = its shard index and raw body) joins it.
+        """
         if status != 200:
             return
         try:
@@ -459,22 +485,13 @@ class ShardedService:
         except ValueError:  # pragma: no cover - shard always sends JSON
             return
         with self._lock:
-            if job_status in ("queued", "running"):
-                self._ledger[job_id] = (index, raw)
+            if job_status not in ("queued", "running"):
+                self._ledger.pop(job_id, None)
+            elif entry is not None:
+                self._ledger[job_id] = entry
                 self._ledger.move_to_end(job_id)
                 while len(self._ledger) > _LEDGER_LIMIT:
                     self._ledger.popitem(last=False)
-            else:
-                self._ledger.pop(job_id, None)
-
-    def _settle(self, job_id: str, payload: bytes) -> None:
-        try:
-            job_status = json.loads(payload).get("status")
-        except ValueError:  # pragma: no cover
-            return
-        if job_status not in ("queued", "running"):
-            with self._lock:
-                self._ledger.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # aggregation
@@ -514,13 +531,12 @@ class ShardedService:
                 payloads.append(payload)
         merged = {
             "uptime_seconds": time.time() - self.started_at,
-            "queue": _merge_numeric([p.get("queue", {}) for p in payloads]),
-            "requests": _merge_numeric(
-                [p.get("requests", {}) for p in payloads]
-            ),
-            "jobs": _merge_numeric([p.get("jobs", {}) for p in payloads]),
-            "cache": _merge_numeric([p.get("cache", {}) for p in payloads]),
-            "arena": _merge_numeric([p.get("arena", {}) for p in payloads]),
+            **{
+                block: functools.reduce(
+                    _merge_metric, (p.get(block, {}) for p in payloads), {}
+                )
+                for block in ("queue", "requests", "jobs", "cache", "arena")
+            },
             "health": {
                 "running": bool(payloads) and all(
                     p.get("health", {}).get("running") for p in payloads
@@ -614,24 +630,8 @@ class ShardedService:
         return "\n".join(sections) + "\n"
 
 
-def _merge_numeric(payloads: list[dict]) -> dict:
-    """Sum numeric keys across shard dicts; first value wins otherwise."""
-    merged: dict = {}
-    for payload in payloads:
-        for key, value in payload.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                merged.setdefault(key, value)
-            elif isinstance(merged.get(key), (int, float)) and not isinstance(
-                merged.get(key), bool
-            ):
-                merged[key] = merged[key] + value
-            else:
-                merged[key] = value
-    return merged
-
-
 def _merge_metric(current, value):
-    """Merge one metric family across shard snapshots.
+    """Merge one metric family, or one ``/stats`` block, across shards.
 
     Numbers sum; histogram snapshots combine count/sum/min/max (the
     merged mean is recomputed, percentiles are per-shard information
@@ -681,161 +681,3 @@ def _relabel_sample(line: str, shard: int) -> str:
         merged = f'shard="{shard}"' + ("," + inner if inner else "")
         return f"{head[:brace]}{{{merged}}} {value}"
     return f'{head}{{shard="{shard}"}} {value}'
-
-
-# ----------------------------------------------------------------------
-# HTTP router front-end
-# ----------------------------------------------------------------------
-
-class RouterHandler(BaseHTTPRequestHandler):
-    """The fleet front-end: same endpoints as :class:`ServiceHandler`."""
-
-    server_version = "repro-router/1"
-    protocol_version = "HTTP/1.1"
-    timeout = 30.0
-
-    def setup(self) -> None:
-        self.timeout = getattr(self.server, "request_timeout",
-                               type(self).timeout)
-        super().setup()
-
-    @property
-    def fleet(self) -> ShardedService:
-        return self.server.fleet  # type: ignore[attr-defined]
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
-        if urlparse(self.path).path != "/solve":
-            self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._send_json(400, {"error": "empty request body"})
-            return
-        raw = self.rfile.read(length)
-        status, headers, payload = self.fleet.submit_raw(raw)
-        self._send_raw(status, headers, payload)
-
-    def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path == "/stats":
-            self._send_json(200, self.fleet.stats())
-            return
-        if parsed.path == "/healthz":
-            self._send_json(200, self.fleet.health())
-            return
-        if parsed.path == "/readyz":
-            ready, info = self.fleet.ready()
-            if ready:
-                self._send_json(200, info)
-            else:
-                self._send_json(503, info, {"Retry-After": "1"})
-            return
-        if parsed.path == "/metrics":
-            query = parse_qs(parsed.query)
-            fmt = (query.get("format") or [""])[0].lower()
-            accept = self.headers.get("Accept", "")
-            if fmt in ("prometheus", "prom", "text") or (
-                not fmt and "text/plain" in accept
-            ):
-                text = self.fleet.render_prometheus().encode()
-                self._send_raw(
-                    200,
-                    {"Content-Type":
-                     "text/plain; version=0.0.4; charset=utf-8"},
-                    text,
-                )
-            else:
-                self._send_json(200, self.fleet.metrics_snapshot())
-            return
-        if parsed.path.startswith("/jobs/"):
-            job_id = parsed.path[len("/jobs/"):]
-            status, headers, payload = self.fleet.forward_job(
-                job_id, parsed.query
-            )
-            self._send_raw(status, headers, payload)
-            return
-        self._send_json(404, {"error": f"unknown endpoint {parsed.path!r}"})
-
-    # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict | None = None) -> None:
-        data = json.dumps(payload).encode()
-        send = dict(headers or {})
-        send["Content-Type"] = "application/json"
-        self._send_raw(status, send, data)
-
-    def _send_raw(self, status: int, headers: dict, data: bytes) -> None:
-        self.send_response(status)
-        passthrough = {"Content-Type", "Retry-After"}
-        sent_type = False
-        for name, value in headers.items():
-            if name.title() in passthrough:
-                self.send_header(name, value)
-                sent_type = sent_type or name.title() == "Content-Type"
-        if not sent_type:
-            self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, fmt: str, *args) -> None:
-        if getattr(self.server, "verbose", False):  # type: ignore[attr-defined]
-            super().log_message(fmt, *args)
-
-
-def make_router_server(
-    shards: int,
-    config: ServiceConfig | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    verbose: bool = False,
-    fault_config=None,
-) -> tuple[ThreadingHTTPServer, ShardedService]:
-    """Build (not start) the router + its shard fleet manager."""
-    fleet = ShardedService(shards, config, host=host, verbose=verbose,
-                           fault_config=fault_config)
-    server = ThreadingHTTPServer((host, port), RouterHandler)
-    server.fleet = fleet  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    server.request_timeout = fleet.config.request_timeout  # type: ignore[attr-defined]
-    return server, fleet
-
-
-def serve_sharded_forever(
-    shards: int,
-    config: ServiceConfig | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    verbose: bool = False,
-    fault_config=None,
-) -> None:
-    """Blocking entry point behind ``repro serve --shards N``."""
-    server, fleet = make_router_server(
-        shards, config, host, port, verbose, fault_config
-    )
-    fleet.start()
-
-    def _sigterm(_signum, _frame):
-        raise SystemExit(0)
-
-    try:
-        signal.signal(signal.SIGTERM, _sigterm)
-    except ValueError:  # pragma: no cover - not the main thread
-        pass
-    bound = server.server_address
-    ports = [proc.port for proc in fleet._procs]
-    print(f"repro serve: router on http://{bound[0]}:{bound[1]} "
-          f"fronting {shards} shard(s) on ports {ports} "
-          f"(workers={fleet.config.workers}/shard)", flush=True)
-    if fault_config is not None:
-        print(f"repro serve: CHAOS ENABLED per shard (base seed "
-              f"{fault_config.seed})", flush=True)
-    try:
-        server.serve_forever()
-    except (KeyboardInterrupt, SystemExit):
-        pass
-    finally:
-        server.server_close()
-        print("repro serve: draining shards...", flush=True)
-        fleet.close()
-        print("repro serve: drained; bye", flush=True)

@@ -569,9 +569,10 @@ class TestSheddingAndHealth:
 
         from repro.service.http import make_server
 
-        server, service = make_server(
-            ServiceConfig(batch_window=0.01, shed_retry_after=0.9), port=0
+        service = SolveService(
+            ServiceConfig(batch_window=0.01, shed_retry_after=0.9)
         )
+        server = make_server(service, port=0)
         host, port = server.server_address
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

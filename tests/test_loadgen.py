@@ -305,7 +305,8 @@ class TestRunLoadtest:
 def http_base():
     from repro.service.http import make_server
 
-    server, service = make_server(ServiceConfig(batch_window=0.0), port=0)
+    service = SolveService(ServiceConfig(batch_window=0.0))
+    server = make_server(service, port=0)
     service.start()
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}"

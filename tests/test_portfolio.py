@@ -442,7 +442,8 @@ class TestServicePortfolio:
 
         from repro.service.http import make_server
 
-        server, service = make_server(ServiceConfig(**self.CONFIG), port=0)
+        service = SolveService(ServiceConfig(**self.CONFIG))
+        server = make_server(service, port=0)
         service.start()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -12,11 +12,13 @@ The serving contract under test:
 * the HTTP front-end exposes the whole flow over stdlib sockets.
 """
 
+import http.client
 import json
 import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -332,7 +334,8 @@ def TSPInstanceWithNaN():
 def http_service():
     from repro.service.http import make_server
 
-    server, svc = make_server(ServiceConfig(batch_window=0.0), port=0)
+    svc = SolveService(ServiceConfig(batch_window=0.0))
+    server = make_server(svc, port=0)
     svc.start()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -341,6 +344,23 @@ def http_service():
     server.shutdown()
     server.server_close()
     svc.close()
+
+
+@pytest.fixture(scope="module")
+def http_router():
+    """A 2-shard router behind the same front-end, spawned once."""
+    from repro.service.http import make_server
+    from repro.service.shards import ShardedService
+
+    fleet = ShardedService(2, ServiceConfig(batch_window=0.0))
+    server = make_server(fleet, port=0)
+    fleet.start()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    fleet.close()
 
 
 def _post(base, path, body):
@@ -356,6 +376,21 @@ def _post(base, path, body):
 def _get(base, path):
     with urllib.request.urlopen(base + path) as response:
         return json.load(response)
+
+
+def _post_declaring(base, content_length, data):
+    """``POST /solve`` with ``data`` under any declared Content-Length."""
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/solve")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(data)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 @pytest.mark.smoke
@@ -443,6 +478,33 @@ class TestHTTPFrontend:
         assert "# TYPE repro_requests_total counter" in text
         assert 'le="+Inf"' in text
 
+    def test_unknown_job_is_404_whatever_its_wait(self, http_service):
+        # The job is looked up before ?wait= is judged.
+        for path in ("/jobs/job-ffffffffffffffff?wait=nan",
+                     "/jobs/nope?wait=nan", "/jobs/nope"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(http_service, path)
+            assert err.value.code == 404, path
+            assert json.load(err.value)["error"]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(http_service, "/other", self.BODY)
+        assert err.value.code == 404
+        assert json.load(err.value)["error"]
+
+    def test_non_integer_content_length_is_400(self, http_service):
+        status, body = _post_declaring(http_service, "abc", b"{}")
+        assert status == 400
+        assert "'abc'" in body["error"]
+
+    def test_oversized_content_length_is_400_unread(self, http_service):
+        # 40 MiB declared, 2 bytes sent: an answer within the client's
+        # timeout shows the limit is checked before the body is read.
+        status, body = _post_declaring(
+            http_service, str(40 * 1024 * 1024), b"{}"
+        )
+        assert status == 400
+        assert "exceeds" in body["error"]
+
 
 class TestHTTPErrorPaths:
     """Each error path must answer the right status *and* a JSON body."""
@@ -450,7 +512,8 @@ class TestHTTPErrorPaths:
     def _server(self, config):
         from repro.service.http import make_server
 
-        server, svc = make_server(config, port=0)
+        svc = SolveService(config)
+        server = make_server(svc, port=0)
         svc.start()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -564,3 +627,19 @@ class TestHTTPErrorPaths:
             ServiceConfig(request_timeout=0.0)
         with pytest.raises(ConfigError):
             ServiceConfig(request_timeout=-1.0)
+
+
+class TestHTTPFrontendRouter(TestHTTPFrontend):
+    """The front-end tests again, against a 2-shard router.
+
+    ``repro serve --shards 2`` answers through the same handler, so it
+    must answer every request the single service answers, and alike.
+    """
+
+    @pytest.fixture()
+    def http_service(self, http_router):
+        return http_router
+
+    test_malformed_and_seedless_bodies_are_400 = (
+        TestHTTPErrorPaths.test_malformed_and_seedless_bodies_are_400
+    )

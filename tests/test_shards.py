@@ -14,21 +14,30 @@ The sharding contract under test:
   where;
 * a SIGKILLed shard is respawned by the monitor and its undelivered
   jobs are replayed — the resubmitted fingerprint still produces the
-  identical tour.
+  identical tour — while the other shards keep answering.
 """
 
 import hashlib
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
 
-from repro.core.config import ServiceConfig
-from repro.errors import ConfigError
+from repro.core.config import LoadgenConfig, ServiceConfig
+from repro.errors import ConfigError, ShedError
+from repro.service.http import build_request
+from repro.service.loadgen import ShardedHTTPDriver, run_loadtest
 from repro.service.queue import job_id_for
-from repro.service.shards import ShardedService, shard_for, shard_for_job
+from repro.service.shards import (
+    ShardDownError,
+    ShardedService,
+    ShardProcess,
+    shard_for,
+    shard_for_job,
+)
 
 SWEEPS = 15
 CONFIG = ServiceConfig(batch_window=0.0, workers=1)
@@ -39,15 +48,18 @@ def _body(token="uniform:24:3", seed=7):
             "params": {"sweeps": SWEEPS}}
 
 
+def _post(fleet, body):
+    """One ``POST /solve`` through the routing core."""
+    return fleet.post_solve(build_request(body), json.dumps(body).encode())
+
+
 def _solve(fleet, body, wait=120):
     """Submit through the routing core and long-poll to completion."""
-    status, _headers, payload = fleet.submit_raw(json.dumps(body).encode())
+    status, payload, _headers = _post(fleet, body)
     assert status == 200, payload
     view = json.loads(payload)
     if view["status"] in ("queued", "running"):
-        status, _headers, payload = fleet.forward_job(
-            view["job_id"], f"wait={wait:g}"
-        )
+        status, payload, _headers = fleet.get_job(view["job_id"], wait)
         assert status == 200, payload
         view = json.loads(payload)
     assert view["status"] == "done", view
@@ -111,7 +123,7 @@ class TestShardedFleet:
         done = _solve(fleet, body)
         owner = shard_for_job(done["job_id"], fleet.shards)
         # Resubmit: answered from the owning shard's cache.
-        again, _headers, payload = fleet.submit_raw(json.dumps(body).encode())
+        again, payload, _headers = _post(fleet, body)
         assert again == 200
         hit = json.loads(payload)
         assert hit["cached"] is True
@@ -178,6 +190,69 @@ class TestShardedFleet:
         after = _solve(fleet, body)
         assert after["result"]["tour_hash"] == before["result"]["tour_hash"]
         assert fleet.stats()["shards"]["respawns"] == respawns_before + 1
+
+    def test_shard_that_stays_dead_sheds_with_retry_after_1(
+        self, fleet, monkeypatch
+    ):
+        # Every forward finds the shard dead and no respawn helps: the
+        # router sheds (HTTP 503) with its own Retry-After of 1 s.
+        def unreachable(*_args, **_kwargs):
+            raise ShardDownError("shard unreachable")
+
+        monkeypatch.setattr(fleet, "_http", unreachable)
+        monkeypatch.setattr(fleet, "_revive", lambda index: None)
+        with pytest.raises(ShedError) as err:
+            _post(fleet, _body(seed=105))
+        assert err.value.retry_after == 1.0
+
+    def test_respawn_does_not_stall_other_shards(self, fleet, monkeypatch):
+        # A respawn waits for the new shard's port (up to 60 s); the
+        # requests another shard answers must not wait with it.
+        seed = next(s for s in range(300, 400)
+                    if shard_for(build_request(_body(seed=s))
+                                 .fingerprint(), 2) == 1)
+        body = _body(seed=seed)
+        _solve(fleet, body)  # cached on shard 1 from here on
+        start_port = ShardProcess.await_port
+
+        def slow_await_port(proc, *args, **kwargs):
+            time.sleep(2.0)
+            return start_port(proc, *args, **kwargs)
+
+        monkeypatch.setattr(ShardProcess, "await_port", slow_await_port)
+        dead = fleet._procs[0]
+        pid = dead.pid
+        os.kill(pid, signal.SIGKILL)
+        while dead.alive:
+            time.sleep(0.01)
+        # The monitor may notice first; either way one respawn runs.
+        respawn = threading.Thread(target=fleet._revive, args=(0,))
+        respawn.start()
+        try:
+            time.sleep(0.3)  # the respawn is under way
+            started = time.perf_counter()
+            status, payload, _headers = _post(fleet, body)
+            elapsed = time.perf_counter() - started
+        finally:
+            respawn.join(60.0)
+        assert not respawn.is_alive()
+        assert status == 200 and json.loads(payload)["cached"] is True
+        assert elapsed < 1.0, elapsed
+        assert fleet._procs[0].alive and fleet.worker_pids()[0] != pid
+
+    def test_sharded_http_loadtest(self, fleet):
+        # `repro loadtest --shards N`: client-side routing straight to
+        # the shards' ports, counters summed by the fleet.
+        config = LoadgenConfig(
+            instances=("uniform:22:9", "uniform:26:9"), requests=10,
+            concurrency=2, solver="taxi", params=(("sweeps", SWEEPS),),
+            seed=17,
+        )
+        summary = run_loadtest(config, driver=ShardedHTTPDriver(fleet)).summary()
+        assert summary["driver"] == "sharded-http"
+        assert summary["errors"] == 0
+        assert summary["completed"] == summary["requests"]
+        assert summary["cache_hits"] == summary["scheduled_warm"]
 
 
 @pytest.mark.slow

@@ -75,8 +75,10 @@ def _http_warm_gate(n: int, budget: float, seed: int) -> int:
     import numpy as np
 
     from repro.service.http import make_server
+    from repro.service.queue import SolveService
 
-    server, service = make_server(port=0)
+    service = SolveService()
+    server = make_server(service, port=0)
     service.start()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
