@@ -6,12 +6,13 @@ The engine turns the single-shot :class:`~repro.core.solver.TAXISolver`
 * :mod:`repro.engine.registry` — string-named solvers with a uniform
   ``solve(instance, **params) -> Tour`` contract;
 * :mod:`repro.engine.runner` — deterministic multi-start execution
-  over a process pool, aggregated into
+  on the wavefront pool, aggregated into
   :class:`~repro.core.result.BatchResult`;
 * :mod:`repro.engine.jobs` — instance specs, per-process caches, and
   streamed batch progress;
-* :mod:`repro.engine.wavefront` — deterministic chunked fan-out used
-  by the hierarchical pipeline's per-level sub-problem batches;
+* :mod:`repro.engine.wavefront` — the engine's one crash-recovering
+  fan-out: the pipeline's per-level sub-problem batches, batch
+  replicas, portfolio arms and the service's micro-batches;
 * :mod:`repro.engine.bench` — the bench harness behind ``repro bench``
   (replica fold, sparse scale ladder and portfolio grids ->
   ``BENCH_<rev>.json``); the canonical benchmark is ``perfbench/``.

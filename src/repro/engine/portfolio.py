@@ -7,12 +7,13 @@ module closes that gap (ROADMAP item 5) with three pieces:
   ``(n, budget_seconds, seed, instance digest, max_arms)`` that selects
   N (solver, params, seed) *arms* whose estimated total compute fits
   the budget, under a static cost model.
-* **Racing** (:func:`race`) — runs the arms inline or fanned across a
-  :class:`~repro.engine.wavefront.WavefrontPool`, in deterministic
-  waves.  ``mode="best"`` runs every planned arm and picks the minimum
-  length (budget enforced at *plan* time, so the result is
-  bit-reproducible); ``mode="first"`` stops at the first wave
-  containing an acceptable arm and cancels the unlaunched rest.
+* **Racing** (:func:`race`) — runs the arms on a
+  :class:`~repro.engine.wavefront.WavefrontPool` (inline with one
+  worker), in deterministic waves.  ``mode="best"`` runs every
+  planned arm and picks the minimum length (budget enforced at *plan*
+  time, so the result is bit-reproducible); ``mode="first"`` stops at
+  the first wave containing an acceptable arm and cancels the
+  unlaunched rest.
 * **Warm starts** — annealing arms can be seeded from the cached tour
   of a geometrically similar instance (the near-match tier in
   :mod:`repro.service.cache`); warm-started results carry the source
@@ -32,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.jobs import InstanceSpec
+from repro.engine.wavefront import WavefrontPool
 from repro.errors import ConfigError
 from repro.tsp.instance import _FULL_MATRIX_LIMIT, TSPInstance
 from repro.tsp.tour import Tour
@@ -257,40 +260,35 @@ def _valid_warm_start(warm, n: int) -> np.ndarray | None:
     return order
 
 
-def run_arm(instance: TSPInstance, arm: Arm,
-            warm_start=None) -> ArmRun:
-    """Execute one arm in-process; warm-seeds annealing when possible."""
+def run_arm_task(task: ArmTask) -> ArmRun:
+    """Execute one arm; warm-seeds annealing when possible.
+
+    Module-level, so a process pool can pickle it.
+    """
     from repro.engine.registry import build_solver, check_instance_capacity
     from repro.engine.runner import validate_finite_instance
 
+    instance = task.spec.resolve()
     validate_finite_instance(instance)
-    check_instance_capacity(arm.solver, instance.n)
-    params = dict(arm.params)
-    warm = (_valid_warm_start(warm_start, instance.n)
-            if arm.solver in WARM_CAPABLE else None)
+    check_instance_capacity(task.solver, instance.n)
+    params = dict(task.params)
+    warm = (_valid_warm_start(task.warm_start, instance.n)
+            if task.solver in WARM_CAPABLE else None)
     start = time.perf_counter()
     if warm is not None:
         from repro.ising.sa_tsp import SimulatedAnnealingTSP
 
-        solver = SimulatedAnnealingTSP(seed=arm.seed, **params)
+        solver = SimulatedAnnealingTSP(seed=task.seed, **params)
         tour = solver.solve(instance, initial=warm)
     else:
-        tour = build_solver(arm.solver, seed=arm.seed, **params)(instance)
+        tour = build_solver(task.solver, seed=task.seed, **params)(instance)
     return ArmRun(
-        index=arm.index,
+        index=task.index,
         order=np.asarray(tour.order, dtype=int),
         length=float(tour.length),
         seconds=time.perf_counter() - start,
         warm=warm is not None,
     )
-
-
-def run_arm_task(task: ArmTask) -> ArmRun:
-    """Module-level (picklable) arm executor for pool fan-out."""
-    instance = task.spec.resolve()
-    arm = Arm(index=task.index, solver=task.solver, params=task.params,
-              seed=task.seed)
-    return run_arm(instance, arm, warm_start=task.warm_start)
 
 
 def race(
@@ -316,7 +314,9 @@ def race(
     of the baseline (arm 0); unlaunched arms are recorded as
     ``cancelled`` — the racing driver's loser cancellation.  A wall
     ``budget_seconds`` additionally stops wave launching once exceeded
-    (operational guard; only relevant in ``"first"`` mode).
+    (operational guard; only relevant in ``"first"`` mode).  Without a
+    ``pool`` the arms run inline; without a ``spec`` each arm task
+    carries ``instance`` itself.
     """
     arms = list(arms)
     if not arms:
@@ -325,43 +325,16 @@ def race(
         raise ConfigError(f"unknown portfolio mode {mode!r}; use best|first")
     if accept_ratio < 1.0:
         raise ConfigError(f"accept_ratio must be >= 1.0, got {accept_ratio}")
-    if pool is not None and spec is None:
-        raise ConfigError("pool execution needs an instance spec")
-    if pool is None and instance is None:
-        if spec is None:
+    if spec is None:
+        if instance is None:
             raise ConfigError("race needs an instance or a spec")
-        instance = spec.resolve()
-
-    def launch(wave: list[Arm]) -> list[tuple[Arm, ArmRun | None, str | None]]:
-        if pool is not None:
-            tasks = [
-                ArmTask(
-                    spec=spec, solver=arm.solver, params=arm.params,
-                    seed=arm.seed, index=arm.index,
-                    warm_start=(tuple(int(v) for v in warm_start)
-                                if warm_start is not None
-                                and arm.solver in WARM_CAPABLE else None),
-                )
-                for arm in wave
-            ]
-            outcomes = pool.map_outcomes(run_arm_task, tasks)
-            return [
-                (arm, out.value if out.ok else None,
-                 None if out.ok else repr(out.error))
-                for arm, out in zip(wave, outcomes)
-            ]
-        rows = []
-        for arm in wave:
-            try:
-                rows.append((arm, run_arm(instance, arm, warm_start=warm_start),
-                             None))
-            except Exception as exc:  # one arm failing must not kill the race
-                rows.append((arm, None, repr(exc)))
-        return rows
+        spec = InstanceSpec.inline(instance)
+    if pool is None:
+        pool = WavefrontPool()
 
     started = time.perf_counter()
     width = len(arms) if mode == "best" else max(
-        1, wave_width or (pool.workers if pool is not None else 1))
+        1, wave_width or pool.workers)
     outcomes: dict[int, ArmOutcome] = {}
     completed: list[tuple[Arm, ArmRun]] = []
     position = 0
@@ -378,15 +351,27 @@ def race(
                     outcomes[arm.index] = ArmOutcome(arm=arm, status="cancelled")
                 break
         wave = arms[position:position + width]
-        for arm, run, error in launch(wave):
-            if run is None:
-                outcomes[arm.index] = ArmOutcome(
-                    arm=arm, status="failed", error=error)
-            else:
+        tasks = [
+            ArmTask(
+                spec=spec, solver=arm.solver, params=arm.params,
+                seed=arm.seed, index=arm.index,
+                warm_start=(tuple(int(v) for v in warm_start)
+                            if warm_start is not None
+                            and arm.solver in WARM_CAPABLE else None),
+            )
+            for arm in wave
+        ]
+        # One outcome per arm: a failing arm must not kill the race.
+        for arm, outcome in zip(wave, pool.map_outcomes(run_arm_task, tasks)):
+            if outcome.ok:
+                run = outcome.value
                 outcomes[arm.index] = ArmOutcome(
                     arm=arm, status="completed", length=run.length,
                     seconds=run.seconds, warm=run.warm)
                 completed.append((arm, run))
+            else:
+                outcomes[arm.index] = ArmOutcome(
+                    arm=arm, status="failed", error=repr(outcome.error))
         position += len(wave)
 
     if not completed:

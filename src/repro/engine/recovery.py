@@ -118,6 +118,7 @@ def run_with_recovery(
     policy: RetryPolicy,
     before_task: Callable | None = None,
     on_retry: Callable | None = None,
+    on_result: Callable | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[TaskOutcome]:
     """Run ``fn`` over ``tasks`` with crash replay; one outcome per task.
@@ -131,6 +132,10 @@ def run_with_recovery(
     dispatch — the chaos harness's injection point; raising
     :class:`TransientError` from it is retryable like an in-task one.
     ``on_retry(task, error)`` fires once per re-dispatch (metrics).
+    ``on_result(value)`` fires once per task whose value lands, in task
+    order within a round (streamed progress); a replayed task reports
+    only when its value finally lands, and an exception raised by the
+    hook propagates instead of being recorded as the task's error.
     """
     tasks = list(tasks)
     outcomes = [TaskOutcome(index=index) for index in range(len(tasks))]
@@ -155,6 +160,9 @@ def run_with_recovery(
                 retry_transient.append(slot)
             except Exception as exc:
                 outcomes[slot].error = exc
+            else:
+                if on_result is not None:
+                    on_result(outcomes[slot].value)
 
         if executor is None:
             for slot in remaining:
@@ -190,6 +198,9 @@ def run_with_recovery(
                     retry_transient.append(slot)
                 except Exception as exc:
                     outcomes[slot].error = exc
+                else:
+                    if on_result is not None:
+                        on_result(outcomes[slot].value)
         if broken_executor is not None:
             pool_failures += 1
             if pool_failures > policy.max_retries:

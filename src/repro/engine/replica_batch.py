@@ -10,7 +10,10 @@ of every shape and every replica, anneal as one ragged kernel batch.
 The rule is read from the run itself (:func:`foldable`): the engine
 would run the replicas in process, clustering is ``ward`` (so every
 replica shares one hierarchy), and the backend is not ``reference``.
-Any other job dispatches per-replica tasks.
+Any other job dispatches per-replica tasks on the engine's pool.
+:func:`~repro.engine.runner.run_batch` calls :func:`solve_folded` once
+per instance and hands each replica to the same progress and result
+assembly as its pool path.
 
 The per-replica seed contract is preserved exactly: replica ``r``
 consumes the same RNG streams it would consume solo, so folded tours
@@ -21,12 +24,11 @@ and by the ``replica_batch`` bench grid's tour hashes).
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 import numpy as np
 
-from repro.core.result import BatchResult, ReplicaResult
-from repro.engine.jobs import BatchJob, BatchProgress, InstanceSpec
+from repro.core.result import ReplicaResult
+from repro.engine.jobs import BatchJob, InstanceSpec
 from repro.errors import ConfigError
 from repro.kernels import BACKEND_REFERENCE, resolve_backend
 
@@ -53,54 +55,10 @@ def foldable(job: BatchJob, workers: int) -> bool:
     )
 
 
-def run_folded_batch(
-    job: BatchJob,
-    seeds: list[int],
-    progress: Callable[[BatchProgress], None] | None = None,
-) -> list[BatchResult]:
-    """Run a batch job with each instance's replicas folded into one solve.
-
-    Mirrors :func:`repro.engine.runner.run_batch` result shapes: one
-    :class:`BatchResult` per instance, shared wall clock, streaming
-    :class:`BatchProgress` events (emitted per replica as each
-    instance's folded solve lands).
-    """
-    total = len(job.instances) * len(seeds)
-    completed = 0
-    start = time.perf_counter()
-    per_instance: list[list[ReplicaResult]] = []
-    for spec in job.instances:
-        replicas = _solve_instance(job, spec, seeds)
-        per_instance.append(replicas)
-        for replica in replicas:
-            completed += 1
-            if progress is not None:
-                progress(
-                    BatchProgress(
-                        instance=spec.label,
-                        replica=replica.index,
-                        replicas_total=len(seeds),
-                        completed=completed,
-                        total=total,
-                        length=replica.length,
-                    )
-                )
-    wall = time.perf_counter() - start
-    return [
-        BatchResult(
-            instance_name=spec.label,
-            n=spec.resolve().n if spec.size == 0 else spec.size,
-            solver=job.solver,
-            replicas=replicas,
-            wall_seconds=wall,
-        )
-        for spec, replicas in zip(job.instances, per_instance)
-    ]
-
-
-def _solve_instance(
+def solve_folded(
     job: BatchJob, spec: InstanceSpec, seeds: list[int]
 ) -> list[ReplicaResult]:
+    """One instance's replicas as one folded solve, in replica order."""
     from repro.core.config import TAXIConfig
     from repro.core.solver import solve_taxi_replicas
     from repro.engine import runner

@@ -1,18 +1,22 @@
-"""Multi-start / multi-replica execution over a process pool.
+"""Multi-start / multi-replica execution over the engine's pool.
 
 This is the throughput layer the paper's chip provides in hardware:
 many independent anneals in flight at once.  A job fans out as
-``instances x replicas`` tasks; each task re-derives its solver from
-``(solver name, params, replica seed)`` inside the worker, so nothing
-stateful crosses process boundaries and a run is reproducible
-bit-for-bit at any worker count:
+``instances x replicas`` tasks on one
+:class:`~repro.engine.wavefront.WavefrontPool`; each task re-derives
+its solver from ``(solver name, params, replica seed)`` inside the
+worker, so nothing stateful crosses process boundaries and a run is
+reproducible bit-for-bit at any worker count:
 
 * replica seeds are pre-derived in the parent from the master seed
   (:func:`repro.utils.rng.replica_seeds`), never from pool scheduling;
-* results are keyed by ``(instance, replica index)`` and re-sorted, so
-  completion order cannot leak into aggregates;
-* ``workers=1`` short-circuits to an in-process serial loop that runs
-  the exact same task function.
+* results come back in task order and are grouped by instance and
+  sorted by replica index, so completion order cannot leak into
+  aggregates;
+* ``workers=1`` runs the exact same task function inline;
+* a task lost to a dead worker is replayed, and a
+  :class:`~repro.errors.TransientError` retried, by the pool's one
+  crash-recovery driver (:func:`repro.engine.recovery.run_with_recovery`).
 
 Usage::
 
@@ -26,13 +30,7 @@ Usage::
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,12 +44,10 @@ from repro.engine.registry import (
     check_instance_capacity,
     get_solver,
 )
-from repro.errors import ConfigError, PoolBrokenError
+from repro.engine.wavefront import WavefrontPool
+from repro.errors import ConfigError
 from repro.tsp.instance import TSPInstance
 from repro.utils.rng import replica_seeds
-
-#: How many queued tasks per worker to keep in flight (bounds memory).
-_BACKLOG_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -155,63 +151,23 @@ def _execute_tasks(
     tasks: list[ReplicaTask],
     workers: int,
     executor: Executor | None,
-    on_result: Callable[[int, ReplicaResult], None],
-) -> None:
-    """Run every task, invoking ``on_result`` as each replica finishes.
+    on_result: Callable[[tuple[int, ReplicaResult]], None] | None = None,
+) -> list[tuple[int, ReplicaResult]]:
+    """Run every task on the engine's pool; values align with ``tasks``.
 
-    The internal pool path survives worker crashes: a broken pool is
-    rebuilt and only the still-undelivered tasks are replayed (each
-    task is a pure function of its description, so retried results are
-    bit-identical), bounded by the default
-    :class:`~repro.engine.recovery.RetryPolicy` budget.
+    ``on_result`` receives each ``(instance_index, replica)`` exactly
+    once, as it lands.  Every task runs; then the first error in task
+    order is raised.  ``eager`` keeps a replay round of one lost task
+    in a fresh worker instead of the calling process.
     """
-    if executor is not None:
-        for future in [executor.submit(run_replica_task, task) for task in tasks]:
-            on_result(*future.result())
-        return
-    if workers <= 1:
-        for task in tasks:
-            on_result(*run_replica_task(task))
-        return
-    from repro.engine.recovery import RetryPolicy
-
-    policy = RetryPolicy()
-    pool_failures = 0
-    undelivered = list(range(len(tasks)))
-    while undelivered:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                backlog = workers * _BACKLOG_PER_WORKER
-                order = list(undelivered)  # this attempt's worklist
-                inflight = {
-                    pool.submit(run_replica_task, tasks[position]): position
-                    for position in order[:backlog]
-                }
-                cursor = len(inflight)
-                while inflight:
-                    done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        position = inflight.pop(future)
-                        # Exactly-once delivery: only a future that
-                        # *returned* marks its task delivered, so a
-                        # crash replay can never double-report.
-                        on_result(*future.result())
-                        undelivered.remove(position)
-                        if cursor < len(order):
-                            replay = order[cursor]
-                            cursor += 1
-                            inflight[
-                                pool.submit(run_replica_task, tasks[replay])
-                            ] = replay
-        except BrokenExecutor:
-            pool_failures += 1
-            if pool_failures > policy.max_retries:
-                raise PoolBrokenError(
-                    f"batch worker pool still broken after "
-                    f"{policy.max_retries} rebuild(s); "
-                    f"{len(undelivered)} task(s) unrecovered"
-                ) from None
-            time.sleep(policy.delay(pool_failures - 1))
+    with WavefrontPool(workers=workers, executor=executor, eager=True) as pool:
+        outcomes = pool.map_outcomes(
+            run_replica_task, tasks, on_result=on_result
+        )
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
+    return [outcome.value for outcome in outcomes]
 
 
 def run_tasks(
@@ -227,23 +183,9 @@ def run_tasks(
     The ``replica_batch`` bench kind times it as the per-replica
     baseline of a folded :func:`run_batch`.  (The solve service builds
     one task per request and maps :func:`run_replica_task` over its
-    pool directly.)  ``tasks[i].instance_index`` must be ``i`` so
-    results can be re-ordered deterministically regardless of
-    completion order.
+    pool directly.)
     """
-    for position, task in enumerate(tasks):
-        if task.instance_index != position:
-            raise ConfigError(
-                f"run_tasks requires instance_index == position; task "
-                f"{position} carries instance_index={task.instance_index}"
-            )
-    collected: dict[int, ReplicaResult] = {}
-
-    def on_result(instance_index: int, replica: ReplicaResult) -> None:
-        collected[instance_index] = replica
-
-    _execute_tasks(tasks, workers, executor, on_result)
-    return [collected[i] for i in range(len(tasks))]
+    return [replica for _, replica in _execute_tasks(tasks, workers, executor)]
 
 
 def run_batch(
@@ -254,47 +196,29 @@ def run_batch(
     """Run a :class:`BatchJob`, returning one BatchResult per instance.
 
     ``progress`` (if given) receives a :class:`BatchProgress` event as
-    each replica completes — streaming, not batched at the end.  An
-    explicit ``executor`` overrides the engine's own process pool (e.g.
-    a thread pool or an inline executor in tests).
+    each replica completes — streaming, not batched at the end; each
+    replica reports once, also after a crash replay.  An explicit
+    ``executor`` overrides the engine's own process pool (e.g. a thread
+    pool or an inline executor in tests).  A failing task does not stop
+    its siblings: the batch runs them all, then raises the first error
+    in task order.
     """
+    from repro.engine.replica_batch import foldable, solve_folded
+
     engine = job.engine
     # Deterministic solvers produce the same tour for every seed, so
     # extra replicas would be bit-identical reruns: clamp to one.
     replicas = engine.replicas if get_solver(job.solver).stochastic else 1
     seeds = replica_seeds(engine.seed, replicas)
+    total = len(job.instances) * replicas
+    workers = engine.resolved_workers(total)
 
-    workers = engine.resolved_workers(len(job.instances) * replicas)
-    if replicas > 1 and executor is None:
-        from repro.engine.replica_batch import foldable, run_folded_batch
-
-        if foldable(job, workers):
-            # Fold the replica dimension into the kernels' batch axis
-            # instead of dispatching per-replica tasks; tours stay
-            # bit-identical (same per-replica seeds and streams).
-            return run_folded_batch(job, seeds, progress)
-
-    tasks = [
-        ReplicaTask(
-            spec=spec,
-            solver=job.solver,
-            params=job.params,
-            seed=seeds[replica],
-            index=replica,
-            instance_index=instance_index,
-        )
-        for instance_index, spec in enumerate(job.instances)
-        for replica in range(replicas)
-    ]
-
-    collected: dict[int, list[ReplicaResult]] = {
-        i: [] for i in range(len(job.instances))
-    }
+    collected: list[list[ReplicaResult]] = [[] for _ in job.instances]
     completed = 0
-    start = time.perf_counter()
 
-    def on_result(instance_index: int, replica: ReplicaResult) -> None:
+    def on_result(value: tuple[int, ReplicaResult]) -> None:
         nonlocal completed
+        instance_index, replica = value
         collected[instance_index].append(replica)
         completed += 1
         if progress is not None:
@@ -304,27 +228,45 @@ def run_batch(
                     replica=replica.index,
                     replicas_total=replicas,
                     completed=completed,
-                    total=len(tasks),
+                    total=total,
                     length=replica.length,
                 )
             )
 
-    _execute_tasks(tasks, workers, executor, on_result)
+    start = time.perf_counter()
+    if replicas > 1 and executor is None and foldable(job, workers):
+        # Fold the replica dimension into the kernels' batch axis
+        # instead of dispatching per-replica tasks; tours stay
+        # bit-identical (same per-replica seeds and streams).
+        for instance_index, spec in enumerate(job.instances):
+            for replica in solve_folded(job, spec, seeds):
+                on_result((instance_index, replica))
+    else:
+        tasks = [
+            ReplicaTask(
+                spec=spec,
+                solver=job.solver,
+                params=job.params,
+                seed=seeds[replica],
+                index=replica,
+                instance_index=instance_index,
+            )
+            for instance_index, spec in enumerate(job.instances)
+            for replica in range(replicas)
+        ]
+        _execute_tasks(tasks, workers, executor, on_result)
     wall = time.perf_counter() - start
 
-    results = []
-    for instance_index, spec in enumerate(job.instances):
-        replicas = sorted(collected[instance_index], key=lambda r: r.index)
-        results.append(
-            BatchResult(
-                instance_name=spec.label,
-                n=spec.resolve().n if spec.size == 0 else spec.size,
-                solver=job.solver,
-                replicas=replicas,
-                wall_seconds=wall,
-            )
+    return [
+        BatchResult(
+            instance_name=spec.label,
+            n=spec.resolve().n if spec.size == 0 else spec.size,
+            solver=job.solver,
+            replicas=sorted(results, key=lambda r: r.index),
+            wall_seconds=wall,
         )
-    return results
+        for spec, results in zip(job.instances, collected)
+    ]
 
 
 def run_replicas(

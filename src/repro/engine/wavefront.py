@@ -5,8 +5,7 @@ level, every cluster's sub-problem is independent of its siblings, so
 the whole level can be solved as one batch — the software analogue of
 TAXI's chip annealing all of a level's macros in parallel.
 
-This module provides the dispatch mechanics, shared with the engine's
-replica runner philosophy (PR 1):
+This module provides the dispatch mechanics:
 
 * work is split into **chunks deterministically** — chunk boundaries
   depend only on the task list and ``chunk_size``, never on worker
@@ -16,15 +15,18 @@ replica runner philosophy (PR 1):
 * results are re-assembled in submission order, so ``workers=1``
   reproduces any parallel run bit-for-bit.
 
-:class:`WavefrontPool` keeps one process pool alive across many
-``map`` calls (one per hierarchy level) instead of paying pool startup
-per level.  An explicit ``executor`` (e.g. a thread pool, or an inline
-test executor) overrides the pool entirely.
+:class:`WavefrontPool` is the engine's one fan-out: the pipeline's
+levels, the batch runner's replicas, the portfolio's arms and the
+solve service's micro-batches all run through it.  It keeps one
+process pool alive across many ``map`` calls (one per hierarchy level)
+instead of paying pool startup per call.  An explicit ``executor``
+(e.g. a thread pool, or an inline test executor) overrides the pool
+entirely.
 
-**Crash recovery** (PR 7): a killed worker marks the whole
-``ProcessPoolExecutor`` broken.  Because chunks are pure functions of
+**Crash recovery**: a killed worker marks the whole
+``ProcessPoolExecutor`` broken.  Because tasks are pure functions of
 their descriptions, the pool can respawn the executor and replay only
-the lost chunks — retried results are bit-identical to an uninjected
+the lost tasks — retried results are bit-identical to an uninjected
 run.  Replay is driven by :mod:`repro.engine.recovery` with a bounded
 :class:`~repro.engine.recovery.RetryPolicy`; while a respawn is in
 flight the pool reports itself *degraded* so serving layers can shed
@@ -157,6 +159,7 @@ class WavefrontPool:
         policy: RetryPolicy | None = None,
         before_task: Callable | None = None,
         on_retry: Callable | None = None,
+        on_result: Callable | None = None,
     ) -> list[TaskOutcome]:
         """Crash-recovering fan-out with per-task isolation.
 
@@ -165,7 +168,10 @@ class WavefrontPool:
         :class:`~repro.engine.recovery.TaskOutcome` (the serving layer
         fails only the corresponding fingerprints).  Pool breakage is
         respawned + replayed and :class:`~repro.errors.TransientError`
-        retried, both bounded by ``policy``.
+        retried, both bounded by ``policy``.  ``on_result(value)`` is
+        called exactly once per task whose value lands, in task order
+        within each recovery round (the batch runner's streamed
+        progress).
         """
         tasks = list(tasks)
         if not tasks:
@@ -178,20 +184,10 @@ class WavefrontPool:
             policy if policy is not None else self.policy,
             before_task=before_task,
             on_retry=on_retry,
+            on_result=on_result,
         )
         self._clear_degraded()
         return outcomes
-
-    def executor_for(self, pending: int) -> Executor | None:
-        """The executor ``pending`` tasks would run on (``None`` = inline).
-
-        Public reuse hook for layers that drive the engine's task
-        functions directly (the solve service dispatches its
-        micro-batches over this pool instead of paying pool startup per
-        batch).  Lazily starts the internal process pool exactly like
-        :meth:`map` would.
-        """
-        return self._resolve_executor(pending)
 
     def _resolve_executor(self, pending: int) -> Executor | None:
         if self._external is not None:

@@ -28,11 +28,13 @@ safe: the re-submitted request has the same fingerprint, the same job
 id, and produces the same tour.
 
 Aggregation: the router's ``/stats`` sums every shard's counters into
-the same shape a single service reports (plus a ``shards`` block), so
-existing clients — the loadgen's counter-delta bookkeeping included —
-work unchanged.  ``/metrics`` merges JSON snapshots numerically and,
-in Prometheus form, re-labels each shard's samples with ``shard="i"``;
-the router's own responses count in ``repro_router_responses_total``.
+the same shape a single service reports (plus a ``shards`` block; the
+hit rate is derived from the sums, the queue settings are the fleet's
+one ``ServiceConfig``), so existing clients — the loadgen's
+counter-delta bookkeeping included — work unchanged.  ``/metrics``
+merges JSON snapshots numerically and, in Prometheus form, re-labels
+each shard's samples with ``shard="i"``; the router's own responses
+count in ``repro_router_responses_total``.
 """
 
 from __future__ import annotations
@@ -561,6 +563,15 @@ class ShardedService:
                 "forward_errors": self.router_errors.value,
             },
         }
+        # A rate and per-shard settings do not sum: derive the rate from
+        # the summed lookups, and take the settings every shard runs.
+        cache = merged["cache"]
+        lookups = cache.get("hits", 0) + cache.get("misses", 0)
+        cache["hit_rate"] = cache.get("hits", 0) / lookups if lookups else 0.0
+        merged["queue"].update(
+            batch_window=self.config.batch_window,
+            max_batch=self.config.max_batch,
+        )
         return merged
 
     def health(self) -> dict:

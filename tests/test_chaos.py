@@ -28,8 +28,14 @@ import numpy as np
 import pytest
 
 from repro.clustering.agglomerative import cluster_with_max_size
-from repro.core.config import LoadgenConfig, ServiceConfig
-from repro.engine import RetryPolicy, run_with_recovery, set_task_hook
+from repro.core.config import EngineConfig, LoadgenConfig, ServiceConfig
+from repro.engine import (
+    BatchJob,
+    RetryPolicy,
+    run_batch,
+    run_with_recovery,
+    set_task_hook,
+)
 from repro.engine.wavefront import WavefrontPool
 from repro.errors import (
     ConfigError,
@@ -86,6 +92,16 @@ class TestRetryPolicy:
 # ----------------------------------------------------------------------
 def _no_sleep(_seconds: float) -> None:
     pass
+
+
+@pytest.fixture(params=["inline", "threads"])
+def executor_provider(request):
+    """The driver's executor provider: inline, or a thread pool."""
+    if request.param == "inline":
+        yield lambda pending: None
+        return
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        yield lambda pending: executor
 
 
 class TestRunWithRecovery:
@@ -169,6 +185,45 @@ class TestRunWithRecovery:
         assert outcomes[0].value == 7
         assert seen == [(7, "first time only")]
 
+    def test_on_result_fires_once_per_delivered_value(
+        self, executor_provider
+    ):
+        attempts: dict[str, int] = {}
+
+        def task_fn(task):
+            attempts[task] = attempts.get(task, 0) + 1
+            if task == "flaky" and attempts[task] == 1:
+                raise TransientError("blip")
+            if task == "bad":
+                raise ValueError("deterministic failure")
+            return task.upper()
+
+        delivered = []
+        outcomes = run_with_recovery(
+            executor_provider, lambda broken: True, task_fn,
+            ["good", "flaky", "bad", "fine"], RetryPolicy(max_retries=3),
+            on_result=delivered.append, sleep=_no_sleep,
+        )
+        # Round one delivers in task order; the transient retry lands
+        # in round two, once; the final error never reports.
+        assert delivered == ["GOOD", "FINE", "FLAKY"]
+        assert outcomes[1].retries == 1
+        assert isinstance(outcomes[2].error, ValueError)
+
+    def test_on_result_exception_propagates(self, executor_provider):
+        class Refused(Exception):
+            pass
+
+        def refuse(value):
+            raise Refused(value)
+
+        with pytest.raises(Refused):
+            run_with_recovery(
+                executor_provider, lambda broken: True, lambda task: task,
+                [1, 2], RetryPolicy(max_retries=3), on_result=refuse,
+                sleep=_no_sleep,
+            )
+
     def test_sleep_follows_policy_schedule(self):
         slept = []
 
@@ -197,14 +252,37 @@ def _slow_square(task: int) -> int:
     return task * task
 
 
-def _kill_once_then(sentinel: str, fn, task):
-    """SIGKILL the calling worker if it wins the sentinel create, else run ``fn``."""
+def _first_to_create(sentinel: str) -> bool:
+    """True for the one caller, in any process, that creates ``sentinel``."""
     try:
         fd = os.open(sentinel, os.O_CREAT | os.O_EXCL)
     except FileExistsError:
-        return fn(task)
+        return False
     os.close(fd)
-    os.kill(os.getpid(), signal.SIGKILL)
+    return True
+
+
+def _kill_once_then(sentinel: str, fn, task):
+    """SIGKILL the calling worker if it wins the sentinel create, else run ``fn``."""
+    if _first_to_create(sentinel):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return fn(task)
+
+
+def _sa_batch(workers: int) -> BatchJob:
+    """Two instances x three ``sa_tsp`` replicas: per-replica tasks."""
+    return BatchJob.create(
+        ["uniform:24:1", "uniform:24:2"], solver="sa_tsp",
+        params={"sweeps": 10},
+        engine=EngineConfig(replicas=3, workers=workers, seed=0),
+    )
+
+
+def _tours(results) -> list:
+    return [
+        [(r.index, r.length, tuple(r.order.tolist())) for r in result.replicas]
+        for result in results
+    ]
 
 
 class TestPoolRecovery:
@@ -282,6 +360,43 @@ class TestPoolRecovery:
         for mine, theirs in zip(results, baseline):
             assert mine.length == theirs.length
             assert (mine.order == theirs.order).all()
+
+    def test_batch_streams_each_replica_once_across_a_crash_replay(
+        self, tmp_path
+    ):
+        sentinel = str(tmp_path / "killed-once")
+
+        def suicide_once(_task):
+            if _first_to_create(sentinel):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        baseline = run_batch(_sa_batch(workers=1))
+        events = []
+        previous = set_task_hook(suicide_once)
+        try:
+            results = run_batch(_sa_batch(workers=2), events.append)
+        finally:
+            set_task_hook(previous)
+        assert os.path.exists(sentinel)  # the kill actually fired
+        assert [event.completed for event in events] == list(range(1, 7))
+        assert len({(e.instance, e.replica) for e in events}) == 6
+        assert _tours(results) == _tours(baseline)
+
+    def test_batch_retries_a_transient_task_error(self, tmp_path):
+        sentinel = str(tmp_path / "blipped-once")
+
+        def blip_once(_task):
+            if _first_to_create(sentinel):
+                raise TransientError("injected blip")
+
+        baseline = run_batch(_sa_batch(workers=1))
+        previous = set_task_hook(blip_once)
+        try:
+            hooked = run_batch(_sa_batch(workers=1))
+        finally:
+            set_task_hook(previous)
+        assert os.path.exists(sentinel)  # the blip actually fired
+        assert _tours(hooked) == _tours(baseline)
 
     def test_hierarchy_kd_map_replays_after_worker_kill(self, tmp_path):
         """A worker SIGKILLed in the KD-block map is replaced, its tasks replayed.
@@ -401,7 +516,7 @@ class TestFaultInjector:
         """
         from repro.core.config import EngineConfig
         from repro.engine.jobs import BatchJob
-        from repro.engine.replica_batch import foldable, run_folded_batch
+        from repro.engine.replica_batch import foldable
         from repro.utils.rng import replica_seeds
 
         job = BatchJob.create(
@@ -410,12 +525,12 @@ class TestFaultInjector:
         )
         assert foldable(job, workers=1)
         seeds = list(replica_seeds(0, 3))
-        baseline = run_folded_batch(job, seeds)[0]
+        baseline = run_batch(job)[0]
 
         seen = []
         previous = set_task_hook(lambda task: seen.append(task.seed))
         try:
-            hooked = run_folded_batch(job, seeds)[0]
+            hooked = run_batch(job)[0]
         finally:
             set_task_hook(previous)
         assert seen == seeds  # once per replica, in replica order

@@ -22,7 +22,7 @@ from repro.engine.bench import (
     compute_replica_batch_speedups,
 )
 from repro.engine.jobs import BatchJob
-from repro.engine.replica_batch import foldable, run_folded_batch
+from repro.engine.replica_batch import foldable
 from repro.engine.runner import ReplicaTask, run_batch, run_tasks
 from repro.engine.wavefront import WavefrontPool
 from repro.errors import ConfigError
@@ -195,7 +195,8 @@ class TestEngineBitIdentity:
     def test_progress_events_stream_per_replica(self):
         events = []
         job = _job(token="clustered:24:1", replicas=3, sweeps=20)
-        run_folded_batch(job, list(replica_seeds(0, 3)), events.append)
+        assert foldable(job, workers=1)
+        run_batch(job, events.append)
         assert [e.replica for e in events] == [0, 1, 2]
         assert all(e.total == 3 for e in events)
 

@@ -145,7 +145,16 @@ class TestShardedFleet:
         assert owner_cache.get("hits", 0) >= 1
 
     def test_stats_aggregate_keeps_single_service_shape(self, fleet):
-        _solve(fleet, _body(seed=102))
+        # One miss and one hit on each shard: one seed per owning shard.
+        owners = {}
+        for seed in range(500, 520):
+            fingerprint = build_request(_body(seed=seed)).fingerprint()
+            owners.setdefault(
+                shard_for_job(job_id_for(fingerprint), fleet.shards), seed)
+        assert sorted(owners) == [0, 1]
+        for seed in owners.values():
+            _solve(fleet, _body(seed=seed))
+            _solve(fleet, _body(seed=seed))
         stats = fleet.stats()
         for key in ("queue", "requests", "cache", "jobs", "health",
                     "shards", "router"):
@@ -160,6 +169,12 @@ class TestShardedFleet:
         assert stats["requests"]["requests"] == sum(
             value or 0 for value in per_shard_requests
         )
+        # A rate and the per-shard settings are not summed.
+        cache = stats["cache"]
+        assert cache["hit_rate"] == cache["hits"] / (
+            cache["hits"] + cache["misses"])
+        assert stats["queue"]["max_batch"] == CONFIG.max_batch
+        assert stats["queue"]["batch_window"] == CONFIG.batch_window
 
     def test_metrics_aggregate_and_prometheus_relabel(self, fleet):
         _solve(fleet, _body(seed=103))
