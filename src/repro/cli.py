@@ -155,10 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "threads pinned by stalled or half-open clients")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="max admitted-but-unsolved requests (backpressure)")
-    serve.add_argument("--batch-window", type=float, default=0.02,
-                       help="seconds to micro-batch compatible requests")
+    serve.add_argument("--batch-window", type=float, default=0.0,
+                       help="seconds a dispatch round waits for more "
+                            "requests (0 = dispatch as soon as a worker "
+                            "is free)")
     serve.add_argument("--max-batch", type=int, default=16,
-                       help="max requests grouped into one dispatch")
+                       help="max requests taken into one dispatch round")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="result-cache capacity (LRU entries)")
     serve.add_argument("--cache-path", default=None,

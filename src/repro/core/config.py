@@ -150,11 +150,12 @@ class ServiceConfig:
         submissions are refused with :class:`ServiceError` (backpressure
         instead of unbounded memory).
     batch_window:
-        Seconds the dispatcher waits after the first queued request to
-        micro-batch more compatible requests into one engine job.
-        ``0`` still coalesces whatever is already queued.
+        Seconds a dispatch round waits after its first request for more
+        to join it.  ``0`` (the default) dispatches as soon as a worker
+        is free, taking whatever is already queued; a positive window
+        trades that latency for larger rounds.
     max_batch:
-        Upper bound on requests grouped into one dispatch.
+        Upper bound on requests taken into one dispatch round.
     cache_size:
         Result-cache capacity in entries (LRU eviction beyond it).
     cache_path:
@@ -167,9 +168,10 @@ class ServiceConfig:
         process cannot grow without bound.  Queued/running jobs are
         never evicted.
     workers:
-        Process-pool width for dispatched solve batches.  ``1`` solves
-        inline in the dispatcher thread; results are bit-identical at
-        any width (requests carry explicit seeds).
+        Process-pool width for dispatched solve batches, and the number
+        of dispatch rounds in flight at once.  ``1`` solves inline, one
+        round at a time; results are bit-identical at any width
+        (requests carry explicit seeds).
     default_deadline:
         Deadline in seconds applied to requests that don't carry their
         own ``deadline_seconds``.  ``None`` (default) means no
@@ -208,7 +210,7 @@ class ServiceConfig:
     """
 
     queue_depth: int = 64
-    batch_window: float = 0.02
+    batch_window: float = 0.0
     max_batch: int = 16
     cache_size: int = 256
     cache_path: str | None = None

@@ -12,7 +12,7 @@ The engine turns the single-shot :class:`~repro.core.solver.TAXISolver`
   streamed batch progress;
 * :mod:`repro.engine.wavefront` — the engine's one crash-recovering
   fan-out: the pipeline's per-level sub-problem batches, batch
-  replicas, portfolio arms and the service's micro-batches;
+  replicas, portfolio arms and the service's dispatch rounds;
 * :mod:`repro.engine.bench` — the bench harness behind ``repro bench``
   (replica fold, sparse scale ladder and portfolio grids ->
   ``BENCH_<rev>.json``); the canonical benchmark is ``perfbench/``.

@@ -56,9 +56,13 @@ def foldable(job: BatchJob, workers: int) -> bool:
 
 
 def solve_folded(
-    job: BatchJob, spec: InstanceSpec, seeds: list[int]
+    job: BatchJob, spec: InstanceSpec, seeds: list[int], instance_index: int
 ) -> list[ReplicaResult]:
-    """One instance's replicas as one folded solve, in replica order."""
+    """One instance's replicas as one folded solve, in replica order.
+
+    ``instance_index`` is the instance's position in ``job.instances``;
+    the task hook sees it exactly as on the per-replica path.
+    """
     from repro.core.config import TAXIConfig
     from repro.core.solver import solve_taxi_replicas
     from repro.engine import runner
@@ -77,7 +81,7 @@ def solve_folded(
                     params=job.params,
                     seed=seed,
                     index=index,
-                    instance_index=0,
+                    instance_index=instance_index,
                 )
             )
 

@@ -239,7 +239,7 @@ def run_batch(
         # instead of dispatching per-replica tasks; tours stay
         # bit-identical (same per-replica seeds and streams).
         for instance_index, spec in enumerate(job.instances):
-            for replica in solve_folded(job, spec, seeds):
+            for replica in solve_folded(job, spec, seeds, instance_index):
                 on_result((instance_index, replica))
     else:
         tasks = [

@@ -17,7 +17,7 @@ This module provides the dispatch mechanics:
 
 :class:`WavefrontPool` is the engine's one fan-out: the pipeline's
 levels, the batch runner's replicas, the portfolio's arms and the
-solve service's micro-batches all run through it.  It keeps one
+solve service's dispatch rounds all run through it.  It keeps one
 process pool alive across many ``map`` calls (one per hierarchy level)
 instead of paying pool startup per call.  An explicit ``executor``
 (e.g. a thread pool, or an inline test executor) overrides the pool

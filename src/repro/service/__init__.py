@@ -1,4 +1,4 @@
-"""Solve-as-a-service: content-addressed caching + micro-batched queue.
+"""Solve-as-a-service: content-addressed caching + a work-conserving queue.
 
 The serving layer on top of the batch engine (PR 1), the vectorized
 kernels (PR 2), and the wavefront pipeline (PR 3):
@@ -8,7 +8,8 @@ kernels (PR 2), and the wavefront pipeline (PR 3):
 * :mod:`repro.service.cache` — LRU result cache with JSON persistence
   and hit/miss/eviction counters;
 * :mod:`repro.service.queue` — asyncio dispatcher with in-flight
-  deduplication and micro-batching over the engine's wavefront pool;
+  deduplication, one dispatch round per free worker of the engine's
+  wavefront pool;
 * :mod:`repro.service.http` — the stdlib HTTP front-end behind
   ``repro serve`` (``/solve``, ``/jobs``, ``/stats``, ``/metrics``):
   one handler whose backend is a :class:`SolveService` or a sharded

@@ -9,18 +9,18 @@ bit-identical to re-running the solve.
 
 Values are plain JSON-safe dicts (tour order as a list, lengths and
 timings as floats), which makes the on-disk format trivially
-inspectable and diffable.  The cache stores and returns **deep
-copies**: a caller mutating a dict it got from (or gave to) the cache
+inspectable and diffable.  The cache stores and returns **private
+copies** (:func:`_copy`: new dicts and lists, shared immutable
+scalars): a caller mutating a dict it got from (or gave to) the cache
 can never poison the stored entry — the same shared-mutable-state
-defect this PR fixes in ``SubmatrixCache``, enforced here by isolation
-rather than by read-only flags.  Hit/miss/eviction counters are
+defect fixed in ``SubmatrixCache``, enforced here by isolation rather
+than by read-only flags.  Hit/miss/eviction counters are
 first-class: the service surfaces them through ``GET /stats`` and the
 bench's ``service`` grid reads them to report hit rates.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import os
@@ -105,6 +105,25 @@ def instance_signature(instance) -> InstanceSignature | None:
     )
 
 
+_CONTAINERS = frozenset({dict, list})
+
+
+def _copy(value):
+    """A private copy of a JSON-safe value: new dicts and lists, shared scalars.
+
+    Cached values hold only dicts, lists and immutable scalars (they
+    are persisted and served as JSON), so this isolates an entry as
+    ``copy.deepcopy`` would, at a fraction of its cost on a long tour.
+    """
+    if isinstance(value, dict):
+        return {key: _copy(inner) for key, inner in value.items()}
+    if isinstance(value, list):
+        if _CONTAINERS.isdisjoint(map(type, value)):
+            return value.copy()  # a tour: scalars only, copied in C
+        return [_copy(inner) for inner in value]
+    return value
+
+
 class ResultCache:
     """Thread-safe in-memory LRU of solve results, keyed by fingerprint.
 
@@ -134,7 +153,7 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> dict | None:
-        """A deep copy of the cached result, or ``None``; hits refresh recency."""
+        """A private copy of the cached result, or ``None``; hits refresh recency."""
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
@@ -146,7 +165,7 @@ class ResultCache:
             self.hits += 1
             if self._metrics is not None:
                 self._metrics.cache_hits.inc()
-            return copy.deepcopy(entry)
+            return _copy(entry)
 
     def put(self, fingerprint: str, value: dict,
             signature: InstanceSignature | None = None) -> None:
@@ -157,7 +176,7 @@ class ResultCache:
         recomputable, so :meth:`load` does not restore them).
         """
         with self._lock:
-            self._entries[fingerprint] = copy.deepcopy(value)
+            self._entries[fingerprint] = _copy(value)
             self._entries.move_to_end(fingerprint)
             if signature is not None:
                 self._signatures[fingerprint] = signature
@@ -194,7 +213,7 @@ class ResultCache:
             entry = self._entries.get(best[1])
             if entry is None:
                 return None
-            return best[1], copy.deepcopy(entry)
+            return best[1], _copy(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -231,7 +250,7 @@ class ResultCache:
         save of a large cache cannot stall concurrent ``get``/``put``.
         The shallow snapshot is safe to serialize lock-free because
         stored values are immutable by construction: ``put`` stores a
-        private deep copy and ``get`` hands out deep copies, so no
+        private copy and ``get`` hands out copies, so no
         caller can mutate a dict the snapshot references.
         """
         target = path if path is not None else self.path

@@ -150,6 +150,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a kept-alive reply's header and body writes must not
+    #: wait for the client's delayed ACK (~40 ms per exchange).
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         # Per-connection socket timeout: the stdlib ``setup()`` applies

@@ -369,7 +369,7 @@ class ServiceMetrics:
             "Requests carried by dispatch groups")
         self.windows = registry.counter(
             "repro_dispatch_windows_total",
-            "Batching windows drained by the dispatcher")
+            "Dispatch rounds run by the dispatcher")
         self.cache_hits = registry.counter(
             "repro_cache_hits_total", "Result-cache lookup hits")
         self.cache_misses = registry.counter(
@@ -421,11 +421,14 @@ class ServiceMetrics:
             "repro_queue_depth_limit", "Backpressure threshold")
         self.batch_size = registry.histogram(
             "repro_batch_size",
-            "Requests coalesced per batching window (pre-grouping occupancy)",
+            "Requests per dispatch round (pre-grouping occupancy)",
             bounds=batch_size_bounds())
         self.solve_latency = registry.histogram(
             "repro_solve_latency_seconds",
             "Submit-to-finish latency of engine-solved requests")
+        self.queue_wait = registry.histogram(
+            "repro_queue_wait_seconds",
+            "Submit-to-dispatch wait of requests a dispatch round took")
         self.cache_hit_latency = registry.histogram(
             "repro_cache_hit_latency_seconds",
             "Admission latency of cache-served requests")

@@ -1,4 +1,4 @@
-"""Solve-as-a-service: asyncio job queue with micro-batching.
+"""Solve-as-a-service: asyncio job queue with work-conserving dispatch.
 
 :class:`SolveService` turns the one-shot solve path into a long-lived
 serving process:
@@ -8,11 +8,18 @@ serving process:
   identical in-flight fingerprints deduplicate onto one job, and a
   full queue refuses with :class:`~repro.errors.ServiceError`
   (backpressure, never unbounded memory);
-* **micro-batching** — an asyncio dispatcher collects requests for up
-  to ``batch_window`` seconds, groups compatible ones (same solver /
-  params / seed), and maps each group's tasks through
+* **dispatch rounds** — an asyncio dispatcher keeps up to ``workers``
+  rounds in flight, one per worker slot.  It takes the next request
+  only when a slot is free, together with everything queued behind it
+  (up to ``max_batch``; a positive ``batch_window`` also waits that
+  long for more), so a cold request starts as soon as a worker is free
+  and requests that arrive during a busy spell leave as one round.  A
+  round groups compatible requests (same solver / params / seed) and
+  maps each group's tasks through
   :func:`repro.engine.runner.run_replica_task` on the service's shared
-  :class:`~repro.engine.wavefront.WavefrontPool`;
+  :class:`~repro.engine.wavefront.WavefrontPool`.  Rounds run
+  concurrently, so a later request can finish before an earlier,
+  slower one;
 * **determinism** — every request carries an explicit integer seed
   that the engine task uses *directly* (no replica-seed derivation),
   so a service solve is bit-identical to ``repro solve`` with the same
@@ -26,9 +33,9 @@ serving process:
   :class:`~repro.errors.ShedError` (HTTP 503 + ``Retry-After``).
   Requests may carry a ``deadline_seconds``: jobs past deadline are
   cancelled before dispatch, and in-flight groups get a watchdog that
-  expires only the overdue fingerprints.  ``stop(drain=True)``
-  finishes admitted jobs before exit; ``drain=False`` fails the
-  still-queued remainder fast.
+  expires only the overdue fingerprints.  ``stop()`` awaits every
+  in-flight round; ``drain=True`` also solves the admitted jobs still
+  queued, ``drain=False`` fails them fast.
 
 The event loop runs on a dedicated daemon thread; ``submit``/``job``/
 ``stats`` are thread-safe and callable from any number of HTTP handler
@@ -156,7 +163,7 @@ class SolveRequest:
         )
 
     def group_key(self) -> tuple:
-        """Requests sharing this key may ride one micro-batched engine job."""
+        """Requests sharing this key in one round ride one engine task batch."""
         return (self.solver, self.params, self.seed)
 
 
@@ -332,7 +339,9 @@ class SolveService:
         guarantees no job is enqueued after the sentinel, so nothing
         can be left 'queued' forever.  ``drain=False`` fails the
         still-queued jobs fast ("shutting down") instead of solving
-        them; jobs already dispatched to the engine finish either way.
+        them; jobs already dispatched to the engine finish either way,
+        since the dispatcher awaits every in-flight round before the
+        pool closes.
         """
         with self._lock:
             thread, loop, queue = self._thread, self._loop, self._queue
@@ -602,67 +611,93 @@ class SolveService:
     # dispatch
     # ------------------------------------------------------------------
     async def _dispatch(self) -> None:
-        """Dispatcher main loop: collect a window, group, run, repeat."""
+        """Dispatcher main loop: one dispatch round per free worker slot.
+
+        A slot is taken *before* the next request, so at most
+        ``workers`` rounds are in flight, and requests that arrive while
+        every worker is busy wait in the queue and leave together as
+        the next round.  On the stop sentinel, every in-flight round is
+        awaited before returning: ``stop()`` closes the pool next.
+        """
         assert self._loop is not None and self._queue is not None
-        while True:
+        slots = asyncio.Semaphore(self.config.workers)
+        rounds: set[asyncio.Task] = set()
+        stop = False
+        while not stop:
+            await slots.acquire()
             first = await self._queue.get()
             if first is _STOP:
-                return
+                break
             batch = [first]
             stop = await self._collect_window(batch)
-            if self._stopping and not self._drain:
-                # Non-drain stop: fail whatever is still only queued,
-                # fast, instead of solving it.
-                for job in batch:
-                    if self._conclude(job, error="service shutting down"):
-                        self.metrics.failed.inc()
-                if stop:
-                    return
-                continue
-            self.metrics.batched_requests.inc(len(batch))
-            # Observe the window occupancy *before* group_key splits it:
-            # distinct seeds (every loadgen cold request) land in their
-            # own single-job groups, so per-group sizes would report a
-            # constant 1.0 no matter how well the window coalesces.
-            self.metrics.windows.inc()
-            self.metrics.batch_size.observe(len(batch))
-            # Deadline gate: jobs already past deadline are cancelled
-            # here, before any engine work is spent on them.
-            now = time.time()
-            live: list[Job] = []
+            # The set holds a reference until the round ends (the loop
+            # keeps only weak ones); the round releases its own slot.
+            round_task = self._loop.create_task(self._round(batch, slots))
+            rounds.add(round_task)
+            round_task.add_done_callback(rounds.discard)
+        await asyncio.gather(*rounds)
+
+    async def _round(self, batch: list[Job], slots: asyncio.Semaphore) -> None:
+        """Run one dispatch round: gate, group, solve; then free its slot."""
+        try:
+            await self._run_round(batch)
+        except Exception as exc:  # keep dispatching whatever breaks
+            self._fail_group(batch, error=f"{type(exc).__name__}: {exc}")
+        finally:
+            slots.release()
+
+    async def _run_round(self, batch: list[Job]) -> None:
+        assert self._loop is not None
+        if self._stopping and not self._drain:
+            # Non-drain stop: fail whatever is still only queued, fast,
+            # instead of solving it.
             for job in batch:
-                if job.deadline_at is not None and now >= job.deadline_at:
-                    if self._conclude(
-                        job,
-                        error="deadline expired while queued",
-                        status="expired",
-                    ):
-                        self.metrics.deadline_expired.inc()
-                else:
-                    live.append(job)
-            if not live:
-                if stop:
-                    return
-                continue
-            groups: dict[tuple, list[Job]] = {}
+                if self._conclude(job, error="service shutting down"):
+                    self.metrics.failed.inc()
+            return
+        self.metrics.batched_requests.inc(len(batch))
+        now = time.time()
+        for job in batch:
+            self.metrics.queue_wait.observe(now - job.submitted_at)
+        # Observe the round's occupancy *before* group_key splits it:
+        # distinct seeds (every loadgen cold request) land in their own
+        # single-job groups, so per-group sizes would report a constant
+        # 1.0 no matter how many requests the round carries.
+        self.metrics.windows.inc()
+        self.metrics.batch_size.observe(len(batch))
+        # Deadline gate: jobs already past deadline are cancelled here,
+        # before any engine work is spent on them.
+        live: list[Job] = []
+        for job in batch:
+            if job.deadline_at is not None and now >= job.deadline_at:
+                if self._conclude(
+                    job,
+                    error="deadline expired while queued",
+                    status="expired",
+                ):
+                    self.metrics.deadline_expired.inc()
+            else:
+                live.append(job)
+        if not live:
+            return
+        groups: dict[tuple, list[Job]] = {}
+        for job in live:
+            groups.setdefault(job.request.group_key(), []).append(job)
+        self.metrics.batches.inc(len(groups))
+        with self._lock:
             for job in live:
-                groups.setdefault(job.request.group_key(), []).append(job)
-            self.metrics.batches.inc(len(groups))
-            with self._lock:
-                for job in live:
-                    job.status = "running"
-            # Incompatible groups from one window run concurrently —
-            # they share the wavefront pool, so serializing them would
-            # idle workers and stack latency per extra group.
-            await asyncio.gather(*(
-                self._loop.run_in_executor(None, self._run_group, jobs)
-                for jobs in groups.values()
-            ))
-            if stop:
-                return
+                job.status = "running"
+        # Incompatible groups from one round run concurrently — they
+        # share the wavefront pool, so serializing them would idle
+        # workers and stack latency per extra group.
+        await asyncio.gather(*(
+            self._loop.run_in_executor(None, self._run_group, jobs)
+            for jobs in groups.values()
+        ))
 
     async def _collect_window(self, batch: list[Job]) -> bool:
-        """Fill ``batch`` up to ``max_batch`` within the batching window.
+        """Fill ``batch`` up to ``max_batch``: what is queued, plus what
+        arrives within ``batch_window`` (``0`` takes only what is queued).
 
         Returns True when the stop sentinel arrived mid-window.
         """

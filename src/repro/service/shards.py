@@ -19,6 +19,14 @@ per-fingerprint-correct without any cross-shard chatter, and because
 every shard runs the same deterministic engine, the same request
 yields a bit-identical tour at any shard count (asserted in tests).
 
+Forwarding rides kept-alive ``http.client`` connections: the router
+parks each finished connection on a per-shard idle list (at most
+``_IDLE_PER_SHARD``), so a forward costs one request/response exchange
+instead of a TCP handshake plus a new shard handler thread.  A parked
+connection the shard has since closed (after its ``request_timeout``)
+is retried once on a fresh one, which is safe because every forwarded
+request is idempotent.
+
 Fault tolerance mirrors the in-process pool contract one level up: a
 monitor thread watches shard processes; a dead shard (crash, SIGKILL)
 is respawned on a fresh port and its undelivered jobs — the router
@@ -46,10 +54,9 @@ import multiprocessing
 import signal
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from collections import OrderedDict
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException
 
 from repro.core.config import ServiceConfig
 from repro.errors import ConfigError, ReproError, ShedError
@@ -73,6 +80,11 @@ _LEDGER_LIMIT = 4096
 #: Forward attempts per request before giving up (each failed attempt
 #: synchronously respawns the target shard first).
 _FORWARD_ATTEMPTS = 3
+
+#: Idle kept-alive connections the router keeps per shard address;
+#: a connection handed back beyond this is closed.  Each idle one holds
+#: a shard handler thread until the shard's ``request_timeout``.
+_IDLE_PER_SHARD = 8
 
 
 def shard_for(fingerprint: str, shards: int) -> int:
@@ -262,6 +274,9 @@ class ShardedService:
         #: unfinished submissions; the crash-replay worklist.
         self._ledger: OrderedDict[str, tuple[int, bytes]] = OrderedDict()
         self._lock = threading.Lock()  # guards the ledger only
+        #: (host, port) -> idle kept-alive connections, most recent last.
+        self._idle: dict[tuple[str, int], list[HTTPConnection]] = {}
+        self._idle_lock = threading.Lock()
         #: One per shard index: a respawn (up to the shard start
         #: timeout) blocks only the requests bound for that shard.
         self._respawn_locks = [threading.Lock() for _ in range(shards)]
@@ -316,6 +331,10 @@ class ShardedService:
             self._monitor.join(timeout=5)
             self._monitor = None
         procs, self._procs = self._procs, []
+        with self._idle_lock:
+            idle, self._idle = self._idle, {}
+        for conn in (conn for conns in idle.values() for conn in conns):
+            conn.close()
         for proc in procs:
             proc.terminate()
 
@@ -352,6 +371,10 @@ class ShardedService:
             if proc.alive:
                 return
             proc.terminate(grace_seconds=0.0)  # reap the corpse
+            with self._idle_lock:
+                stale = self._idle.pop((proc.host, proc.port), [])
+            for conn in stale:
+                conn.close()
             fresh = ShardProcess(
                 index, self.host, self._shard_config(index), self.verbose,
                 self._shard_faults(index),
@@ -378,21 +401,57 @@ class ShardedService:
 
     def _http(self, method: str, url: str, body: bytes | None = None,
               timeout: float = 30.0) -> tuple[int, dict, bytes]:
-        """One forwarded HTTP exchange; shard death -> ShardDownError."""
-        request = urllib.request.Request(
-            url, data=body, method=method,
-            headers={"Content-Type": "application/json"} if body else {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return (response.status, dict(response.headers),
-                        response.read())
-        except urllib.error.HTTPError as exc:
-            # The shard answered (4xx/5xx): a response, not a death.
-            return exc.code, dict(exc.headers or {}), exc.read()
-        except (urllib.error.URLError, ConnectionError, HTTPException,
-                TimeoutError) as exc:
-            raise ShardDownError(f"shard at {url} unreachable: {exc}") from exc
+        """One forwarded HTTP exchange; shard death -> ShardDownError.
+
+        Rides an idle kept-alive connection to the shard when there is
+        one.  A reused connection that fails (the shard closed it after
+        ``request_timeout`` idle, or died) is retried once on a fresh
+        one; every forwarded request is idempotent (``POST /solve`` by
+        fingerprint).  A timeout or a failure on a fresh connection is
+        a dead shard.  A 4xx/5xx is a response, not a death.
+        """
+        split = urllib.parse.urlsplit(url)
+        address = (split.hostname, split.port)
+        target = split.path + (f"?{split.query}" if split.query else "")
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn = self._take_idle(address)
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = HTTPConnection(*address, timeout=timeout)
+            elif conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+                payload = response.read()
+            except (OSError, HTTPException) as exc:
+                conn.close()
+                if reused and not isinstance(exc, TimeoutError):
+                    conn, reused = None, False
+                    continue
+                raise ShardDownError(
+                    f"shard at {url} unreachable: {exc}") from exc
+            if response.will_close:
+                conn.close()
+            else:
+                self._put_idle(address, conn)
+            return response.status, dict(response.headers), payload
+
+    def _take_idle(self, address: tuple[str, int]) -> HTTPConnection | None:
+        with self._idle_lock:
+            idle = self._idle.get(address)
+            return idle.pop() if idle else None
+
+    def _put_idle(self, address: tuple[str, int], conn: HTTPConnection) -> None:
+        with self._idle_lock:
+            idle = self._idle.setdefault(address, [])
+            # Past close() a parked connection would pin a shard handler
+            # thread through the shard's drain.
+            if len(idle) < _IDLE_PER_SHARD and not self._stop_event.is_set():
+                idle.append(conn)
+                return
+        conn.close()
 
     def _forward(self, index: int, method: str, path: str,
                  body: bytes | None = None,

@@ -242,6 +242,26 @@ class TestServiceMetricsWiring:
             "repro_queue_depth_limit",
             "repro_batch_size",
             "repro_solve_latency_seconds",
+            "repro_queue_wait_seconds",
             "repro_cache_hit_latency_seconds",
         ):
             assert name in snap, name
+
+    def test_queue_wait_sampled_once_per_dispatched_job(self):
+        # Queue wait is submit-to-dispatch: one sample per job a round
+        # takes (so its count is batched_requests), never larger than
+        # the same job's submit-to-finish latency; a hit never enters it.
+        from repro.core.config import ServiceConfig
+        from repro.service.queue import SolveRequest, SolveService
+
+        request = SolveRequest.create("uniform:24:5", solver="sa_tsp",
+                                      params={"sweeps": 5}, seed=0)
+        with SolveService(ServiceConfig()) as svc:
+            svc.solve(request, timeout=120)
+            assert svc.submit(request).cached
+            snap = svc.metrics.snapshot()
+            batched = svc.stats()["requests"]["batched_requests"]
+        wait = snap["repro_queue_wait_seconds"]
+        latency = snap["repro_solve_latency_seconds"]
+        assert wait["count"] == latency["count"] == batched == 1
+        assert 0.0 <= wait["sum"] <= latency["sum"]

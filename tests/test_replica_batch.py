@@ -23,7 +23,7 @@ from repro.engine.bench import (
 )
 from repro.engine.jobs import BatchJob
 from repro.engine.replica_batch import foldable
-from repro.engine.runner import ReplicaTask, run_batch, run_tasks
+from repro.engine.runner import ReplicaTask, run_batch, run_tasks, set_task_hook
 from repro.engine.wavefront import WavefrontPool
 from repro.errors import ConfigError
 from repro.macro.batch import BatchedMacroSolver, SubProblem, solve_chunks
@@ -191,6 +191,31 @@ class TestEngineBitIdentity:
         assert _replica_tuples(run_batch(job)[0].replicas) == _replica_tuples(
             _per_replica(job)
         )
+
+    def test_task_hook_sees_the_same_instance_index_folded_or_not(self):
+        # The fold fires the engine task hook once per replica, with the
+        # instance's position, as the per-replica tasks do.
+        def hooked(clustering):
+            seen = []
+            job = BatchJob.create(
+                ["clustered:40:3", "clustered:44:5"], solver="taxi",
+                params={"sweeps": 10, "clustering": clustering},
+                engine=EngineConfig(replicas=2, workers=1, seed=0),
+            )
+            previous = set_task_hook(
+                lambda task: seen.append((task.spec.label, task.instance_index))
+            )
+            try:
+                run_batch(job)
+            finally:
+                set_task_hook(previous)
+            return foldable(job, workers=1), seen
+
+        folded, fold_seen = hooked("ward")
+        per_replica, task_seen = hooked("kmeans")
+        assert folded and not per_replica
+        assert fold_seen == task_seen
+        assert [index for _, index in fold_seen] == [0, 0, 1, 1]
 
     def test_progress_events_stream_per_replica(self):
         events = []

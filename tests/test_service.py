@@ -54,6 +54,29 @@ def service():
         yield svc
 
 
+def _slow_request(token="uniform:200:1"):
+    """An ``sa_tsp`` request that keeps one worker busy for ~0.5 s."""
+    return _request(token=token, solver="sa_tsp", sweeps=3000)
+
+
+def _await_running(job, timeout=30.0):
+    """Block until the dispatcher has put ``job`` in a running round."""
+    deadline = time.monotonic() + timeout
+    while job.status != "running":
+        assert job.status == "queued" and time.monotonic() < deadline, job
+        time.sleep(0.005)
+
+
+def _fill_every_slot(svc):
+    """One slow running round per worker slot (submitted one by one, so
+    no two share a round); returns their jobs."""
+    jobs = []
+    for index in range(svc.config.workers):
+        jobs.append(svc.submit(_slow_request(f"uniform:200:{index + 1}")))
+        _await_running(jobs[-1])
+    return jobs
+
+
 class TestFingerprint:
     def test_seed_none_rejected(self):
         inst = uniform_instance(20, seed=1)
@@ -218,6 +241,59 @@ class TestSolveService:
         assert histogram["sum"] == counters["batched_requests"]
         assert counters["batched_requests"] / counters["windows"] > 1.0
 
+    def test_free_worker_starts_a_request_behind_a_slow_one(self):
+        # Head-of-line blocking: with a second worker free, a small
+        # request must not wait for the slow one submitted before it.
+        with SolveService(ServiceConfig(workers=2, batch_window=0.0)) as svc:
+            slow = svc.submit(_slow_request())
+            time.sleep(0.05)
+            small = svc.submit(_request(token="uniform:24:2", solver="sa_tsp",
+                                        sweeps=5))
+            svc.wait(small.id, timeout=120)
+            assert small.status == "done"
+            assert not slow.done_event.is_set()
+            svc.wait(slow.id, timeout=120)
+            assert slow.status == "done"
+
+    def test_requests_queued_behind_a_busy_worker_leave_as_one_round(self):
+        # Default window: the first request dispatches at once, and the
+        # three that arrive while the one worker is busy leave together.
+        with SolveService(ServiceConfig()) as svc:
+            slow = svc.submit(_slow_request())
+            _await_running(slow)
+            jobs = [
+                svc.submit(_request(token=f"uniform:24:{i}", solver="sa_tsp",
+                                    sweeps=5))
+                for i in range(3)
+            ]
+            assert not slow.done_event.is_set()
+            for job in [slow, *jobs]:
+                assert svc.wait(job.id, timeout=120).status == "done"
+        counters = svc.stats()["requests"]
+        assert counters["windows"] == 2
+        assert counters["batched_requests"] == 4
+        assert counters["batches"] == 2  # the three share one group
+
+    def test_close_drains_rounds_in_flight(self):
+        svc = SolveService(ServiceConfig(workers=2)).start()
+        try:
+            jobs = _fill_every_slot(svc)
+        finally:
+            svc.close()
+        assert [job.status for job in jobs] == ["done", "done"]
+
+    def test_non_drain_stop_fails_only_the_still_queued(self):
+        svc = SolveService(ServiceConfig(workers=2)).start()
+        try:
+            running = _fill_every_slot(svc)
+            queued = svc.submit(_request(token="uniform:24:2",
+                                         solver="sa_tsp", sweeps=5))
+        finally:
+            svc.stop(drain=False)
+        assert [job.status for job in running] == ["done", "done"]
+        assert queued.status == "failed"
+        assert queued.error == "service shutting down"
+
     def test_inflight_deduplication(self):
         # Slow the dispatcher with a window so the second submit lands
         # while the first is still queued.
@@ -301,6 +377,19 @@ class TestSolveService:
         assert hit.cached
         assert hit.result["tour"] == pristine_tour
         assert hit.result["length"] != -1.0
+        # Nested values (a portfolio ledger) are copied both ways too.
+        def ledger():
+            return {"winner": "taxi", "arms": [
+                {"label": "taxi", "params": {"sweeps": 5}, "length": 1.0}]}
+        given = {"tour": [0, 2, 1], "portfolio": ledger()}
+        service.cache.put("nested", given)
+        given["portfolio"]["arms"][0]["params"]["sweeps"] = -1
+        got = service.cache.get("nested")
+        got["portfolio"]["arms"][0]["length"] = -1.0
+        got["portfolio"]["arms"].append({"label": "bogus"})
+        got["tour"].reverse()
+        assert service.cache.get("nested") == {"tour": [0, 2, 1],
+                                                "portfolio": ledger()}
 
     def test_finished_job_history_is_bounded(self):
         config = ServiceConfig(batch_window=0.0, job_history=2)

@@ -21,6 +21,8 @@ import hashlib
 import json
 import os
 import signal
+import statistics
+import sys
 import threading
 import time
 
@@ -32,6 +34,7 @@ from repro.service.http import build_request
 from repro.service.loadgen import ShardedHTTPDriver, run_loadtest
 from repro.service.queue import job_id_for
 from repro.service.shards import (
+    _IDLE_PER_SHARD,
     ShardDownError,
     ShardedService,
     ShardProcess,
@@ -268,6 +271,93 @@ class TestShardedFleet:
         assert summary["errors"] == 0
         assert summary["completed"] == summary["requests"]
         assert summary["cache_hits"] == summary["scheduled_warm"]
+
+
+def _address(fleet, index):
+    proc = fleet._procs[index]
+    return proc.host, proc.port
+
+
+@pytest.mark.slow
+class TestKeptAliveForwarding:
+    def test_sequential_forwards_reuse_one_fast_connection(self, fleet):
+        fleet._fetch_json(0, "/healthz")
+        seconds = []
+        for _ in range(10):
+            started = time.perf_counter()
+            assert fleet._fetch_json(0, "/healthz")["status"] == "ok"
+            seconds.append(time.perf_counter() - started)
+        # A reply held back by Nagle's algorithm waits ~40 ms for the
+        # router's delayed ACK; a kept-alive forward takes ~1 ms.
+        assert statistics.median(seconds) < 0.020, seconds
+        assert len(fleet._idle[_address(fleet, 0)]) == 1
+
+    def test_concurrent_forwards_never_share_a_connection(self, fleet):
+        # More threads than cores, switching often: every forward gets
+        # its own reply, and no connection is parked twice or past the
+        # cap (two threads taking one idle connection would park it
+        # twice).
+        errors_before = fleet.router_errors.value
+        failures = []
+
+        def forward():
+            try:
+                for _ in range(25):
+                    status, payload, _headers = fleet._forward(
+                        1, "GET", "/healthz")
+                    assert status == 200, payload
+                    assert json.loads(payload)["status"] == "ok"
+            except Exception as exc:  # reported by the assertion below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=forward) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert fleet.router_errors.value == errors_before
+        idle = fleet._idle[_address(fleet, 1)]
+        assert 1 <= len({id(conn) for conn in idle}) == len(idle)
+        assert len(idle) <= _IDLE_PER_SHARD
+
+    def test_connection_the_shard_closed_is_retried_unseen(self):
+        config = ServiceConfig(batch_window=0.0, workers=1,
+                               request_timeout=0.5)
+        with ShardedService(2, config) as running:
+            body = _body(seed=601)
+            cold = _solve(running, body)
+            owner = shard_for_job(cold["job_id"], running.shards)
+            assert running._idle[_address(running, owner)]
+            time.sleep(1.2)  # past request_timeout: the shard closed it
+            status, payload, _headers = _post(running, body)
+            assert status == 200
+            hit = json.loads(payload)
+            assert hit["cached"] is True
+            assert hit["result"]["tour_hash"] == cold["result"]["tour_hash"]
+            assert running.router_errors.value == 0
+            assert running.shard_respawns.value == 0
+
+    def test_revive_and_close_drop_idle_connections(self):
+        with ShardedService(2, CONFIG) as running:
+            for index in (0, 1):
+                running._fetch_json(index, "/healthz")
+            dead = running._procs[0]
+            dead_address = _address(running, 0)
+            assert running._idle[dead_address]
+            os.kill(dead.pid, signal.SIGKILL)
+            while dead.alive:
+                time.sleep(0.01)
+            running._revive(0)  # or the monitor got there first
+            assert not running._idle.get(dead_address)
+            assert running._idle[_address(running, 1)]
+        assert running._idle == {}
 
 
 @pytest.mark.slow
