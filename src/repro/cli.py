@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "threads pinned by stalled or half-open clients")
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="max admitted-but-unsolved requests (backpressure)")
-    serve.add_argument("--batch-window", type=float, default=0.0,
-                       help="seconds a dispatch round waits for more "
-                            "requests (0 = dispatch as soon as a worker "
-                            "is free)")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="max requests taken into one dispatch round")
     serve.add_argument("--cache-size", type=int, default=256,
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "send deadline_seconds themselves")
     serve.add_argument("--max-retries", type=int, default=3,
                        help="pool-respawn and transient-retry budget "
-                            "per dispatch")
+                            "per dispatch round")
     serve.add_argument("--chaos-seed", type=int, default=None,
                        metavar="SEED",
                        help="enable server-side chaos injection with this "
@@ -846,7 +842,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         queue_depth=args.queue_depth,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         cache_size=args.cache_size,
         cache_path=args.cache_path,

@@ -149,13 +149,10 @@ class ServiceConfig:
         Maximum requests admitted but not yet dispatched; further
         submissions are refused with :class:`ServiceError` (backpressure
         instead of unbounded memory).
-    batch_window:
-        Seconds a dispatch round waits after its first request for more
-        to join it.  ``0`` (the default) dispatches as soon as a worker
-        is free, taking whatever is already queued; a positive window
-        trades that latency for larger rounds.
     max_batch:
-        Upper bound on requests taken into one dispatch round.
+        Upper bound on requests taken into one dispatch round.  A round
+        starts as soon as a worker is free and takes whatever is
+        already queued, up to this many requests.
     cache_size:
         Result-cache capacity in entries (LRU eviction beyond it).
     cache_path:
@@ -177,12 +174,10 @@ class ServiceConfig:
         own ``deadline_seconds``.  ``None`` (default) means no
         deadline.  Expired jobs finish with status ``"expired"``.
     max_retries:
-        Per-dispatch recovery budget: bounds both pool respawns after
-        worker crashes and transient task retries (see
-        :class:`~repro.engine.recovery.RetryPolicy`).
-    retry_backoff:
-        Base backoff in seconds before the first retry (exponential
-        with deterministic jitter thereafter).
+        Recovery budget of one dispatch round's engine call: bounds
+        both pool respawns after worker crashes and each task's
+        transient retries (see :class:`~repro.engine.recovery
+        .RetryPolicy`).
     shed_retry_after:
         ``Retry-After`` seconds advertised when the service sheds load
         (HTTP 503) because the pool is degraded/respawning.
@@ -204,13 +199,9 @@ class ServiceConfig:
         annealing arms from the cached tour of a geometrically similar
         instance; the result carries ``warm_start: <source_fp16>``
         provenance.
-    warm_threshold:
-        Minimum locality-signature similarity (``0..1``) for a cached
-        tour to qualify as a warm-start source.
     """
 
     queue_depth: int = 64
-    batch_window: float = 0.0
     max_batch: int = 16
     cache_size: int = 256
     cache_path: str | None = None
@@ -218,12 +209,10 @@ class ServiceConfig:
     workers: int = 1
     default_deadline: float | None = None
     max_retries: int = 3
-    retry_backoff: float = 0.05
     shed_retry_after: float = 0.5
     arena: str = "auto"
     request_timeout: float = 30.0
     warm_start: str = "on"
-    warm_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -231,10 +220,6 @@ class ServiceConfig:
         if self.job_history < 1:
             raise ConfigError(
                 f"job_history must be >= 1, got {self.job_history}"
-            )
-        if self.batch_window < 0:
-            raise ConfigError(
-                f"batch_window must be >= 0, got {self.batch_window}"
             )
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}")
@@ -249,10 +234,6 @@ class ServiceConfig:
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ConfigError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
             )
         if self.shed_retry_after <= 0:
             raise ConfigError(
@@ -269,10 +250,6 @@ class ServiceConfig:
         if self.warm_start not in ("on", "off"):
             raise ConfigError(
                 f"warm_start must be 'on' or 'off', got {self.warm_start!r}"
-            )
-        if not 0.0 < self.warm_threshold <= 1.0:
-            raise ConfigError(
-                f"warm_threshold must be in (0, 1], got {self.warm_threshold}"
             )
 
     def warm_start_enabled(self) -> bool:

@@ -130,7 +130,7 @@ class WavefrontPool:
         self._own: ProcessPoolExecutor | None = None
         # Guards lazy pool creation *and* respawn: the solve service
         # resolves the executor from concurrent dispatcher threads, and
-        # two groups may detect the same broken pool at once.
+        # two rounds may detect the same broken pool at once.
         self._own_lock = threading.Lock()
         self._degraded_since: float | None = None
 

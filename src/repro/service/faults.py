@@ -2,9 +2,9 @@
 
 The same philosophy the loadgen applies to traffic (PR 6) applied to
 *failures*: a :class:`FaultInjector`'s entire fault schedule — which
-dispatch kills a pool worker, which task gets slow-solve latency or a
-transient exception, and by how much — is precomputed from one seed at
-construction.  Two injectors built from equal configs carry identical
+dispatch round kills a pool worker, which task gets slow-solve latency
+or a transient exception, and by how much — is precomputed from one
+seed at construction.  Two injectors built from equal configs carry identical
 schedules (assert via :meth:`FaultInjector.schedule_digest`), so a
 chaos run is a repeatable experiment, not a dice roll.
 
@@ -17,9 +17,9 @@ seed, so final tours are bit-identical to an uninjected run.
 
 Injection points:
 
-* :meth:`on_dispatch` — called by the service queue before each group
-  dispatch; scheduled kill slots SIGKILL one live pool worker (the
-  recovery driver then respawns + replays);
+* :meth:`on_dispatch` — called by the service queue once per dispatch
+  round, before the round's engine calls; scheduled kill slots SIGKILL
+  one live pool worker (the recovery driver then respawns + replays);
 * :meth:`on_task` — called parent-side per task (the recovery
   driver's ``before_task`` hook) and usable as the engine's
   :func:`~repro.engine.runner.set_task_hook`; scheduled slots sleep
@@ -150,7 +150,7 @@ class FaultInjector:
             )
 
     def on_dispatch(self, pool) -> None:
-        """Per-dispatch hook: SIGKILL one live pool worker on kill slots.
+        """Per-round hook: SIGKILL one live pool worker on kill slots.
 
         ``pool`` is anything exposing ``worker_pids()`` (the service's
         :class:`~repro.engine.wavefront.WavefrontPool`).  Slots where

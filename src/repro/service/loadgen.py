@@ -488,10 +488,7 @@ class LoadtestReport:
             "cache_hits": cache.get("hits", 0),
             "cache_misses": cache.get("misses", 0),
             "cache_hit_rate": cache.get("hit_rate", 0.0),
-            # Requests per *window*, not per post-grouping dispatch: the
-            # dispatcher splits a window by (solver, params, seed), and
-            # cold traffic carries unique seeds, so per-group averages
-            # would sit at 1.0 regardless of coalescing.
+            # Requests per dispatch round.
             "mean_batch_size": (batched / windows) if windows else 0.0,
             "server_requests": requests,
             "chaos": self._chaos_summary(),

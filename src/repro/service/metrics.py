@@ -7,7 +7,7 @@ service's own job-table lock), cheap enough to sit on the hot path
 without stopping traffic:
 
 * :class:`Counter` — monotonically increasing event counts (requests,
-  cache hits, dispatched batches);
+  cache hits, dispatch rounds);
 * :class:`Gauge` — instantaneous values (queue depth, pool width);
 * :class:`Histogram` — streaming distribution sketches over fixed
   bucket ladders, with percentile estimation by intra-bucket linear
@@ -362,11 +362,9 @@ class ServiceMetrics:
             "repro_requests_completed_total", "Requests solved successfully")
         self.failed = registry.counter(
             "repro_requests_failed_total", "Requests that failed in the engine")
-        self.batches = registry.counter(
-            "repro_batches_total", "Engine dispatch groups run")
         self.batched_requests = registry.counter(
             "repro_batched_requests_total",
-            "Requests carried by dispatch groups")
+            "Requests carried by dispatch rounds")
         self.windows = registry.counter(
             "repro_dispatch_windows_total",
             "Dispatch rounds run by the dispatcher")
@@ -393,7 +391,7 @@ class ServiceMetrics:
             "Requests shed (503) while the pool was degraded")
         self.partial_group_failures = registry.counter(
             "repro_partial_group_failures_total",
-            "Dispatch groups where some-but-not-all tasks failed")
+            "Dispatch rounds where some jobs failed and others succeeded")
         self.portfolio_arms = registry.counter(
             "repro_portfolio_arms_total",
             "Arms raced (launched) by portfolio solves")
@@ -421,7 +419,7 @@ class ServiceMetrics:
             "repro_queue_depth_limit", "Backpressure threshold")
         self.batch_size = registry.histogram(
             "repro_batch_size",
-            "Requests per dispatch round (pre-grouping occupancy)",
+            "Requests per dispatch round",
             bounds=batch_size_bounds())
         self.solve_latency = registry.histogram(
             "repro_solve_latency_seconds",

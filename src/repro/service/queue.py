@@ -10,14 +10,14 @@ serving process:
   (backpressure, never unbounded memory);
 * **dispatch rounds** — an asyncio dispatcher keeps up to ``workers``
   rounds in flight, one per worker slot.  It takes the next request
-  only when a slot is free, together with everything queued behind it
-  (up to ``max_batch``; a positive ``batch_window`` also waits that
-  long for more), so a cold request starts as soon as a worker is free
-  and requests that arrive during a busy spell leave as one round.  A
-  round groups compatible requests (same solver / params / seed) and
-  maps each group's tasks through
+  only when a slot is free, together with whatever is already queued
+  behind it (up to ``max_batch``), so a cold request starts as soon as
+  a worker is free and requests that arrive during a busy spell leave
+  as one round.  A round maps all of its engine jobs through one
+  :meth:`~repro.engine.wavefront.WavefrontPool.map_outcomes` call of
   :func:`repro.engine.runner.run_replica_task` on the service's shared
-  :class:`~repro.engine.wavefront.WavefrontPool`.  Rounds run
+  pool (each task carries its own solver, params and seed), and races
+  each portfolio job in its own executor call beside it.  Rounds run
   concurrently, so a later request can finish before an earlier,
   slower one;
 * **determinism** — every request carries an explicit integer seed
@@ -25,17 +25,16 @@ serving process:
   so a service solve is bit-identical to ``repro solve`` with the same
   instance/config/seed, and job IDs are derived from the fingerprint
   (re-submitting an identical request always names the same job);
-* **fault tolerance** (PR 7) — groups run through the pool's
-  crash-recovering :meth:`~repro.engine.wavefront.WavefrontPool
-  .map_outcomes`, so a killed worker triggers respawn + bit-identical
-  replay and one task's failure never poisons its group siblings;
-  while the pool is degraded, new work is shed with
-  :class:`~repro.errors.ShedError` (HTTP 503 + ``Retry-After``).
-  Requests may carry a ``deadline_seconds``: jobs past deadline are
-  cancelled before dispatch, and in-flight groups get a watchdog that
-  expires only the overdue fingerprints.  ``stop()`` awaits every
-  in-flight round; ``drain=True`` also solves the admitted jobs still
-  queued, ``drain=False`` fails them fast.
+* **fault tolerance** — a round's engine call is crash-recovering, so
+  a killed worker triggers respawn + bit-identical replay and one
+  task's failure never poisons the rest of its round; while the pool
+  is degraded, new work is shed with :class:`~repro.errors.ShedError`
+  (HTTP 503 + ``Retry-After``).  Requests may carry a
+  ``deadline_seconds``: jobs past deadline are cancelled before
+  dispatch, and each running job with a deadline gets a timer on the
+  dispatcher's event loop that expires it alone.  ``stop()`` awaits
+  every in-flight round; ``drain=True`` also solves the admitted jobs
+  still queued, ``drain=False`` fails them fast.
 
 The event loop runs on a dedicated daemon thread; ``submit``/``job``/
 ``stats`` are thread-safe and callable from any number of HTTP handler
@@ -56,13 +55,7 @@ from repro.engine.portfolio import WARM_CAPABLE, plan_arms, race
 from repro.engine.recovery import RetryPolicy
 from repro.engine.runner import ReplicaTask, run_replica_task
 from repro.engine.wavefront import WavefrontPool
-from repro.errors import (
-    ConfigError,
-    PoolBrokenError,
-    ReproError,
-    ServiceError,
-    ShedError,
-)
+from repro.errors import ConfigError, ReproError, ServiceError, ShedError
 from repro.service.cache import ResultCache, instance_signature
 from repro.service.fingerprint import (
     canonical_params,
@@ -105,9 +98,9 @@ class SolveRequest:
     solver: str = "taxi"
     params: tuple[tuple[str, object], ...] = ()
     seed: int = 0
-    #: Operational hint, deliberately excluded from the fingerprint and
-    #: the group key: two requests for the same content are the same
-    #: solve whatever their patience.
+    #: Operational hint, deliberately excluded from the fingerprint: two
+    #: requests for the same content are the same solve whatever their
+    #: patience.
     deadline_seconds: float | None = None
 
     @classmethod
@@ -162,10 +155,6 @@ class SolveRequest:
             self.spec.resolve(), self.solver, dict(self.params), self.seed
         )
 
-    def group_key(self) -> tuple:
-        """Requests sharing this key in one round ride one engine task batch."""
-        return (self.solver, self.params, self.seed)
-
 
 #: Job statuses that count as finished (history-prunable).
 _FINISHED = ("done", "failed", "expired")
@@ -199,9 +188,9 @@ class Job:
     ) -> bool:
         """Record the terminal state; first finish wins (idempotent).
 
-        The deadline watchdog and the engine can race to conclude the
-        same job — e.g. the watchdog expires it while the solve is
-        still running and completes later.  Returns True only for the
+        A deadline timer and the engine can race to conclude the same
+        job — e.g. the timer expires it while the solve is still
+        running and completes later.  Returns True only for the
         call that actually finished the job, so accounting (pending
         decrement, completed/failed counters) happens exactly once.
         """
@@ -243,6 +232,31 @@ def job_id_for(fingerprint: str) -> str:
     return f"job-{fingerprint[:_JOB_ID_DIGITS]}"
 
 
+def _result(request: SolveRequest, order, length: float,
+            solve_seconds: float, setup_seconds: float) -> dict:
+    """The result dict a solved job answers with (and the cache holds)."""
+    return {
+        "instance": request.spec.label,
+        "n": int(order.size),
+        "solver": request.solver,
+        "seed": request.seed,
+        "params": dict(request.params),
+        "length": length,
+        "tour": [int(city) for city in order],
+        "tour_hash": tour_hash(order),
+        "solve_seconds": solve_seconds,
+        "setup_seconds": setup_seconds,
+    }
+
+
+def _error_message(error: BaseException) -> str:
+    """A failed job's error text: a library error's own message, else
+    the exception type and message."""
+    if isinstance(error, ReproError):
+        return str(error)
+    return f"{type(error).__name__}: {error}"
+
+
 class SolveService:
     """The serving facade: cache + queue + dispatcher + worker pool."""
 
@@ -261,24 +275,20 @@ class SolveService:
             self.config.cache_size, self.config.cache_path,
             metrics=self.metrics,
         )
-        self._retry_policy = RetryPolicy(
-            max_retries=self.config.max_retries,
-            backoff_base=self.config.retry_backoff,
-        )
         # eager=True: with a long-lived pool, single-request traffic
         # should ride it too — otherwise light traffic silently
         # bypasses (and never exercises or recovers) the pool.
         self.pool = WavefrontPool(
             workers=self.config.workers,
-            policy=self._retry_policy,
+            policy=RetryPolicy(max_retries=self.config.max_retries),
             eager=True,
             on_respawn=self.metrics.pool_respawns.inc,
             on_degraded=self._on_pool_degraded,
         )
         #: Optional chaos hook (duck-typed :class:`~repro.service
-        #: .faults.FaultInjector`): consulted before each group
-        #: dispatch (worker kills) and before each task (latency /
-        #: transient faults).
+        #: .faults.FaultInjector`): consulted once per dispatch round
+        #: (worker kills) and before each task (latency / transient
+        #: faults).
         self.fault_injector = fault_injector
         # Shared-memory instance arena: dispatched tasks carry tiny
         # content-addressed refs instead of pickled coordinate/matrix
@@ -488,7 +498,6 @@ class SolveService:
                 "served_from_cache": metrics.served_from_cache.value,
                 "completed": metrics.completed.value,
                 "failed": metrics.failed.value,
-                "batches": metrics.batches.value,
                 "batched_requests": metrics.batched_requests.value,
                 "windows": metrics.windows.value,
                 "retries": metrics.retries.value,
@@ -508,7 +517,6 @@ class SolveService:
             "queue": {
                 "pending": pending,
                 "depth": self.config.queue_depth,
-                "batch_window": self.config.batch_window,
                 "max_batch": self.config.max_batch,
                 "workers": self.config.workers,
             },
@@ -629,7 +637,7 @@ class SolveService:
             if first is _STOP:
                 break
             batch = [first]
-            stop = await self._collect_window(batch)
+            stop = self._take_queued(batch)
             # The set holds a reference until the round ends (the loop
             # keeps only weak ones); the round releases its own slot.
             round_task = self._loop.create_task(self._round(batch, slots))
@@ -637,85 +645,94 @@ class SolveService:
             round_task.add_done_callback(rounds.discard)
         await asyncio.gather(*rounds)
 
-    async def _round(self, batch: list[Job], slots: asyncio.Semaphore) -> None:
-        """Run one dispatch round: gate, group, solve; then free its slot."""
-        try:
-            await self._run_round(batch)
-        except Exception as exc:  # keep dispatching whatever breaks
-            self._fail_group(batch, error=f"{type(exc).__name__}: {exc}")
-        finally:
-            slots.release()
+    def _take_queued(self, batch: list[Job]) -> bool:
+        """Add what is already queued to ``batch``, up to ``max_batch``.
 
-    async def _run_round(self, batch: list[Job]) -> None:
-        assert self._loop is not None
-        if self._stopping and not self._drain:
-            # Non-drain stop: fail whatever is still only queued, fast,
-            # instead of solving it.
-            for job in batch:
-                if self._conclude(job, error="service shutting down"):
-                    self.metrics.failed.inc()
-            return
-        self.metrics.batched_requests.inc(len(batch))
-        now = time.time()
-        for job in batch:
-            self.metrics.queue_wait.observe(now - job.submitted_at)
-        # Observe the round's occupancy *before* group_key splits it:
-        # distinct seeds (every loadgen cold request) land in their own
-        # single-job groups, so per-group sizes would report a constant
-        # 1.0 no matter how many requests the round carries.
-        self.metrics.windows.inc()
-        self.metrics.batch_size.observe(len(batch))
-        # Deadline gate: jobs already past deadline are cancelled here,
-        # before any engine work is spent on them.
-        live: list[Job] = []
-        for job in batch:
-            if job.deadline_at is not None and now >= job.deadline_at:
-                if self._conclude(
-                    job,
-                    error="deadline expired while queued",
-                    status="expired",
-                ):
-                    self.metrics.deadline_expired.inc()
-            else:
-                live.append(job)
-        if not live:
-            return
-        groups: dict[tuple, list[Job]] = {}
-        for job in live:
-            groups.setdefault(job.request.group_key(), []).append(job)
-        self.metrics.batches.inc(len(groups))
-        with self._lock:
-            for job in live:
-                job.status = "running"
-        # Incompatible groups from one round run concurrently — they
-        # share the wavefront pool, so serializing them would idle
-        # workers and stack latency per extra group.
-        await asyncio.gather(*(
-            self._loop.run_in_executor(None, self._run_group, jobs)
-            for jobs in groups.values()
-        ))
-
-    async def _collect_window(self, batch: list[Job]) -> bool:
-        """Fill ``batch`` up to ``max_batch``: what is queued, plus what
-        arrives within ``batch_window`` (``0`` takes only what is queued).
-
-        Returns True when the stop sentinel arrived mid-window.
+        Returns True when the stop sentinel was among it.
         """
-        assert self._loop is not None and self._queue is not None
-        deadline = self._loop.time() + self.config.batch_window
+        assert self._queue is not None
         while len(batch) < self.config.max_batch:
-            remaining = deadline - self._loop.time()
             try:
-                if remaining > 0:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except (asyncio.TimeoutError, asyncio.QueueEmpty):
+                item = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
                 return False
             if item is _STOP:
                 return True
             batch.append(item)
         return False
+
+    async def _round(self, batch: list[Job], slots: asyncio.Semaphore) -> None:
+        """Run one dispatch round, then free its slot."""
+        try:
+            await self._run_round(batch)
+        except Exception as exc:  # keep dispatching whatever breaks
+            self._fail_jobs(batch, _error_message(exc))
+        finally:
+            slots.release()
+
+    async def _run_round(self, batch: list[Job]) -> None:
+        """Gate the round's deadlines, then solve its live jobs at once.
+
+        The engine jobs go through one :meth:`_run_tasks` call, and each
+        portfolio job races in its own executor call beside it.  Every
+        live job with a deadline gets a timer on this loop that expires
+        it alone; the round cancels its timers when it ends.
+        """
+        assert self._loop is not None
+        if self._stopping and not self._drain:
+            # Non-drain stop: fail whatever is still only queued, fast,
+            # instead of solving it.
+            self._fail_jobs(batch, "service shutting down")
+            return
+        self.metrics.windows.inc()
+        self.metrics.batch_size.observe(len(batch))
+        self.metrics.batched_requests.inc(len(batch))
+        now = time.time()
+        live: list[Job] = []
+        for job in batch:
+            self.metrics.queue_wait.observe(now - job.submitted_at)
+            # Deadline gate: no engine work is spent on an overdue job.
+            if job.deadline_at is not None and now >= job.deadline_at:
+                self._expire(job, "queued")
+            else:
+                live.append(job)
+        if not live:
+            return
+        with self._lock:
+            for job in live:
+                job.status = "running"
+        timers = [
+            self._loop.call_later(
+                job.deadline_at - time.time(), self._expire, job, "solving"
+            )
+            for job in live
+            if job.deadline_at is not None
+        ]
+        try:
+            if self.fault_injector is not None:
+                # Off the loop thread: a worker kill takes the pool's lock.
+                await self._loop.run_in_executor(
+                    None, self.fault_injector.on_dispatch, self.pool
+                )
+            engine_jobs = [
+                job for job in live if job.request.solver != "portfolio"
+            ]
+            calls = [
+                self._loop.run_in_executor(None, self._run_portfolio_job, job)
+                for job in live
+                if job.request.solver == "portfolio"
+            ]
+            if engine_jobs:
+                calls.append(self._loop.run_in_executor(
+                    None, self._run_tasks, engine_jobs
+                ))
+            await asyncio.gather(*calls)
+        finally:
+            for timer in timers:
+                timer.cancel()
+        statuses = {job.status for job in live}
+        if "done" in statuses and "failed" in statuses:
+            self.metrics.partial_group_failures.inc()
 
     def _conclude(
         self,
@@ -726,10 +743,11 @@ class SolveService:
     ) -> bool:
         """Finish one queued job exactly once + keep pending accounting.
 
-        Safe to call from the dispatcher, the group runner, and the
-        deadline watchdog concurrently: only the first caller wins
-        (and decrements ``_pending``).  Never used for cache-hit jobs,
-        which are finished at admission and never counted pending.
+        Safe to call from the dispatcher loop (deadline gate and
+        timers) and from a round's executor calls concurrently: only
+        the first caller wins (and decrements ``_pending``).  Never
+        used for cache-hit jobs, which are finished at admission and
+        never counted pending.
         """
         if not job.finish(result, error=error, status=status):
             return False
@@ -737,6 +755,25 @@ class SolveService:
             self._pending -= 1
             self.metrics.queue_pending.set(self._pending)
         return True
+
+    def _complete(self, job: Job, result: dict) -> None:
+        if self._conclude(job, result=result):
+            self.metrics.completed.inc()
+            self.metrics.solve_latency.observe(
+                job.finished_at - job.submitted_at
+            )
+
+    def _fail_jobs(self, jobs: list[Job], error: str) -> None:
+        for job in jobs:
+            if self._conclude(job, error=error):
+                self.metrics.failed.inc()
+
+    def _expire(self, job: Job, where: str) -> None:
+        """Expire ``job`` (``where`` is "queued" or "solving")."""
+        if self._conclude(
+            job, error=f"deadline expired while {where}", status="expired"
+        ):
+            self.metrics.deadline_expired.inc()
 
     def _count_retry(self, _task, _error) -> None:
         self.metrics.retries.inc()
@@ -774,21 +811,18 @@ class SolveService:
         self.metrics.arena_bytes.set(arena_stats["bytes"])
         return InstanceSpec.shared(ref)
 
-    def _run_group(self, jobs: list[Job]) -> None:
-        """Run one compatible group as a single engine task batch.
+    def _run_tasks(self, jobs: list[Job]) -> None:
+        """Solve a round's engine jobs through one ``map_outcomes`` call.
 
-        Fault handling is per task: one job's deterministic failure
-        (bad instance, non-finite tour) fails only that job's
-        fingerprint — its group siblings still resolve.  Worker
-        crashes are respawned + replayed and transients retried inside
-        :meth:`WavefrontPool.map_outcomes`; only exhausted recovery
-        (:class:`PoolBrokenError`) fails the whole group.
+        Each task carries its own solver, params and seed, and each job
+        concludes as its task's value lands (in task order).  Fault
+        handling is per task: one job's deterministic failure (bad
+        instance, non-finite tour) fails only that job's fingerprint.
+        Worker crashes are respawned + replayed and transients retried
+        inside the call; only exhausted recovery
+        (:class:`~repro.errors.PoolBrokenError`) fails the jobs still
+        unfinished.
         """
-        if self.fault_injector is not None:
-            self.fault_injector.on_dispatch(self.pool)
-        if jobs and jobs[0].request.solver == "portfolio":
-            self._run_portfolio_group(jobs)
-            return
         tasks = [
             ReplicaTask(
                 spec=self._dispatch_spec(job.request),
@@ -800,77 +834,36 @@ class SolveService:
             )
             for position, job in enumerate(jobs)
         ]
-        # In-flight deadline watchdog: expires only the overdue jobs
-        # while the rest of the group keeps solving.
-        watchdog_done = threading.Event()
-        watchdog: threading.Thread | None = None
-        if any(job.deadline_at is not None for job in jobs):
-            watchdog = threading.Thread(
-                target=self._deadline_watchdog,
-                args=(jobs, watchdog_done),
-                name="repro-deadline-watchdog",
-                daemon=True,
-            )
-            watchdog.start()
-        before_task = (
-            self.fault_injector.on_task
-            if self.fault_injector is not None else None
-        )
+
+        def land(value) -> None:
+            position, replica = value
+            job = jobs[position]
+            result = _result(job.request, replica.order, replica.length,
+                             replica.seconds, replica.setup_seconds)
+            # Cache before concluding: even if its deadline timer already
+            # expired the job, the finished work is still a valid
+            # content-addressed result for future requests.
+            self.cache.put(job.fingerprint, result,
+                           signature=self._result_signature(job.request))
+            self._complete(job, result)
+
         try:
             outcomes = self.pool.map_outcomes(
                 run_replica_task,
                 tasks,
-                before_task=before_task,
+                before_task=(
+                    self.fault_injector.on_task
+                    if self.fault_injector is not None else None
+                ),
                 on_retry=self._count_retry,
+                on_result=land,
             )
-        except PoolBrokenError as exc:
-            self._fail_group(jobs, error=str(exc))
+        except Exception as exc:  # PoolBrokenError, or anything unforeseen
+            self._fail_jobs(jobs, _error_message(exc))
             return
-        except Exception as exc:  # defensive: keep serving whatever breaks
-            self._fail_group(jobs, error=f"{type(exc).__name__}: {exc}")
-            return
-        finally:
-            watchdog_done.set()
-            if watchdog is not None:
-                watchdog.join()
-        succeeded = failed = 0
         for job, outcome in zip(jobs, outcomes):
-            if outcome.ok:
-                _, replica = outcome.value
-                value = {
-                    "instance": job.request.spec.label,
-                    "n": int(replica.order.size),
-                    "solver": job.request.solver,
-                    "seed": job.request.seed,
-                    "params": dict(job.request.params),
-                    "length": replica.length,
-                    "tour": [int(city) for city in replica.order],
-                    "tour_hash": tour_hash(replica.order),
-                    "solve_seconds": replica.seconds,
-                    "setup_seconds": replica.setup_seconds,
-                }
-                # Cache before concluding: even if the watchdog already
-                # expired this job, the finished work is still a valid
-                # content-addressed result for future requests.
-                self.cache.put(job.fingerprint, value,
-                               signature=self._result_signature(job.request))
-                succeeded += 1
-                if self._conclude(job, result=value):
-                    self.metrics.completed.inc()
-                    self.metrics.solve_latency.observe(
-                        job.finished_at - job.submitted_at
-                    )
-            else:
-                error = outcome.error
-                message = (
-                    str(error) if isinstance(error, ReproError)
-                    else f"{type(error).__name__}: {error}"
-                )
-                failed += 1
-                if self._conclude(job, error=message):
-                    self.metrics.failed.inc()
-        if succeeded and failed:
-            self.metrics.partial_group_failures.inc()
+            if not outcome.ok:
+                self._fail_jobs([job], _error_message(outcome.error))
 
     def _result_signature(self, request: SolveRequest):
         """Locality signature to register with the warm-start tier, or None."""
@@ -881,38 +874,13 @@ class SolveService:
         except Exception:  # a failed signature must never fail the solve
             return None
 
-    def _run_portfolio_group(self, jobs: list[Job]) -> None:
-        """Race portfolio arms across the service pool, one job at a time.
-
-        Each job fans its planned arms over the shared
-        :class:`WavefrontPool` via :func:`repro.engine.portfolio.race`
-        (the jobs of one group share params/seed but name different
-        instances, so their arm sets differ and cannot be merged into
-        one wave).  Deadline watchdog semantics match
-        :meth:`_run_group`.
-        """
-        watchdog_done = threading.Event()
-        watchdog: threading.Thread | None = None
-        if any(job.deadline_at is not None for job in jobs):
-            watchdog = threading.Thread(
-                target=self._deadline_watchdog,
-                args=(jobs, watchdog_done),
-                name="repro-deadline-watchdog",
-                daemon=True,
-            )
-            watchdog.start()
-        try:
-            for job in jobs:
-                self._run_portfolio_job(job)
-        finally:
-            watchdog_done.set()
-            if watchdog is not None:
-                watchdog.join()
-
     def _run_portfolio_job(self, job: Job) -> None:
-        """Plan, warm-seed, and race one portfolio solve to conclusion."""
+        """Plan, warm-seed, and race one portfolio solve to conclusion.
+
+        The race fans its planned arms over the shared
+        :class:`WavefrontPool` via :func:`repro.engine.portfolio.race`.
+        """
         request = job.request
-        signature = None
         try:
             instance = request.spec.resolve()
             params = dict(request.params)
@@ -925,19 +893,19 @@ class SolveService:
                 digest=content_key(instance),
                 max_arms=int(params.get("max_arms", 4)),
             )
+            signature = (
+                instance_signature(instance)
+                if self.config.warm_start_enabled() else None
+            )
             # Near-match warm start: this job is here because its exact
             # fingerprint missed; a geometrically similar cached tour
             # can still seed the annealing arms.
             warm_start = warm_source = None
-            if self.config.warm_start_enabled() and any(
+            if signature is not None and any(
                     arm.solver in WARM_CAPABLE for arm in arms):
-                signature = instance_signature(instance)
-                near = self.cache.find_similar(
-                    signature, self.config.warm_threshold)
+                near = self.cache.find_similar(signature)
                 if near is not None and isinstance(near[1].get("tour"), list):
                     warm_source, warm_start = near[0], near[1]["tour"]
-            elif self.config.warm_start_enabled():
-                signature = instance_signature(instance)
             result = race(
                 arms,
                 spec=self._dispatch_spec(request),
@@ -948,75 +916,25 @@ class SolveService:
                 warm_start=warm_start,
                 warm_source=warm_source,
             )
-        except ReproError as exc:
-            if self._conclude(job, error=str(exc)):
-                self.metrics.failed.inc()
-            return
         except Exception as exc:  # defensive: keep serving whatever breaks
-            if self._conclude(job, error=f"{type(exc).__name__}: {exc}"):
-                self.metrics.failed.inc()
+            self._fail_jobs([job], _error_message(exc))
             return
         launched = sum(
             1 for outcome in result.outcomes if outcome.status != "cancelled")
         self.metrics.portfolio_arms.inc(launched)
         self.metrics.portfolio_win(result.winner.label)
+        value = _result(request, result.order, result.length,
+                        result.seconds, 0.0)
+        value["portfolio"] = result.ledger()
         if result.warm_source is not None:
             self.metrics.warm_starts.inc()
-        value = {
-            "instance": request.spec.label,
-            "n": int(result.order.size),
-            "solver": request.solver,
-            "seed": request.seed,
-            "params": dict(request.params),
-            "length": result.length,
-            "tour": [int(city) for city in result.order],
-            "tour_hash": tour_hash(result.order),
-            "solve_seconds": result.seconds,
-            "setup_seconds": 0.0,
-            "portfolio": result.ledger(),
-        }
-        if result.warm_source is not None:
             value["warm_start"] = result.warm_source[:16]
-        # A first-mode race stops on its wave width (the pool's workers)
-        # and on wall-clock overrun, so the fingerprint does not
-        # determine its result: it is answered but never cached, which
-        # also keeps it out of the warm-start tier.
-        if mode != "first":
+        # Only a result the fingerprint determines is cached.  A
+        # first-mode race stops on its wave width (the pool's workers)
+        # and on wall-clock overrun, and a warm-started race depends on
+        # what the cache held when it ran (a fresh shard, a restart or a
+        # crash replay would solve it cold).  Both are answered but
+        # never cached, which also keeps them out of the warm-start tier.
+        if mode != "first" and result.warm_source is None:
             self.cache.put(job.fingerprint, value, signature=signature)
-        if self._conclude(job, result=value):
-            self.metrics.completed.inc()
-            self.metrics.solve_latency.observe(
-                job.finished_at - job.submitted_at)
-
-    def _fail_group(self, jobs: list[Job], error: str) -> None:
-        for job in jobs:
-            if self._conclude(job, error=error):
-                self.metrics.failed.inc()
-
-    def _deadline_watchdog(
-        self, jobs: list[Job], done: threading.Event
-    ) -> None:
-        """Expire overdue jobs of one running group, earliest first.
-
-        ``done`` is set when the group's engine run returns; the
-        watchdog then stands down (jobs that finished in time were
-        concluded by the runner — ``_conclude`` makes the race safe).
-        """
-        pending = sorted(
-            (job for job in jobs if job.deadline_at is not None),
-            key=lambda job: job.deadline_at,
-        )
-        for job in pending:
-            remaining = job.deadline_at - time.time()
-            if remaining > 0 and done.wait(remaining):
-                return
-            if done.is_set():
-                return
-            if job.done_event.is_set():
-                continue
-            if self._conclude(
-                job,
-                error="deadline expired while solving",
-                status="expired",
-            ):
-                self.metrics.deadline_expired.inc()
+        self._complete(job, value)

@@ -627,10 +627,7 @@ class ShardedService:
         cache = merged["cache"]
         lookups = cache.get("hits", 0) + cache.get("misses", 0)
         cache["hit_rate"] = cache.get("hits", 0) / lookups if lookups else 0.0
-        merged["queue"].update(
-            batch_window=self.config.batch_window,
-            max_batch=self.config.max_batch,
-        )
+        merged["queue"]["max_batch"] = self.config.max_batch
         return merged
 
     def health(self) -> dict:

@@ -210,7 +210,7 @@ class TestServiceArena:
             "uniform:24:9", solver="taxi", params={"sweeps": 10}, seed=7
         )
         with SolveService(
-            ServiceConfig(batch_window=0.0, arena=arena)
+            ServiceConfig(arena=arena)
         ) as service:
             job = service.solve(request, timeout=120.0)
             stats = service.stats()

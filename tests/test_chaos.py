@@ -48,6 +48,8 @@ from repro.service.faults import FaultConfig, FaultInjector
 from repro.service.loadgen import classify_error, run_loadtest
 from repro.tsp.generators import clustered_instance
 
+from conftest import serve_in_thread
+
 
 # ----------------------------------------------------------------------
 # retry policy
@@ -554,25 +556,30 @@ class TestDeadlines:
         with pytest.raises(ConfigError):
             SolveRequest.create("uniform:16:3", deadline_seconds=bad)
 
-    def test_queued_expiry_never_reaches_the_engine(self):
-        # The batch window is far longer than the deadline, so the job
+    def test_queued_expiry_never_reaches_the_engine(self, hold_slot):
+        # The held slot keeps the job queued past its deadline, so it
         # is already overdue when the dispatcher picks it up.
-        with SolveService(ServiceConfig(batch_window=0.3)) as service:
+        with SolveService(ServiceConfig()) as service:
+            hold_slot(service)
             request = SolveRequest.create(
                 "uniform:16:3", solver="sa_tsp", params={"sweeps": 5},
                 deadline_seconds=0.05,
             )
-            job = service.solve(request, timeout=30)
+            submitted = service.submit(request)
+            time.sleep(0.1)
+            hold_slot.release()
+            job = service.wait(submitted.id, timeout=30)
             assert job.status == "expired"
             assert "queued" in job.error
             stats = service.stats()
             assert stats["requests"]["deadline_expired"] == 1
-            assert stats["requests"]["completed"] == 0
+            assert stats["requests"]["completed"] == 1  # the filler
+            assert service.cache.get(request.fingerprint()) is None
 
     def test_inflight_expiry_and_late_result_still_cached(self):
         previous = set_task_hook(lambda task: time.sleep(0.5))
         try:
-            with SolveService(ServiceConfig(batch_window=0.01)) as service:
+            with SolveService(ServiceConfig()) as service:
                 request = SolveRequest.create(
                     "uniform:16:3", solver="sa_tsp", params={"sweeps": 5},
                     deadline_seconds=0.15,
@@ -593,16 +600,63 @@ class TestDeadlines:
         finally:
             set_task_hook(previous)
 
-    def test_default_deadline_comes_from_config(self):
-        with SolveService(
-            ServiceConfig(batch_window=0.3, default_deadline=0.05)
-        ) as service:
+    def test_default_deadline_comes_from_config(self, hold_slot):
+        with SolveService(ServiceConfig(default_deadline=0.05)) as service:
+            hold_slot(service)
             request = SolveRequest.create(
                 "uniform:16:4", solver="sa_tsp", params={"sweeps": 5},
             )
-            job = service.solve(request, timeout=30)
+            submitted = service.submit(request)
+            time.sleep(0.1)
+            hold_slot.release()
+            job = service.wait(submitted.id, timeout=30)
             assert job.status == "expired"
             assert job.as_dict()["deadline_seconds"] is not None
+            assert service.stats()["requests"]["completed"] == 1
+            assert service.cache.get(request.fingerprint()) is None
+
+    def test_round_timer_expires_only_the_overdue_job(self, hold_slot):
+        # Two jobs leave as one round; the second sleeps past its own
+        # deadline inside the engine, so its timer expires it alone.
+        slow_seed = 3
+        threads_seen = []
+
+        def sleep_slow_job(task):
+            if task.seed == slow_seed:
+                threads_seen.extend(t.name for t in threading.enumerate())
+                time.sleep(0.6)
+
+        with SolveService(ServiceConfig()) as service:
+            hold_slot(service)
+            previous = set_task_hook(sleep_slow_job)
+            try:
+                quick, slow = (
+                    SolveRequest.create(
+                        "uniform:16:3", solver="sa_tsp", params={"sweeps": 5},
+                        seed=seed, deadline_seconds=deadline,
+                    )
+                    for seed, deadline in ((2, 30.0), (slow_seed, 0.3))
+                )
+                jobs = [service.submit(quick), service.submit(slow)]
+                hold_slot.release()
+                quick_job, slow_job = (
+                    service.wait(job.id, timeout=30) for job in jobs
+                )
+                assert quick_job.status == "done"
+                assert slow_job.status == "expired"
+                assert slow_job.error == "deadline expired while solving"
+                # The late result lands after expiry and is still cached.
+                deadline = time.time() + 10
+                while service.cache.get(slow.fingerprint()) is None:
+                    assert time.time() < deadline
+                    time.sleep(0.02)
+                counters = service.stats()["requests"]
+                assert counters["windows"] == 2  # the filler's, then both
+                assert counters["deadline_expired"] == 1
+            finally:
+                set_task_hook(previous)
+        assert threads_seen
+        assert "repro-deadline-watchdog" not in threads_seen
 
 
 # ----------------------------------------------------------------------
@@ -618,21 +672,24 @@ class TestStopModes:
             for i in range(count)
         ]
 
-    def test_drain_true_finishes_admitted_jobs(self):
-        service = SolveService(ServiceConfig(batch_window=0.2)).start()
+    def test_drain_true_finishes_admitted_jobs(self, hold_slot):
+        service = SolveService(ServiceConfig()).start()
+        filler = hold_slot(service)
         jobs = self._submit_batchful(service)
+        hold_slot.release_on_stop(service)
         service.stop(drain=True)
+        assert filler.status == "done"
         assert [job.status for job in jobs] == ["done"] * len(jobs)
 
-    def test_drain_false_fails_queued_jobs_fast(self):
-        service = SolveService(ServiceConfig(batch_window=0.2)).start()
+    def test_drain_false_fails_queued_jobs_fast(self, hold_slot):
+        service = SolveService(ServiceConfig()).start()
+        filler = hold_slot(service)
         jobs = self._submit_batchful(service)
+        hold_slot.release_on_stop(service)
         service.stop(drain=False)
-        assert all(job.status in ("failed", "done") for job in jobs)
-        assert any(
-            job.status == "failed" and "shutting down" in job.error
-            for job in jobs
-        )
+        assert filler.status == "done"
+        assert [job.status for job in jobs] == ["failed"] * len(jobs)
+        assert all("shutting down" in job.error for job in jobs)
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +698,7 @@ class TestStopModes:
 class TestSheddingAndHealth:
     def test_degraded_pool_sheds_with_retry_hint(self):
         with SolveService(
-            ServiceConfig(batch_window=0.01, shed_retry_after=0.7)
+            ServiceConfig(shed_retry_after=0.7)
         ) as service:
             # Warm one fingerprint into the cache first.
             cached_request = SolveRequest.create(
@@ -685,12 +742,11 @@ class TestSheddingAndHealth:
         from repro.service.http import make_server
 
         service = SolveService(
-            ServiceConfig(batch_window=0.01, shed_retry_after=0.9)
+            ServiceConfig(shed_retry_after=0.9)
         )
         server = make_server(service, port=0)
         host, port = server.server_address
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        thread = serve_in_thread(server)
         service.start()
         try:
             base = f"http://{host}:{port}"
@@ -821,7 +877,7 @@ class TestChaosLoadtest:
         # Baseline: every scheduled fingerprint on an inline (workers=1,
         # fault-free) service.
         baseline = {}
-        with SolveService(ServiceConfig(batch_window=0.01)) as service:
+        with SolveService(ServiceConfig()) as service:
             for fingerprint, request in requests.items():
                 job = service.solve(request, timeout=60)
                 assert job.status == "done"
@@ -835,7 +891,7 @@ class TestChaosLoadtest:
             transient_rate=0.1,
         ))
         service = SolveService(
-            ServiceConfig(workers=2, batch_window=0.01, queue_depth=64,
+            ServiceConfig(workers=2, queue_depth=64,
                           cache_size=256),
             fault_injector=injector,
         ).start()

@@ -31,6 +31,8 @@ from repro.service.loadgen import (
 )
 from repro.service.queue import SolveService
 
+from conftest import serve_in_thread
+
 #: Small, fast request mix shared by the in-process tests.
 TINY = dict(
     instances=("uniform:24:3", "uniform:20:5"),
@@ -277,7 +279,7 @@ class TestRunLoadtest:
 
     def test_explicit_driver_on_existing_service(self):
         config = LoadgenConfig(**{**TINY, "requests": 6})
-        with SolveService(ServiceConfig(batch_window=0.0)) as service:
+        with SolveService(ServiceConfig()) as service:
             report = run_loadtest(config, driver=InProcessDriver(service))
             assert report.summary()["completed"] == 6
             # The driven service is the one measured.
@@ -289,7 +291,7 @@ class TestRunLoadtest:
         # so its delta is all hits / zero misses — not the lifetime
         # totals of both runs folded together.
         config = LoadgenConfig(**{**TINY, "requests": 8})
-        with SolveService(ServiceConfig(batch_window=0.0)) as service:
+        with SolveService(ServiceConfig()) as service:
             driver = InProcessDriver(service)
             first = run_loadtest(config, driver=driver).summary()
             assert first["cache_misses"] == first["scheduled_cold"]
@@ -305,10 +307,10 @@ class TestRunLoadtest:
 def http_base():
     from repro.service.http import make_server
 
-    service = SolveService(ServiceConfig(batch_window=0.0))
+    service = SolveService(ServiceConfig())
     server = make_server(service, port=0)
     service.start()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    serve_in_thread(server)
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()

@@ -232,7 +232,6 @@ class TestServiceMetricsWiring:
             "repro_requests_cached_total",
             "repro_requests_completed_total",
             "repro_requests_failed_total",
-            "repro_batches_total",
             "repro_batched_requests_total",
             "repro_dispatch_windows_total",
             "repro_cache_hits_total",

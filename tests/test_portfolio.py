@@ -14,7 +14,6 @@ Covers the PR-10 determinism contract end to end:
 
 import json
 import re
-import threading
 import types
 import urllib.error
 import urllib.request
@@ -41,6 +40,8 @@ from repro.service.cache import instance_signature
 from repro.service.fingerprint import solve_fingerprint
 from repro.tsp.generators import clustered_instance, uniform_instance
 from repro.tsp.instance import EdgeWeightType, TSPInstance
+
+from conftest import serve_in_thread
 
 DIGEST = "ab" * 32
 
@@ -344,8 +345,6 @@ class TestWarmStart:
 # through the service
 # ----------------------------------------------------------------------
 class TestServicePortfolio:
-    CONFIG = dict(batch_window=0.0)
-
     def _solve(self, service, **overrides):
         request = SolveRequest.create(
             overrides.pop("token", "clustered:48:4"),
@@ -359,7 +358,7 @@ class TestServicePortfolio:
         return request, view
 
     def test_portfolio_solve_reports_ledger_and_metrics(self):
-        with SolveService(ServiceConfig(**self.CONFIG)) as service:
+        with SolveService(ServiceConfig()) as service:
             _, view = self._solve(service)
             ledger = view["result"]["portfolio"]
             assert ledger["winner"]
@@ -373,7 +372,7 @@ class TestServicePortfolio:
     def test_two_services_produce_identical_ledgers(self):
         views = []
         for _ in range(2):
-            with SolveService(ServiceConfig(**self.CONFIG)) as service:
+            with SolveService(ServiceConfig()) as service:
                 views.append(self._solve(service)[1])
         first, second = views
         assert first["fingerprint"] == second["fingerprint"]
@@ -383,7 +382,7 @@ class TestServicePortfolio:
     def test_near_match_warm_start_carries_source_fingerprint(self):
         base = clustered_instance(40, seed=6)
         nudged = base.coords + 1e-6
-        with SolveService(ServiceConfig(**self.CONFIG)) as service:
+        with SolveService(ServiceConfig()) as service:
             cold_request, cold = self._solve(
                 service,
                 token=TSPInstance("warm-a", base.coords,
@@ -399,10 +398,25 @@ class TestServicePortfolio:
             snapshot = service.metrics.snapshot()
             assert snapshot["repro_warm_starts_total"] == 1
 
+    def test_warm_started_results_are_never_cached(self):
+        # A warm-started race depends on what the cache held when it
+        # ran, so its fingerprint does not determine its result.
+        base = clustered_instance(40, seed=6)
+        nudged = base.coords + 1e-6
+        with SolveService(ServiceConfig()) as service:
+            self._solve(service, token=TSPInstance(
+                "warm-a", base.coords, EdgeWeightType.EUC_2D))
+            warm_token = TSPInstance("warm-b", nudged, EdgeWeightType.EUC_2D)
+            request, warm = self._solve(service, token=warm_token)
+            assert "warm_start" in warm["result"]
+            assert request.fingerprint() not in service.cache
+            _, again = self._solve(service, token=warm_token)
+            assert not again["cached"]
+
     def test_warm_start_off_disables_the_tier(self):
         base = clustered_instance(40, seed=6)
         nudged = base.coords + 1e-6
-        config = ServiceConfig(warm_start="off", **self.CONFIG)
+        config = ServiceConfig(warm_start="off")
         with SolveService(config) as service:
             self._solve(service, token=TSPInstance(
                 "warm-a", base.coords, EdgeWeightType.EUC_2D))
@@ -415,7 +429,7 @@ class TestServicePortfolio:
     def test_first_mode_results_are_never_cached(self):
         # A first-mode race stops on the pool width and on wall-clock
         # overrun, so its fingerprint does not determine its result.
-        with SolveService(ServiceConfig(workers=1, **self.CONFIG)) as service:
+        with SolveService(ServiceConfig(workers=1)) as service:
             self._solve(service, params={"mode": "first"})
             size = len(service.cache)
             request, again = self._solve(service, params={"mode": "first"})
@@ -442,11 +456,10 @@ class TestServicePortfolio:
 
         from repro.service.http import make_server
 
-        service = SolveService(ServiceConfig(**self.CONFIG))
+        service = SolveService(ServiceConfig())
         server = make_server(service, port=0)
         service.start()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        serve_in_thread(server)
         try:
             body = {"instance": "clustered:48:4", "portfolio": True,
                     "seed": 2, "params": params}

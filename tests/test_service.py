@@ -15,7 +15,6 @@ The serving contract under test:
 import http.client
 import json
 import socket
-import threading
 import time
 import urllib.error
 import urllib.parse
@@ -40,6 +39,8 @@ from repro.service import (
 from repro.tsp.generators import uniform_instance
 from repro.utils.hashing import tour_hash
 
+from conftest import serve_in_thread
+
 SWEEPS = 20
 
 
@@ -50,7 +51,7 @@ def _request(token=52, solver="taxi", seed=0, **params):
 
 @pytest.fixture()
 def service():
-    with SolveService(ServiceConfig(batch_window=0.0)) as svc:
+    with SolveService(ServiceConfig()) as svc:
         yield svc
 
 
@@ -200,51 +201,10 @@ class TestSolveService:
         assert job.id == job_id_for(request.fingerprint())
         assert service.submit(request).id == job.id
 
-    def test_micro_batch_groups_compatible_requests(self):
-        # A wide window + burst of compatible requests must coalesce
-        # into fewer engine dispatches than requests.
-        config = ServiceConfig(batch_window=0.25, max_batch=8)
-        with SolveService(config) as svc:
-            jobs = [
-                svc.submit(_request(token=f"uniform:24:{i}", solver="sa_tsp",
-                                    sweeps=10))
-                for i in range(4)
-            ]
-            for job in jobs:
-                svc.wait(job.id, timeout=120)
-        counters = svc.stats()["requests"]
-        assert counters["completed"] == 4
-        assert counters["batches"] < 4
-        assert counters["batched_requests"] == 4
-
-    def test_batch_size_records_window_occupancy_not_group_size(self):
-        # Regression: distinct seeds (the loadgen cold-request pattern)
-        # split one window into single-job groups, so a per-group
-        # histogram would report a constant 1.0.  The instrument must
-        # record pre-grouping window occupancy instead.
-        config = ServiceConfig(batch_window=0.25, max_batch=8)
-        with SolveService(config) as svc:
-            jobs = [
-                svc.submit(_request(token="uniform:24:1", solver="sa_tsp",
-                                    sweeps=10, seed=i))
-                for i in range(4)
-            ]
-            for job in jobs:
-                svc.wait(job.id, timeout=120)
-        counters = svc.stats()["requests"]
-        snapshot = svc.metrics.snapshot()
-        assert counters["batches"] == 4  # unique seeds: one group each
-        assert counters["windows"] < 4  # ...but the window coalesced
-        assert counters["batched_requests"] == 4
-        histogram = snapshot["repro_batch_size"]
-        assert histogram["count"] == counters["windows"]
-        assert histogram["sum"] == counters["batched_requests"]
-        assert counters["batched_requests"] / counters["windows"] > 1.0
-
     def test_free_worker_starts_a_request_behind_a_slow_one(self):
         # Head-of-line blocking: with a second worker free, a small
         # request must not wait for the slow one submitted before it.
-        with SolveService(ServiceConfig(workers=2, batch_window=0.0)) as svc:
+        with SolveService(ServiceConfig(workers=2)) as svc:
             slow = svc.submit(_slow_request())
             time.sleep(0.05)
             small = svc.submit(_request(token="uniform:24:2", solver="sa_tsp",
@@ -256,8 +216,8 @@ class TestSolveService:
             assert slow.status == "done"
 
     def test_requests_queued_behind_a_busy_worker_leave_as_one_round(self):
-        # Default window: the first request dispatches at once, and the
-        # three that arrive while the one worker is busy leave together.
+        # The first request dispatches at once, and the three that
+        # arrive while the one worker is busy leave together.
         with SolveService(ServiceConfig()) as svc:
             slow = svc.submit(_slow_request())
             _await_running(slow)
@@ -272,7 +232,48 @@ class TestSolveService:
         counters = svc.stats()["requests"]
         assert counters["windows"] == 2
         assert counters["batched_requests"] == 4
-        assert counters["batches"] == 2  # the three share one group
+        # repro_batch_size records each round's occupancy.
+        histogram = svc.metrics.snapshot()["repro_batch_size"]
+        assert histogram["count"] == counters["windows"]
+        assert histogram["sum"] == counters["batched_requests"]
+
+    def test_mixed_round_makes_one_engine_call_beside_its_race(
+            self, hold_slot):
+        # A portfolio job and two sa_tsp jobs with distinct seeds leave
+        # as one round: the sa_tsp tasks share one map_outcomes call and
+        # the portfolio race runs beside it.
+        from repro.engine.runner import run_replica_task
+
+        with SolveService(ServiceConfig()) as svc:
+            calls = []
+            map_outcomes = svc.pool.map_outcomes
+
+            def spy(fn, tasks, **kwargs):
+                tasks = list(tasks)
+                if fn is run_replica_task:
+                    calls.append([task.seed for task in tasks])
+                return map_outcomes(fn, tasks, **kwargs)
+
+            svc.pool.map_outcomes = spy
+            hold_slot(svc)
+            jobs = [
+                svc.submit(SolveRequest.create(
+                    "clustered:48:4", solver="portfolio",
+                    params={"budget_seconds": 0.5}, seed=2)),
+                svc.submit(_request(token="uniform:24:1", solver="sa_tsp",
+                                    sweeps=5, seed=7001)),
+                svc.submit(_request(token="uniform:24:2", solver="sa_tsp",
+                                    sweeps=5, seed=7002)),
+            ]
+            hold_slot.release()
+            for job in jobs:
+                assert svc.wait(job.id, timeout=300).status == "done"
+        counters = svc.stats()["requests"]
+        assert counters["windows"] == 2  # the filler's round, then this one
+        assert counters["batched_requests"] == 4
+        assert counters["completed"] == 4
+        assert [seeds for seeds in calls if 7001 in seeds or 7002 in seeds] \
+            == [[7001, 7002]]
 
     def test_close_drains_rounds_in_flight(self):
         svc = SolveService(ServiceConfig(workers=2)).start()
@@ -294,15 +295,17 @@ class TestSolveService:
         assert queued.status == "failed"
         assert queued.error == "service shutting down"
 
-    def test_inflight_deduplication(self):
-        # Slow the dispatcher with a window so the second submit lands
-        # while the first is still queued.
-        with SolveService(ServiceConfig(batch_window=0.3)) as svc:
+    def test_inflight_deduplication(self, hold_slot):
+        # The held slot keeps the first submit queued while the second
+        # lands.
+        with SolveService(ServiceConfig()) as svc:
+            hold_slot(svc)
             request = _request()
             first = svc.submit(request)
             second = svc.submit(request)
             assert second is first
             assert svc.stats()["requests"]["deduplicated"] == 1
+            hold_slot.release()
             svc.wait(first.id, timeout=120)
 
     def test_failed_solve_reports_error(self, service):
@@ -322,41 +325,46 @@ class TestSolveService:
             svc.submit(_request())
 
     def test_submit_after_close_rejected(self):
-        svc = SolveService(ServiceConfig(batch_window=0.0))
+        svc = SolveService(ServiceConfig())
         svc.start()
         svc.close()
         with pytest.raises(ServiceError, match="not running"):
             svc.submit(_request())
 
-    def test_jobs_admitted_before_close_still_complete(self):
+    def test_jobs_admitted_before_close_still_complete(self, hold_slot):
         # close() queues the stop sentinel *behind* admitted work, so a
-        # request racing shutdown finishes instead of hanging 'queued'.
-        svc = SolveService(ServiceConfig(batch_window=0.2))
+        # request racing shutdown finishes instead of hanging 'queued':
+        # the held job and the sentinel leave in one take.
+        svc = SolveService(ServiceConfig())
         svc.start()
+        hold_slot(svc)
         job = svc.submit(_request(token="uniform:24:9", solver="sa_tsp",
                                   sweeps=5))
+        hold_slot.release_on_stop(svc)
         svc.close()
         assert job.done_event.is_set()
         assert job.status == "done"
 
-    def test_queue_backpressure(self):
-        config = ServiceConfig(queue_depth=1, batch_window=0.5)
+    def test_queue_backpressure(self, hold_slot):
+        # The running filler and the queued first request fill both
+        # places, so the second request is refused.
+        config = ServiceConfig(queue_depth=2)
         with SolveService(config) as svc:
+            hold_slot(svc)
             first = svc.submit(_request(token="uniform:24:1", solver="sa_tsp",
                                         sweeps=10))
             with pytest.raises(ServiceError, match="queue full"):
                 svc.submit(_request(token="uniform:24:2", solver="sa_tsp",
                                     sweeps=10))
+            hold_slot.release()
             svc.wait(first.id, timeout=120)
 
     def test_cache_persists_across_service_restarts(self, tmp_path):
         path = str(tmp_path / "results.json")
         request = _request()
-        with SolveService(ServiceConfig(batch_window=0.0,
-                                        cache_path=path)) as svc:
+        with SolveService(ServiceConfig(cache_path=path)) as svc:
             cold = svc.solve(request, timeout=120)
-        with SolveService(ServiceConfig(batch_window=0.0,
-                                        cache_path=path)) as svc:
+        with SolveService(ServiceConfig(cache_path=path)) as svc:
             warm = svc.submit(request)
             assert warm.cached
             assert warm.result["tour_hash"] == cold.result["tour_hash"]
@@ -392,7 +400,7 @@ class TestSolveService:
                                                 "portfolio": ledger()}
 
     def test_finished_job_history_is_bounded(self):
-        config = ServiceConfig(batch_window=0.0, job_history=2)
+        config = ServiceConfig(job_history=2)
         with SolveService(config) as svc:
             for i in range(5):
                 job = svc.submit(_request(token=f"uniform:24:{i}",
@@ -423,11 +431,10 @@ def TSPInstanceWithNaN():
 def http_service():
     from repro.service.http import make_server
 
-    svc = SolveService(ServiceConfig(batch_window=0.0))
+    svc = SolveService(ServiceConfig())
     server = make_server(svc, port=0)
     svc.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    serve_in_thread(server)
     base = f"http://127.0.0.1:{server.server_address[1]}"
     yield base
     server.shutdown()
@@ -441,11 +448,10 @@ def http_router():
     from repro.service.http import make_server
     from repro.service.shards import ShardedService
 
-    fleet = ShardedService(2, ServiceConfig(batch_window=0.0))
+    fleet = ShardedService(2, ServiceConfig())
     server = make_server(fleet, port=0)
     fleet.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    serve_in_thread(server)
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
@@ -604,17 +610,17 @@ class TestHTTPErrorPaths:
         svc = SolveService(config)
         server = make_server(svc, port=0)
         svc.start()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        serve_in_thread(server)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         return server, svc, base
 
-    def test_backpressure_is_429_with_json_body(self):
-        # queue_depth=1 and a wide batch window: the first request sits
-        # collecting in the dispatcher while the second is refused.
-        config = ServiceConfig(queue_depth=1, batch_window=0.5)
+    def test_backpressure_is_429_with_json_body(self, hold_slot):
+        # queue_depth=2 and a held slot: the first request waits queued
+        # behind the filler while the second is refused.
+        config = ServiceConfig(queue_depth=2)
         server, svc, base = self._server(config)
         try:
+            hold_slot(svc)
             first = _post(base, "/solve", {
                 "instance": "uniform:24:1", "solver": "sa_tsp", "seed": 0,
                 "params": {"sweeps": 10},
@@ -630,6 +636,7 @@ class TestHTTPErrorPaths:
             # Refusals land in the metrics too.
             snapshot = _get(base, "/metrics")
             assert snapshot["repro_http_responses_total"]["429"] == 1
+            hold_slot.release()
             job = _get(base, f"/jobs/{first['job_id']}?wait=120")
             assert job["status"] == "done"
         finally:
@@ -653,9 +660,9 @@ class TestHTTPErrorPaths:
         assert "seed" in json.load(err.value)["error"]
 
     def test_bad_wait_value_is_400(self):
-        # A wide batch window keeps the job queued, so the GET is
-        # guaranteed to hit the wait-parsing path.
-        server, svc, base = self._server(ServiceConfig(batch_window=0.5))
+        # The handler judges ?wait= on any known job, queued, running
+        # or done, so the GET hits the wait-parsing path.
+        server, svc, base = self._server(ServiceConfig())
         try:
             posted = _post(base, "/solve", {
                 "instance": "uniform:24:3", "solver": "sa_tsp", "seed": 0,
@@ -678,7 +685,7 @@ class TestHTTPErrorPaths:
         # not pin its handler thread: the per-connection socket timeout
         # times the read out and the server closes the connection.
         server, svc, base = self._server(
-            ServiceConfig(batch_window=0.0, request_timeout=0.5)
+            ServiceConfig(request_timeout=0.5)
         )
         try:
             with socket.create_connection(

@@ -165,7 +165,7 @@ class TestDuplicateFingerprintStress:
         )
 
         submissions_per_thread = 5
-        with SolveService(ServiceConfig(batch_window=0.05)) as service:
+        with SolveService(ServiceConfig()) as service:
             request = SolveRequest.create(
                 "uniform:24:9", solver="sa_tsp", params={"sweeps": 10}, seed=0
             )
@@ -235,7 +235,7 @@ class TestDuplicateFingerprintStress:
             ]
 
         baseline = {}
-        with SolveService(ServiceConfig(batch_window=0.01)) as service:
+        with SolveService(ServiceConfig()) as service:
             for request in requests():
                 job = service.solve(request, timeout=120)
                 assert job.status == "done"
@@ -246,7 +246,7 @@ class TestDuplicateFingerprintStress:
         # (faster than the budget) is meant to fail the group with
         # PoolBrokenError — that contract lives in test_chaos.py.
         with SolveService(
-            ServiceConfig(workers=2, batch_window=0.01, queue_depth=64,
+            ServiceConfig(workers=2, queue_depth=64,
                           max_retries=10)
         ) as service:
             stop_killing = threading.Event()
@@ -292,9 +292,7 @@ class TestDuplicateFingerprintStress:
             assert service.pool.degraded is False
 
     def test_distinct_fingerprints_under_contention_all_complete(self):
-        with SolveService(
-            ServiceConfig(batch_window=0.02, queue_depth=256)
-        ) as service:
+        with SolveService(ServiceConfig(queue_depth=256)) as service:
             request_count = 24
             results = [None] * request_count
             errors = []
@@ -323,5 +321,3 @@ class TestDuplicateFingerprintStress:
             counters = service.stats()["requests"]
             assert counters["completed"] == request_count
             assert counters["batched_requests"] == request_count
-            # Micro-batching must group some of the burst.
-            assert counters["batches"] <= request_count

@@ -43,7 +43,7 @@ from repro.service.shards import (
 )
 
 SWEEPS = 15
-CONFIG = ServiceConfig(batch_window=0.0, workers=1)
+CONFIG = ServiceConfig(workers=1)
 
 
 def _body(token="uniform:24:3", seed=7):
@@ -177,7 +177,6 @@ class TestShardedFleet:
         assert cache["hit_rate"] == cache["hits"] / (
             cache["hits"] + cache["misses"])
         assert stats["queue"]["max_batch"] == CONFIG.max_batch
-        assert stats["queue"]["batch_window"] == CONFIG.batch_window
 
     def test_metrics_aggregate_and_prometheus_relabel(self, fleet):
         _solve(fleet, _body(seed=103))
@@ -328,7 +327,7 @@ class TestKeptAliveForwarding:
         assert len(idle) <= _IDLE_PER_SHARD
 
     def test_connection_the_shard_closed_is_retried_unseen(self):
-        config = ServiceConfig(batch_window=0.0, workers=1,
+        config = ServiceConfig(workers=1,
                                request_timeout=0.5)
         with ShardedService(2, config) as running:
             body = _body(seed=601)

@@ -28,7 +28,7 @@ def test_sustained_mixed_traffic_soak():
         timeout=600.0,
     )
     service_config = ServiceConfig(
-        queue_depth=64, cache_size=1024, job_history=64, batch_window=0.005
+        queue_depth=64, cache_size=1024, job_history=64
     )
     with SolveService(service_config) as service:
         report = run_loadtest(config, driver=InProcessDriver(service))
