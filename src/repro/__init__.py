@@ -26,7 +26,6 @@ from repro.core import (
     TAXISolver,
 )
 from repro.engine import run_batch, run_replicas, solve_with, solver_names
-from repro.kernels import BACKENDS, resolve_backend
 from repro.tsp import TSPInstance, Tour, load_benchmark
 from repro.errors import ReproError
 
@@ -45,8 +44,6 @@ __all__ = [
     "run_batch",
     "solve_with",
     "solver_names",
-    "BACKENDS",
-    "resolve_backend",
     "ReproError",
     "__version__",
 ]

@@ -67,7 +67,7 @@ def format_seconds(seconds: float) -> str:
 #: ``batch_wall_seconds`` is the whole job's wall clock (repeated on
 #: every row); ``setup_seconds``/``solve_seconds`` split each
 #: instance's replica time into solver+instance construction vs the
-#: solve proper (so kernel-backend speedups stay visible).
+#: solve proper (so kernel speedups stay visible).
 BATCH_COLUMNS = (
     "instance", "n", "solver", "replicas", "best", "median", "p90",
     "mean", "best_seed", "setup_seconds", "solve_seconds",

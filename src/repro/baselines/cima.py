@@ -56,7 +56,6 @@ class _ClusteredAnnealerBase:
         bits: int = 4,
         sweeps: int | None = None,
         seed: int | None = 0,
-        backend: str = "auto",
     ) -> None:
         if max_cluster_size < 4:
             raise SolverError(
@@ -66,7 +65,6 @@ class _ClusteredAnnealerBase:
         self.bits = bits
         self.sweeps = sweeps
         self.seed = seed
-        self.backend = backend
 
     def solve(self, instance: TSPInstance) -> BaselineResult:
         rng = ensure_rng(self.seed)
@@ -87,7 +85,6 @@ class _ClusteredAnnealerBase:
                 guarded_updates=self.guarded,
             ),
             seed=rng,
-            backend=self.backend,
         )
         order, times, _ = solve_hierarchical(
             hierarchy, macro, paper_schedule(self.sweeps), endpoint_fixing=True

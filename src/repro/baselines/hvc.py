@@ -62,7 +62,6 @@ class HVCSolver:
         bits: int = 4,
         sweeps: int | None = None,
         seed: int | None = 0,
-        backend: str = "auto",
     ) -> None:
         if max_cluster_size < 4:
             raise SolverError(
@@ -72,7 +71,6 @@ class HVCSolver:
         self.bits = bits
         self.sweeps = sweeps
         self.seed = seed
-        self.backend = backend
 
     def _schedule(self) -> AnnealSchedule:
         return paper_schedule(self.sweeps)
@@ -92,7 +90,6 @@ class HVCSolver:
                 guarded_updates=False,  # plain always-write spin updates
             ),
             seed=rng,
-            backend=self.backend,
         )
         order, times, _ = solve_hierarchical(
             hierarchy, macro, self._schedule(), endpoint_fixing=False

@@ -59,7 +59,6 @@ class NeuroIsingSolver:
         sweeps: int | None = None,
         cluster_budget: int = DEFAULT_CLUSTER_BUDGET,
         seed: int | None = 0,
-        backend: str = "auto",
     ) -> None:
         if max_cluster_size < 4:
             raise SolverError(
@@ -72,7 +71,6 @@ class NeuroIsingSolver:
         self.sweeps = sweeps
         self.cluster_budget = cluster_budget
         self.seed = seed
-        self.backend = backend
 
     def solve(self, instance: TSPInstance) -> BaselineResult:
         rng = ensure_rng(self.seed)
@@ -89,7 +87,6 @@ class NeuroIsingSolver:
                 guarded_updates=True,
             ),
             seed=rng,
-            backend=self.backend,
         )
         selective = _SelectiveSolver(macro, self.cluster_budget)
         order, times, level_stats = solve_hierarchical(

@@ -1,9 +1,10 @@
 """2-opt and Or-opt local search with neighbour lists and don't-look bits.
 
 This is the improvement engine of the Concorde surrogate.  The actual
-pass implementations live in :mod:`repro.kernels.neighbor` (reference
-scalar scans plus a bit-exact vectorized fast backend); this module
-keeps the historical entry point and re-exports the pass functions.
+pass implementations live in :mod:`repro.kernels.neighbor` (the
+vectorized passes that run, and the scalar scans they are bit-exact
+with); this module keeps the historical entry point and re-exports the
+scalar pass functions.
 Moves are evaluated only against each city's k nearest neighbours (the
 standard candidate-list restriction), and don't-look bits keep passes
 focused on recently-changed regions — together these make local search
@@ -40,7 +41,6 @@ def two_opt(
     k: int = 8,
     max_rounds: int = 30,
     use_or_opt: bool = True,
-    backend: str | None = "auto",
 ) -> np.ndarray:
     """Improve a closed tour until 2-opt (+ optional Or-opt) is exhausted.
 
@@ -54,9 +54,6 @@ def two_opt(
     max_rounds:
         Hard cap on improvement rounds (each round = one full pass of
         2-opt and, if enabled, Or-opt).
-    backend:
-        Kernel backend (``auto``/``fast``/``reference``/``array``);
-        all backends return bit-identical tours.
     """
     n = instance.n
     if isinstance(neighbors, CandidateLists):
@@ -67,7 +64,6 @@ def two_opt(
         candidates = build_candidate_lists(instance, min(k, n - 1))
     search = NeighborLocalSearch(
         candidates,
-        backend=backend,
         use_or_opt=use_or_opt,
         max_rounds=max_rounds,
     )

@@ -23,7 +23,6 @@ Examples::
     python -m repro compare --size 318
     python -m repro batch --instances 76 101 200 262 --replicas 4 --workers 4
     python -m repro sweep --size 318 --param sweeps --values 30 60 120
-    python -m repro batch --instances 200 --solver sa_tsp --backend reference
     python -m repro scenarios
     python -m repro scenarios --run ring-ladder --sweeps 60 --replicas 2
     python -m repro serve --port 8080 --workers 2
@@ -79,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="annealing sweeps (default: full 1341-sweep ramp)")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--clustering", choices=("ward", "kmeans"), default="ward")
-    solve.add_argument("--backend",
-                       choices=("auto", "reference", "fast", "array"),
-                       default="auto",
-                       help="annealing kernel backend (array is an alias "
-                            "of fast)")
     solve.add_argument("--no-fixing", action="store_true",
                        help="disable inter-cluster endpoint fixing")
     solve.add_argument("--workers", type=int, default=1,
@@ -319,11 +313,6 @@ def _engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--sweeps", type=int, default=None,
                         help="annealing sweeps (stochastic solvers)")
-    parser.add_argument("--backend",
-                        choices=("auto", "reference", "fast", "array"),
-                        default=None,
-                        help="annealing kernel backend (default: auto -> "
-                             "fast; array is an alias of fast)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="extra solver parameter (repeatable)")
     parser.add_argument("--quiet", action="store_true",
@@ -377,8 +366,6 @@ def _solver_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if getattr(args, "sweeps", None) is not None:
         params["sweeps"] = args.sweeps
-    if getattr(args, "backend", None) is not None:
-        params["backend"] = args.backend
     for item in getattr(args, "set", []):
         key, separator, value = item.partition("=")
         if not separator or not key:
@@ -401,10 +388,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         params: dict = {}
         if args.sweeps is not None:
             params["sweeps"] = args.sweeps
-        tour = solve_with(
-            args.solver, instance, seed=args.seed, backend=args.backend,
-            **params,
-        )
+        tour = solve_with(args.solver, instance, seed=args.seed, **params)
         print(f"instance      : {instance.name} ({instance.n} cities)")
         print(f"solver        : {args.solver}")
         print(f"tour length   : {tour.length:.0f}")
@@ -417,7 +401,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
         clustering=args.clustering,
         endpoint_fixing=not args.no_fixing,
-        backend=args.backend,
         workers=args.workers,
     )
     result = TAXISolver(config).solve(instance)
@@ -432,8 +415,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"{result.total_subproblems} sub-problems")
     for phase, seconds in result.phase_seconds.as_dict().items():
         print(f"  {phase:<10s}: {format_seconds(seconds)}")
-    print(f"macro sweep   : "
-          f"{sweep_path(config.backend, config.crossbar.variation.read_noise_sigma)}")
+    print(f"macro sweep   : {sweep_path(config.crossbar.variation.read_noise_sigma)}")
     if config.clustering == "ward":
         print(f"ward chain    : {ward_path()}")
     if args.reference:
@@ -646,7 +628,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             entry["name"],
             str(entry["n"]),
             str(entry["sweeps"]),
-            entry["backend"],
             format_seconds(entry["seconds"]),
             "-" if entry["sweeps_per_sec"] is None else f"{entry['sweeps_per_sec']:.0f}",
             f"{entry['quality']:.1f}",
@@ -654,7 +635,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for entry in payload["entries"]
     ]
     print(ascii_table(
-        ["kind", "name", "n", "sweeps", "backend", "wall", "sweeps/s", "quality"],
+        ["kind", "name", "n", "sweeps", "wall", "sweeps/s", "quality"],
         rows,
         title=f"bench @ {payload['revision']} (best of {payload['repeats']})",
     ))

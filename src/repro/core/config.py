@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.kernels import resolve_backend
 from repro.macro.config import MacroConfig
 from repro.macro.schedule import AnnealSchedule, paper_schedule
 from repro.xbar.crossbar import CrossbarConfig
@@ -39,10 +38,6 @@ class TAXIConfig:
         Forwarded to :class:`~repro.macro.config.MacroConfig`.
     seed:
         Master seed for every stochastic component.
-    backend:
-        Kernel backend for the macro annealing sweeps (``auto`` |
-        ``fast`` | ``reference``, or the ``array`` alias of ``fast``;
-        see :mod:`repro.kernels`).
     workers:
         Wavefront process-pool width for the hierarchical pipeline's
         per-level sub-problem batches.  ``1`` (default) solves chunks
@@ -63,12 +58,10 @@ class TAXIConfig:
     guarded_updates: bool = True
     wta_resolution: float = 1e-3
     seed: int | None = 0
-    backend: str = "auto"
     workers: int = 1
     chunk_size: int = 8
 
     def __post_init__(self) -> None:
-        resolve_backend(self.backend)  # validate early: bad names raise
         if self.max_cluster_size < 4:
             raise ConfigError(
                 f"max_cluster_size must be >= 4, got {self.max_cluster_size}"

@@ -98,7 +98,6 @@ class WaveChunk:
     ordinal: int
     master_seed: int
     config: MacroConfig
-    backend: str
     schedule: AnnealSchedule
     problems: tuple[SubProblem, ...]
 
@@ -121,7 +120,6 @@ def solve_wave_chunks(
                     [chunk.master_seed, chunk.level, chunk.ordinal]
                 )
             ),
-            backend=chunk.backend,
         )
         for chunk in chunks
     ]
@@ -292,7 +290,6 @@ def _solve_wave(
                     ordinal=ordinal,
                     master_seed=master_seeds[r],
                     config=solver.config,
-                    backend=solver.backend,
                     schedule=schedule,
                     problems=tuple(problems[i] for i in indices),
                 )

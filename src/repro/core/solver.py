@@ -101,7 +101,7 @@ def solve_taxi_replicas(
         clustering_seconds = (time.perf_counter() - start) / len(seeds)
 
         solvers = [
-            BatchedMacroSolver(config.macro_config(), seed=rng, backend=config.backend)
+            BatchedMacroSolver(config.macro_config(), seed=rng)
             for rng in rngs
         ]
         results = solve_hierarchical(

@@ -44,7 +44,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels import BACKEND_FAST
 
 #: Grid defaults per kind.
 FULL_GRID = {
@@ -55,7 +54,7 @@ FULL_GRID = {
 
 QUICK_GRID = {
     "replica_batch_sizes": (120,),
-    "scale_sizes": (2000, 5000),
+    "scale_sizes": (5000, 10000),
     "portfolio_sizes": (120,),
 }
 
@@ -120,7 +119,6 @@ def _bench_replica_batch(sizes, sweeps, replicas, seed, repeats) -> list[dict]:
                 "name": f"taxi-{mode}",
                 "n": int(n),
                 "sweeps": int(sweeps),
-                "backend": BACKEND_FAST,
                 "replicas": int(replicas),
                 "mode": mode,
                 "seconds": seconds,
@@ -169,7 +167,6 @@ def _scale_cell(n: int, seed: int) -> dict:
         "name": "two_opt-sparse",
         "n": int(n),
         "sweeps": 0,
-        "backend": "fast",
         "seconds": seconds,
         "sweeps_per_sec": None,
         "quality": float(tour.length),
@@ -238,7 +235,6 @@ def _bench_portfolio(sizes, deadlines, seed) -> list[dict]:
                 "name": f"portfolio-d{deadline:g}",
                 "n": n,
                 "sweeps": 0,
-                "backend": "fast",
                 "seconds": result.seconds,
                 "sweeps_per_sec": None,
                 "quality": float(result.length),
@@ -464,7 +460,6 @@ def loadtest_entry(report, n: int | None = None) -> dict:
         "name": f"loadgen-{summary['mode']}",
         "n": int(n) if n is not None else 0,
         "sweeps": sweeps,
-        "backend": "fast",
         "seconds": summary["wall_seconds"],
         "sweeps_per_sec": None,
         "quality": float(summary["requests_per_sec"] or 0.0),

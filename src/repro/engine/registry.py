@@ -2,12 +2,12 @@
 
 TAXI and each comparator/baseline self-register here with a uniform
 contract — ``solve_with(name, instance, **params)`` returns a closed
-:class:`~repro.tsp.tour.Tour` no matter which backend produced it.  The
+:class:`~repro.tsp.tour.Tour` whichever solver produced it.  The
 execution engine (:mod:`repro.engine.runner`) and the CLI ``batch`` /
 ``sweep`` commands address solvers only through this registry, so a new
 solver becomes batchable the moment it registers.
 
-Factories import their backends lazily: ``import repro.engine`` stays
+Factories import their solvers lazily: ``import repro.engine`` stays
 cheap, and worker processes only pay for the solver they actually run.
 
 Usage::
@@ -155,7 +155,6 @@ def _taxi(
     bits: int = 4,
     clustering: str = "ward",
     endpoint_fixing: bool = True,
-    backend: str = "auto",
     workers: int = 1,
     chunk_size: int = 8,
 ) -> SolveFn:
@@ -169,7 +168,6 @@ def _taxi(
         seed=seed,
         clustering=clustering,
         endpoint_fixing=endpoint_fixing,
-        backend=backend,
         workers=workers,
         chunk_size=chunk_size,
     )
@@ -183,13 +181,11 @@ def _hvc(
     sweeps: int | None = None,
     max_cluster_size: int = 12,
     bits: int = 4,
-    backend: str = "auto",
 ) -> SolveFn:
     from repro.baselines.hvc import HVCSolver
 
     solver = HVCSolver(
-        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed,
-        backend=backend,
+        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed
     )
     return lambda instance: solver.solve(instance).tour
 
@@ -200,13 +196,11 @@ def _ima(
     sweeps: int | None = None,
     max_cluster_size: int = 12,
     bits: int = 4,
-    backend: str = "auto",
 ) -> SolveFn:
     from repro.baselines.cima import IMASolver
 
     solver = IMASolver(
-        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed,
-        backend=backend,
+        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed
     )
     return lambda instance: solver.solve(instance).tour
 
@@ -217,13 +211,11 @@ def _cima(
     sweeps: int | None = None,
     max_cluster_size: int = 12,
     bits: int = 4,
-    backend: str = "auto",
 ) -> SolveFn:
     from repro.baselines.cima import CIMASolver
 
     solver = CIMASolver(
-        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed,
-        backend=backend,
+        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed
     )
     return lambda instance: solver.solve(instance).tour
 
@@ -234,13 +226,11 @@ def _neuro_ising(
     sweeps: int | None = None,
     max_cluster_size: int = 12,
     bits: int = 4,
-    backend: str = "auto",
 ) -> SolveFn:
     from repro.baselines.neuro_ising import NeuroIsingSolver
 
     solver = NeuroIsingSolver(
-        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed,
-        backend=backend,
+        max_cluster_size=max_cluster_size, bits=bits, sweeps=sweeps, seed=seed
     )
     return lambda instance: solver.solve(instance).tour
 
@@ -253,7 +243,6 @@ def _sa_tsp(
     sweeps: int | None = None,
     t_start_frac: float = 1.0,
     t_end_frac: float = 0.001,
-    backend: str = "auto",
 ) -> SolveFn:
     from repro.ising.sa_tsp import SimulatedAnnealingTSP
 
@@ -262,7 +251,6 @@ def _sa_tsp(
         t_start_frac=t_start_frac,
         t_end_frac=t_end_frac,
         seed=seed,
-        backend=backend,
     )
 
     def solve(instance: TSPInstance) -> Tour:
@@ -284,10 +272,10 @@ def _sa_tsp(
     "greedy", "greedy-edge construction heuristic", stochastic=False,
     needs_matrix=True,
 )
-def _greedy(seed: int | None = 0, backend: str = "auto") -> SolveFn:
+def _greedy(seed: int | None = 0) -> SolveFn:
     from repro.baselines.greedy import greedy_edge_tour
 
-    del seed, backend  # deterministic; accepted so engine params stay uniform
+    del seed  # deterministic; accepted so engine params stay uniform
     return lambda instance: Tour(instance, greedy_edge_tour(instance), closed=True)
 
 
@@ -300,7 +288,7 @@ HILBERT_CONSTRUCTION_LIMIT = 20_000
 @register_solver("two_opt", "nearest-neighbour start + 2-opt/Or-opt", stochastic=False)
 def _two_opt(
     seed: int | None = 0, k: int = 8, max_rounds: int = 30, use_or_opt: bool = True,
-    backend: str = "auto", construction: str = "auto",
+    construction: str = "auto",
 ) -> SolveFn:
     from repro.baselines.greedy import nearest_neighbor_tour, space_filling_order
     from repro.baselines.two_opt import two_opt
@@ -328,7 +316,7 @@ def _two_opt(
         candidates = cached_candidate_lists(instance, min(k, instance.n - 1))
         improved = two_opt(
             instance, initial, neighbors=candidates, max_rounds=max_rounds,
-            use_or_opt=use_or_opt, backend=backend,
+            use_or_opt=use_or_opt,
         )
         return Tour(instance, improved, closed=True)
 
@@ -339,10 +327,10 @@ def _two_opt(
     "exact", "Held-Karp exact DP (tiny instances only)", stochastic=False,
     needs_matrix=True,
 )
-def _exact(seed: int | None = 0, backend: str = "auto") -> SolveFn:
+def _exact(seed: int | None = 0) -> SolveFn:
     from repro.baselines.exact import held_karp_tour
 
-    del seed, backend  # deterministic; accepted so engine params stay uniform
+    del seed  # deterministic; accepted so engine params stay uniform
 
     def solve(instance: TSPInstance) -> Tour:
         if instance.n > EXACT_SIZE_LIMIT:
@@ -361,11 +349,10 @@ def _exact(seed: int | None = 0, backend: str = "auto") -> SolveFn:
 )
 def _concorde_surrogate(
     seed: int | None = 0, neighbor_k: int = 10, max_rounds: int = 40,
-    backend: str = "auto",
 ) -> SolveFn:
     from repro.baselines.concorde_surrogate import ConcordeSurrogate, SurrogateSettings
 
-    del seed, backend  # deterministic; accepted so engine params stay uniform
+    del seed  # deterministic; accepted so engine params stay uniform
     solver = ConcordeSurrogate(
         SurrogateSettings(neighbor_k=neighbor_k, max_rounds=max_rounds)
     )

@@ -8,8 +8,8 @@ instance: the replicas share one hierarchy, and the chunks of a level,
 of every shape and every replica, anneal as one ragged kernel batch.
 
 The rule is read from the run itself (:func:`foldable`): the engine
-would run the replicas in process, clustering is ``ward`` (so every
-replica shares one hierarchy), and the backend is not ``reference``.
+would run the replicas in process, and clustering is ``ward`` (so every
+replica shares one hierarchy).
 Any other job dispatches per-replica tasks on the engine's pool.
 :func:`~repro.engine.runner.run_batch` calls :func:`solve_folded` once
 per instance and hands each replica to the same progress and result
@@ -30,13 +30,12 @@ import numpy as np
 from repro.core.result import ReplicaResult
 from repro.engine.jobs import BatchJob, InstanceSpec
 from repro.errors import ConfigError
-from repro.kernels import BACKEND_REFERENCE, resolve_backend
 
 #: taxi parameters a fold honours (all :class:`~repro.core.config.
 #: TAXIConfig` fields); a job carrying anything else is not folded.
 _FOLD_PARAMS = {
     "sweeps", "max_cluster_size", "bits", "clustering",
-    "endpoint_fixing", "backend", "workers", "chunk_size",
+    "endpoint_fixing", "workers", "chunk_size",
 }
 
 
@@ -51,7 +50,6 @@ def foldable(job: BatchJob, workers: int) -> bool:
         and set(params) <= _FOLD_PARAMS
         and workers == 1
         and params.get("clustering", "ward") == "ward"
-        and resolve_backend(params.get("backend")) != BACKEND_REFERENCE
     )
 
 

@@ -114,7 +114,7 @@ def run_replica_task(task: ReplicaTask) -> tuple[int, ReplicaResult]:
     """Execute one replica (module-level so process pools can pickle it).
 
     Setup (instance materialization + solver build) and the solve
-    proper are timed separately so backend speedups stay visible even
+    proper are timed separately so kernel speedups stay visible even
     when instance construction dominates.
     """
     if _TASK_HOOK is not None:

@@ -6,11 +6,10 @@ decreasing temperature schedule.  Supports geometric, linear, and
 sigmoid-shaped schedules; the sigmoid mirrors TAXI's "natural
 annealing" stochasticity decay for apples-to-apples ablations.
 
-The sweep inner loops live in :mod:`repro.kernels.spin` behind the
-``backend`` knob: ``reference`` is the historical per-spin loop,
-``fast`` batches whole graph-coloring classes per accept step (and
-falls back to the reference loop on dense coupling graphs, where it is
-bit-exact with it).
+The sweep inner loops live in :mod:`repro.kernels.spin`: the kernel
+batches whole graph-coloring classes per accept step, and falls back to
+the historical per-spin loop on dense coupling graphs, where it is
+bit-exact with it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.ising.model import IsingModel
-from repro.kernels import BACKEND_REFERENCE, resolve_backend
 from repro.kernels import spin as spin_kernels
 from repro.utils.rng import ensure_rng
 
@@ -91,10 +89,6 @@ class MetropolisAnnealer:
         Cooling curve shape.
     seed:
         RNG seed (or generator) for proposals and acceptances.
-    backend:
-        Kernel backend: ``auto`` (default, resolves to ``fast``),
-        ``fast`` (checkerboard class-batched updates), or
-        ``reference`` (the historical per-spin loop).
     """
 
     sweeps: int = 200
@@ -103,13 +97,11 @@ class MetropolisAnnealer:
     schedule: TemperatureSchedule = TemperatureSchedule.GEOMETRIC
     seed: int | None | np.random.Generator = None
     track_energy: bool = True
-    backend: str = "auto"
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.sweeps < 1:
             raise ConfigError(f"sweeps must be >= 1, got {self.sweeps}")
-        self.backend = resolve_backend(self.backend)
         self._rng = ensure_rng(self.seed)
 
     def anneal(
@@ -121,12 +113,7 @@ class MetropolisAnnealer:
             model.random_state(rng) if initial is None else model.check_state(initial).copy()
         )
         temperatures = self.schedule.temperatures(self.t_start, self.t_end, self.sweeps)
-        kernel = (
-            spin_kernels.anneal_reference
-            if self.backend == BACKEND_REFERENCE
-            else spin_kernels.anneal_fast
-        )
-        best_spins, best_energy, trace, accepted = kernel(
+        best_spins, best_energy, trace, accepted = spin_kernels.anneal_fast(
             model, spins, temperatures, rng, self.track_energy
         )
         return AnnealResult(best_spins, best_energy, trace, self.sweeps, accepted)
@@ -141,11 +128,8 @@ class MetropolisAnnealer:
         spins = (
             model.random_state(rng) if initial is None else model.check_state(initial).copy()
         )
-        kernel = (
-            spin_kernels.descend_reference
-            if self.backend == BACKEND_REFERENCE
-            else spin_kernels.descend_fast
+        spins, energy, sweeps_done, accepted = spin_kernels.descend_fast(
+            model, spins, self.sweeps, rng
         )
-        spins, energy, sweeps_done, accepted = kernel(model, spins, self.sweeps, rng)
         trace = np.asarray([energy])
         return AnnealResult(spins, energy, trace, sweeps_done, accepted)

@@ -5,10 +5,12 @@ software point of comparison for the Ising-hardware solvers: same
 stochastic-acceptance idea, but executed sequentially on a CPU with
 full-precision distances.
 
-The annealing loop itself lives in :mod:`repro.kernels.twoopt` behind
-the ``backend`` knob; the ``fast`` backend evaluates blocks of 2-opt
-candidates against the distance matrix in vectorized passes and is
-bit-exact with ``reference`` for any seed.
+The annealing loop itself lives in :mod:`repro.kernels.twoopt`: the
+fast kernel evaluates blocks of 2-opt candidates against the distance
+matrix in vectorized passes.  Without a distance matrix, or above
+:data:`~repro.kernels.twoopt.FAST_MATRIX_LIMIT` cities, the solver runs
+the per-proposal reference loop instead, which is bit-exact with the
+fast kernel for any seed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels import BACKEND_REFERENCE, resolve_backend
 from repro.kernels.twoopt import (
     FAST_MATRIX_LIMIT,
     anneal_tours_fast,
@@ -42,17 +43,12 @@ class SimulatedAnnealingTSP:
         the initial tour (scale-free across instances).
     seed:
         RNG seed or generator.
-    backend:
-        Kernel backend: ``auto`` (default, resolves to ``fast``),
-        ``fast`` (batched 2-opt delta blocks, bit-exact with the
-        reference), or ``reference`` (the per-proposal loop).
     """
 
     sweeps: int = 400
     t_start_frac: float = 1.0
     t_end_frac: float = 0.001
     seed: int | None | np.random.Generator = None
-    backend: str = "auto"
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -60,7 +56,6 @@ class SimulatedAnnealingTSP:
             raise ConfigError(f"sweeps must be >= 1, got {self.sweeps}")
         if not 0 < self.t_end_frac <= self.t_start_frac:
             raise ConfigError("need 0 < t_end_frac <= t_start_frac")
-        self.backend = resolve_backend(self.backend)
         self._rng = ensure_rng(self.seed)
 
     def solve(
@@ -93,11 +88,7 @@ class SimulatedAnnealingTSP:
         t_end = self.t_end_frac * avg_edge
         ratio = (t_end / t_start) ** (1.0 / max(self.sweeps - 1, 1))
 
-        if (
-            self.backend != BACKEND_REFERENCE
-            and matrix is not None
-            and n <= FAST_MATRIX_LIMIT
-        ):
+        if matrix is not None and n <= FAST_MATRIX_LIMIT:
             best_order, _ = anneal_tours_fast(
                 rng, order, length, self.sweeps, t_start, ratio, matrix
             )

@@ -1,38 +1,32 @@
-"""Macro batch-sweep kernels: one ragged step body, two draw orders.
+"""Macro batch-sweep kernel: one ragged step body, bulk-drawn randoms.
 
-These kernels run the inner probability x position annealing loop of
+This kernel runs the inner probability x position annealing loop of
 :class:`~repro.macro.batch.BatchedMacroSolver`.  One step body advances
 every macro row of a batch by one visiting-order position.  The rows
 may come from chunks of *different* shapes (a whole hierarchy level at
 once): each chunk's arrays are padded to the widest chunk, each row
 follows its own chunk's position schedule, and a row whose positions
-have run out idles for the rest of the sweep.  What distinguishes the
-backends is how the per-position randoms are staged:
+have run out idles for the rest of the sweep.
 
-* ``reference`` draws gating/noise/jitter/override randoms one position
-  at a time (the historical stream, bit-for-bit stable), so it anneals
-  one chunk per call;
-* ``fast`` hoists all random draws of a sweep into single bulk
-  generator calls (one ``(positions, macros, cities)`` block per
-  stochastic source and chunk) and gates the whole sweep at once.  Same
-  distributions, same update semantics, different draw order — validated
-  against the reference at distribution level.  Because every block is
-  drawn up front, one call anneals chunks of any shapes, each drawing
-  from its own generator in solo order, its blocks scattered into the
-  padded batch: compute is merged, RNG streams are not.
+All random draws of a sweep are hoisted into single bulk generator
+calls (one ``(positions, macros, cities)`` block per stochastic source
+and chunk), and the whole sweep is gated at once.  Because every block
+is drawn up front, one call anneals chunks of any shapes, each drawing
+from its own generator in solo order, its blocks scattered into the
+padded batch: compute is merged, RNG streams are not.
 
 Every operation of a step is row-local, so a chunk evolves
-bit-identically whatever else shares its batch.  Both kernels mutate
-their chunks' ``order``/``pos_of``/``proxy`` in place and return the
-number of sweeps executed.
+bit-identically whatever else shares its batch.  The kernel mutates its
+chunks' ``order``/``pos_of``/``proxy`` in place and returns the number
+of sweeps executed.
 
-Without read noise, ``fast`` runs every sweep of its batch in one call
-into compiled C (``_sweep.c``, loaded by :mod:`repro.kernels.compiled`).
-The C step follows :meth:`_Batch.step` operation by operation and draws
-from each chunk's own NumPy bit generator in the same order, so it is
-bit-identical to the NumPy loop, which stays as the fallback (no
-compiler, read noise) and as the test oracle.  :func:`sweep_path`
-reports which loop runs.
+Without read noise, the kernel runs every sweep of its batch in one
+call into compiled C (``_sweep.c``, loaded by
+:mod:`repro.kernels.compiled`).  The C step follows :meth:`_Batch.step`
+operation by operation and draws from each chunk's own NumPy bit
+generator in the same order, so it is bit-identical to the NumPy loop,
+which stays as the fallback (no compiler, read noise) and as the test
+oracle.  :func:`sweep_path` reports which loop runs.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels import BACKEND_REFERENCE, compiled, resolve_backend
+from repro.kernels import compiled
 
 #: One chunk's kernel inputs: weights ``(m, n, n)``, order and pos_of
 #: ``(m, n)``, allowed-city mask ``(m, n)`` and guard proxy ``(m,)``.
@@ -52,14 +46,12 @@ Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _PAIRWISE_BLOCK = 128
 
 
-def sweep_path(backend: str | None = None, read_noise: float = 0.0) -> str:
+def sweep_path(read_noise: float = 0.0) -> str:
     """Which loop runs macro sweeps: ``compiled`` or ``numpy (<reason>)``.
 
-    ``backend`` and ``read_noise`` are the solve's kernel backend and
-    read-noise sigma.  Builds the compiled sweep if no call has yet.
+    ``read_noise`` is the solve's read-noise sigma.  Builds the compiled
+    sweep if no call has yet.
     """
-    if resolve_backend(backend) == BACKEND_REFERENCE:
-        return "numpy (reference backend)"
     if read_noise > 0:
         return "numpy (read noise)"
     library, reason = compiled.load()
@@ -263,14 +255,12 @@ class _Batch:
         bias: np.ndarray,
         jitter: np.ndarray | None,
         override: np.ndarray | None,
-        rng: np.random.Generator | None,
     ) -> None:
         """Advance the active rows by position step ``t``.
 
-        ``gain`` (``1 + read noise``), ``bias`` (see :func:`_gate_bias`)
-        and ``jitter`` cover the active rows; ``override`` holds their
-        write-path draws, or is ``None`` to draw them from ``rng`` for
-        the proposed rows only.
+        ``gain`` (``1 + read noise``), ``bias`` (see :func:`_gate_bias`),
+        ``jitter`` and ``override`` (the write-path draws, ``None``
+        unless guarded) cover the active rows.
         """
         if self.plan is None:
             self._build_plan()
@@ -307,11 +297,9 @@ class _Batch:
             cand.reshape(-1)[local + pos] = won
             cand.reshape(-1)[local + j] = held
             new_proxy = self.proxy_of(proposed, cand)
-            draws = (
-                override.take(proposed) if override is not None
-                else rng.random(proposed.size)
+            accept = (new_proxy >= self.proxy.take(proposed)) | (
+                override.take(proposed) < p_sw
             )
-            accept = (new_proxy >= self.proxy.take(proposed)) | (draws < p_sw)
             if not accept.all():
                 if not accept.any():
                     return
@@ -331,38 +319,6 @@ class _Batch:
             order[...] = self.order[lane, :k]
             pos_of[...] = self.pos_of[lane, :k]
             proxy[...] = self.proxy[lane]
-
-
-def anneal_group_reference(
-    chunk: Chunk,
-    positions: np.ndarray,
-    probabilities: np.ndarray,
-    *,
-    closed: bool,
-    read_noise: float,
-    resolution: float,
-    guarded: bool,
-    rng: np.random.Generator,
-) -> int:
-    """Historical per-position draw order (bit-for-bit stable stream)."""
-    batch = _Batch(
-        [chunk], [positions], closed=closed, resolution=resolution, guarded=guarded
-    )
-    shape = batch.order.shape
-    sweeps = 0
-    for p_sw in probabilities:
-        p_sw = float(p_sw)
-        for t in range(positions.size):
-            gain = (
-                1.0 + rng.normal(0.0, read_noise, size=shape)
-                if read_noise > 0 else None
-            )
-            bias = _gate_bias(rng.random(shape), p_sw, batch.allowed)
-            jitter = rng.random(shape) if resolution > 0 else None
-            batch.step(t, p_sw, gain, bias, jitter, None, rng)
-        sweeps += 1
-    batch.unpack([chunk])
-    return sweeps
 
 
 def anneal_group_fast(
@@ -427,7 +383,6 @@ def anneal_group_fast(
                 bias[t, :active],
                 None if jitter is None else jitter[t, :active],
                 None if override is None else override[t, :active],
-                None,
             )
         sweeps += 1
     batch.unpack(chunks)

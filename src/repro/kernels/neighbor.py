@@ -1,4 +1,4 @@
-"""Neighbor-list 2-opt/Or-opt kernels: reference and vectorized backends.
+"""Neighbor-list 2-opt/Or-opt kernels: scalar oracle and vectorized passes.
 
 This is the sparse-mode local-search engine.  Moves are evaluated only
 against each city's k nearest candidates (:class:`CandidateLists`), so
@@ -8,17 +8,20 @@ dense matrix when one is cheap (small n, or EXPLICIT where the matrix
 otherwise.  Don't-look bits keep passes focused on recently-changed
 regions.
 
-Two backends share one pass structure:
+Two pass sets share one pass structure:
 
-* ``reference`` — scalar candidate scans, the executable specification
-  (moved here verbatim from ``baselines/two_opt.py``);
-* ``fast`` — per-city vectorized candidate evaluation.
+* the scalar candidate scans (:func:`two_opt_pass`, :func:`or_opt_pass`),
+  the executable specification (moved here verbatim from
+  ``baselines/two_opt.py``);
+* their per-city vectorized twins (:func:`two_opt_pass_fast`,
+  :func:`or_opt_pass_fast`), which :meth:`NeighborLocalSearch.improve`
+  runs.
 
-The backends are **bit-exact**: both walk cities in the same don't-look
+The two are **bit-exact**: both walk cities in the same don't-look
 order, evaluate deltas with the same left-to-right float64 arithmetic,
 and pick the same first-improving (2-opt) or first-minimal (Or-opt)
-move.  :class:`NeighborKernelParity` asserts this on demand, mirroring
-the annealing kernels' parity harness.
+move.  :class:`NeighborKernelParity` asserts this on demand through
+:meth:`NeighborLocalSearch.improve_reference`.
 
 One subtlety worth spelling out because it is where a naive
 vectorization breaks parity: the reference 2-opt scan ``continue``\\ s on
@@ -30,12 +33,12 @@ candidate with ``d_ac >= d_ab``, not the first candidate outright.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.kernels import BACKEND_FAST, BACKEND_REFERENCE, resolve_backend
 from repro.tsp.instance import EdgeWeightType, TSPInstance
 from repro.tsp.neighbors import CandidateLists, build_candidate_lists
 
@@ -102,7 +105,7 @@ def _dont_look_pass(order: np.ndarray, try_city) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Shared tour mutators (identical for both backends).
+# Shared tour mutators (identical for both pass sets).
 
 def _reverse_segment(
     order: np.ndarray, position: np.ndarray, pa: int, pc: int, direction: int
@@ -154,7 +157,7 @@ def _relocate_segment(
 
 
 # ----------------------------------------------------------------------
-# Reference backend: scalar candidate scans.
+# Scalar candidate scans: the bit-exact oracle.
 
 def two_opt_pass(
     order: np.ndarray,
@@ -255,7 +258,7 @@ def or_opt_pass(
 
 
 # ----------------------------------------------------------------------
-# Fast backend: per-city vectorized candidate evaluation.
+# Vectorized passes: per-city candidate evaluation.
 
 def two_opt_pass_fast(
     order: np.ndarray,
@@ -388,50 +391,62 @@ def or_opt_pass_fast(
 # Driver.
 
 class NeighborLocalSearch:
-    """2-opt + Or-opt restricted to candidate lists, backend-selectable.
+    """2-opt + Or-opt restricted to candidate lists.
 
-    ``backend`` accepts the usual kernel names; both backends produce
-    bit-identical tours.
+    :meth:`improve` runs the vectorized passes; :meth:`improve_reference`
+    runs the scalar ones, and both return bit-identical tours.
     """
 
     def __init__(
         self,
         candidates: CandidateLists,
-        backend: str | None = "auto",
         use_or_opt: bool = True,
         max_rounds: int = 30,
     ) -> None:
         self.candidates = candidates
-        self.backend = resolve_backend(backend)
         self.use_or_opt = use_or_opt
         self.max_rounds = max_rounds
         self._dist, self._pair = make_dist_fns(candidates.instance)
 
     def improve(self, order: np.ndarray) -> np.ndarray:
         """Improve a closed tour until the move set is exhausted."""
+        shared = dict(
+            neighbors=self.candidates.neighbors, dist=self._dist, pair=self._pair
+        )
+        return self._descend(
+            order,
+            functools.partial(
+                two_opt_pass_fast, cand_dists=self.candidates.distances, **shared
+            ),
+            functools.partial(or_opt_pass_fast, **shared),
+        )
+
+    def improve_reference(self, order: np.ndarray) -> np.ndarray:
+        """:meth:`improve` through the scalar passes (its bit-exact oracle)."""
+        shared = dict(neighbors=self.candidates.neighbors, dist=self._dist)
+        return self._descend(
+            order,
+            functools.partial(two_opt_pass, **shared),
+            functools.partial(or_opt_pass, **shared),
+        )
+
+    def _descend(
+        self,
+        order: np.ndarray,
+        two_opt: Callable[[np.ndarray, np.ndarray], bool],
+        or_opt: Callable[[np.ndarray, np.ndarray], bool],
+    ) -> np.ndarray:
+        """Alternate the two passes until a round improves nothing."""
         n = self.candidates.n
         order = np.asarray(order, dtype=int).copy()
         if sorted(order.tolist()) != list(range(n)):
             raise SolverError("neighbor local search needs a tour permutation")
         position = np.empty(n, dtype=int)
         position[order] = np.arange(n)
-        neighbors = self.candidates.neighbors
         for _ in range(self.max_rounds):
-            if self.backend == BACKEND_REFERENCE:
-                improved = two_opt_pass(order, position, neighbors, self._dist)
-                if self.use_or_opt:
-                    improved |= or_opt_pass(
-                        order, position, neighbors, self._dist
-                    )
-            else:
-                improved = two_opt_pass_fast(
-                    order, position, neighbors, self.candidates.distances,
-                    self._dist, self._pair,
-                )
-                if self.use_or_opt:
-                    improved |= or_opt_pass_fast(
-                        order, position, neighbors, self._dist, self._pair
-                    )
+            improved = two_opt(order, position)
+            if self.use_or_opt:
+                improved |= or_opt(order, position)
             if not improved:
                 break
         return order
@@ -442,7 +457,6 @@ def neighbor_local_search(
     order: np.ndarray,
     candidates: CandidateLists | None = None,
     k: int = 8,
-    backend: str | None = "auto",
     use_or_opt: bool = True,
     max_rounds: int = 30,
 ) -> np.ndarray:
@@ -450,18 +464,18 @@ def neighbor_local_search(
     if candidates is None:
         candidates = build_candidate_lists(instance, min(k, instance.n - 1))
     search = NeighborLocalSearch(
-        candidates, backend=backend, use_or_opt=use_or_opt,
-        max_rounds=max_rounds,
+        candidates, use_or_opt=use_or_opt, max_rounds=max_rounds
     )
     return search.improve(order)
 
 
 class NeighborKernelParity:
-    """Bit-exactness harness: reference vs fast on identical inputs.
+    """Bit-exactness harness: scalar vs vectorized passes on one input.
 
-    Mirrors the annealing kernels' parity class: ``check`` runs both
-    backends from one starting tour and reports whether every entry of
-    the resulting permutations matches exactly (no tolerance).
+    ``check`` runs :meth:`NeighborLocalSearch.improve_reference` and
+    :meth:`NeighborLocalSearch.improve` from one starting tour and
+    reports whether every entry of the resulting permutations matches
+    exactly (no tolerance).
     """
 
     def __init__(
@@ -471,22 +485,14 @@ class NeighborKernelParity:
         use_or_opt: bool = True,
         max_rounds: int = 30,
     ) -> None:
-        self.candidates = build_candidate_lists(
-            instance, min(k, instance.n - 1)
+        self.search = NeighborLocalSearch(
+            build_candidate_lists(instance, min(k, instance.n - 1)),
+            use_or_opt=use_or_opt,
+            max_rounds=max_rounds,
         )
-        self.use_or_opt = use_or_opt
-        self.max_rounds = max_rounds
 
     def run(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ref = NeighborLocalSearch(
-            self.candidates, backend=BACKEND_REFERENCE,
-            use_or_opt=self.use_or_opt, max_rounds=self.max_rounds,
-        ).improve(order)
-        fast = NeighborLocalSearch(
-            self.candidates, backend=BACKEND_FAST,
-            use_or_opt=self.use_or_opt, max_rounds=self.max_rounds,
-        ).improve(order)
-        return ref, fast
+        return self.search.improve_reference(order), self.search.improve(order)
 
     def check(self, order: np.ndarray) -> bool:
         ref, fast = self.run(order)

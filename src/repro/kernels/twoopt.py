@@ -1,9 +1,11 @@
 """2-opt simulated-annealing kernels: reference loop and batched fast path.
 
 Both kernels run the *same* Markov chain — same proposal stream, same
-acceptance rule, same IEEE-double arithmetic — so the fast backend is
-bit-exact with the reference for any seed.  The fast kernel changes
-only how proposals are *evaluated*:
+acceptance rule, same IEEE-double arithmetic — so the fast kernel is
+bit-exact with the reference loop for any seed.  The solver runs the
+reference loop only where the fast kernel cannot (no distance matrix,
+or more than :data:`FAST_MATRIX_LIMIT` cities).  The fast kernel
+changes only how proposals are *evaluated*:
 
 * **High-acceptance sweeps** run a scalar loop over Python lists
   (list indexing sidesteps per-element numpy boxing, ~2-3x the

@@ -10,15 +10,13 @@ math, stochastic gating with NAND fallback, finite-resolution WTA,
 swap updates) — verified against the faithful model in the test suite.
 
 The probability x position sweep loop lives in
-:mod:`repro.kernels.macro` behind the ``backend`` knob: ``reference``
-keeps the historical per-position random-draw order bit-for-bit,
-``fast`` hoists each sweep's draws into bulk generator calls (same
-distributions, different stream).  :func:`solve_chunks` anneals many
-chunks of any sizes and fixed endpoints, each with its own solver and
-RNG stream, as one padded ``fast`` kernel batch: the hierarchical
-pipeline's level-wide ragged lock-step.  :meth:`BatchedMacroSolver.
-solve_all` keeps one kernel call per shape group, because its groups
-draw from one shared generator in sequence.
+:mod:`repro.kernels.macro`, which hoists each sweep's draws into bulk
+generator calls.  :func:`solve_chunks` anneals many chunks of any sizes
+and fixed endpoints, each with its own solver and RNG stream, as one
+padded kernel batch: the hierarchical pipeline's level-wide ragged
+lock-step.  :meth:`BatchedMacroSolver.solve_all` keeps one kernel call
+per shape group, because its groups draw from one shared generator in
+sequence.
 """
 
 from __future__ import annotations
@@ -29,12 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import MacroError
-from repro.kernels import BACKEND_REFERENCE, resolve_backend
-from repro.kernels.macro import (
-    anneal_group_fast,
-    anneal_group_reference,
-    batch_proxy,
-)
+from repro.kernels.macro import anneal_group_fast, batch_proxy
 from repro.macro.config import MacroConfig
 from repro.macro.schedule import AnnealSchedule, paper_schedule
 from repro.utils.rng import ensure_rng
@@ -115,21 +108,15 @@ class BatchedMacroSolver:
     seed:
         RNG seed or generator for stochastic gating, variation, and
         tie-breaks.
-    backend:
-        Kernel backend: ``auto`` (default, resolves to ``fast``),
-        ``fast`` (bulk-RNG sweeps), or ``reference`` (the historical
-        per-position draw order).
     """
 
     def __init__(
         self,
         config: MacroConfig | None = None,
         seed: int | None | np.random.Generator = None,
-        backend: str = "auto",
     ) -> None:
         self.config = config if config is not None else MacroConfig()
         self._rng = ensure_rng(seed)
-        self.backend = resolve_backend(backend)
         self.total_iterations = 0
         self.total_sweeps = 0
 
@@ -171,22 +158,16 @@ def solve_chunks(
     guarantees), while different chunks may differ in size and fixed
     endpoints.  The chunks must be all closed or all open, and
     ``solvers[i]`` is chunk ``i``'s seeded solver; all solvers share one
-    config and backend.  Each chunk consumes its solver's RNG exactly as
-    a solo solve of that chunk would (weight draws at prepare time, then
+    config.  Each chunk consumes its solver's RNG exactly as a solo
+    solve of that chunk would (weight draws at prepare time, then
     per-sweep blocks), so the solutions are bit-identical to solving
-    chunk by chunk.  The ``fast`` kernel anneals every chunk in one
-    call; the ``reference`` kernel, whose per-position stream cannot be
-    block-drawn, one chunk per call.  A chunk with nothing to anneal
-    draws no randoms and joins no kernel call.
+    chunk by chunk.  One kernel call anneals every chunk.  A chunk with
+    nothing to anneal draws no randoms and joins no kernel call.
     """
     schedule = schedule if schedule is not None else paper_schedule()
-    template = solvers[0]
-    config = template.config
-    if any(
-        solver.config != config or solver.backend != template.backend
-        for solver in solvers[1:]
-    ):
-        raise MacroError("merged chunks need one shared config and backend")
+    config = solvers[0].config
+    if any(solver.config != config for solver in solvers[1:]):
+        raise MacroError("merged chunks need one shared config")
     for problems in chunk_problems:
         for problem in problems:
             if problem.n > config.max_cities:
@@ -221,26 +202,18 @@ def solve_chunks(
             _prepare(solvers[i], chunk_problems[i], chunk_levels, restarts)
             for i, chunk_levels in zip(live, levels)
         ]
-        kernel_args = dict(
+        done = anneal_group_fast(
+            prepared,
+            [positions[i] for i in live],
+            schedule.probabilities(),
             closed=closed,
             read_noise=config.crossbar.variation.read_noise_sigma,
             resolution=config.wta_resolution,
             guarded=config.guarded_updates,
+            rngs=[solvers[i]._rng for i in live],
         )
-        probabilities = schedule.probabilities()
-        if template.backend == BACKEND_REFERENCE:
-            for i, arrays in zip(live, prepared):
-                sweeps[i] = anneal_group_reference(
-                    arrays, positions[i], probabilities,
-                    rng=solvers[i]._rng, **kernel_args,
-                )
-        else:
-            done = anneal_group_fast(
-                prepared, [positions[i] for i in live], probabilities,
-                rngs=[solvers[i]._rng for i in live], **kernel_args,
-            )
-            for i in live:
-                sweeps[i] = done
+        for i in live:
+            sweeps[i] = done
         for i, chunk_levels, arrays in zip(live, levels, prepared):
             orders[i] = _pick_restarts(chunk_levels, arrays[1], closed)
 

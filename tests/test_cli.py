@@ -138,7 +138,7 @@ class TestEngineCommands:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("instance,n,solver,replicas,best")
         header = lines[0].split(",")
-        # per-replica setup-vs-solve wall-time split (backend speedups
+        # per-replica setup-vs-solve wall-time split (kernel speedups
         # must stay visible in engine output)
         assert "setup_seconds" in header
         assert "solve_seconds" in header
@@ -149,31 +149,18 @@ class TestEngineCommands:
         assert float(row["setup_seconds"]) >= 0.0
         assert float(row["solve_seconds"]) > 0.0
 
-    def test_batch_backend_flag(self, capsys):
-        # --backend threads through the engine params; reference and
-        # fast are bit-exact for sa_tsp (and array is an alias of fast),
-        # so aggregates must agree.
-        outs = []
-        for backend in ("reference", "fast", "array"):
-            code = main(
-                ["batch", "--instances", "uniform:24:1", "--solver", "sa_tsp",
-                 "--replicas", "2", "--workers", "1", "--sweeps", "10",
-                 "--quiet", "--backend", backend]
-            )
-            assert code == 0
-            outs.append(capsys.readouterr().out)
-        rows = [
-            [line for line in out.splitlines() if "uniform24@1" in line][0]
-            for out in outs
-        ]
-        # compare the quality columns (timings differ run to run)
-        assert len({tuple(row.split("|")[4:9]) for row in rows}) == 1
-
-    def test_batch_bad_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["batch", "--instances", "24", "--backend", "gpu"]
-            )
+    def test_backend_flag_removed(self):
+        # Each solver runs one kernel: no command takes --backend.
+        commands = (
+            ["solve"],
+            ["batch"],
+            ["sweep", "--param", "sweeps", "--values", "10"],
+            ["scenarios"],
+        )
+        for command in commands:
+            build_parser().parse_args(command)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--backend", "fast"])
 
     def test_batch_progress_streams_to_stderr(self, capsys):
         code = main(

@@ -244,4 +244,3 @@ class TestLoader:
 
     def test_read_noise_and_reference_report_numpy(self):
         assert sweep_path(read_noise=0.05) == "numpy (read noise)"
-        assert sweep_path("reference") == "numpy (reference backend)"

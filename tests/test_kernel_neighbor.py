@@ -9,7 +9,6 @@ kernels feed golden comparisons and cross-worker bit-identity checks.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.kernels.neighbor import (
     NeighborKernelParity,
     NeighborLocalSearch,
@@ -137,19 +136,11 @@ class TestNeighborLocalSearch:
 
     def test_backend_reference_matches_fast(self):
         inst = uniform_instance(80, seed=3)
-        lists = build_candidate_lists(inst, 8)
+        search = NeighborLocalSearch(build_candidate_lists(inst, 8))
         start = _random_order(80, seed=5)
-        ref = NeighborLocalSearch(lists, backend="reference").improve(start)
-        fast = NeighborLocalSearch(lists, backend="fast").improve(start)
-        arr = NeighborLocalSearch(lists, backend="array").improve(start)
-        np.testing.assert_array_equal(ref, fast)
-        np.testing.assert_array_equal(ref, arr)
-
-    def test_unknown_backend_rejected(self):
-        inst = uniform_instance(20, seed=0)
-        lists = build_candidate_lists(inst, 4)
-        with pytest.raises(ConfigError):
-            NeighborLocalSearch(lists, backend="gpu")
+        np.testing.assert_array_equal(
+            search.improve_reference(start), search.improve(start)
+        )
 
     def test_bad_permutation_rejected(self):
         inst = uniform_instance(20, seed=0)

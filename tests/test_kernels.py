@@ -1,15 +1,15 @@
-"""Tests for the selectable kernel backends (repro.kernels)."""
+"""Tests for the vectorized kernels (repro.kernels) and their fallbacks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.ising.annealer import MetropolisAnnealer
+import repro.ising.sa_tsp
+from repro.ising.annealer import TemperatureSchedule
 from repro.ising.model import IsingModel
 from repro.ising.sa_tsp import SimulatedAnnealingTSP
-from repro.kernels import BACKEND_FAST, BACKENDS, resolve_backend
+from repro.kernels import spin
 from repro.kernels.macro import batch_proxy, ragged_proxy
 from repro.kernels.spin import color_classes
 from repro.macro.batch import BatchedMacroSolver, SubProblem
@@ -42,49 +42,6 @@ def dense_model(n: int = 8) -> IsingModel:
     return IsingModel(j)
 
 
-class TestResolveBackend:
-    def test_auto_and_none_resolve_to_fast(self):
-        assert resolve_backend("auto") == BACKEND_FAST
-        assert resolve_backend(None) == BACKEND_FAST
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_known_names_pass_through(self, name):
-        # ``array`` is an alias of ``fast``; the others name themselves.
-        expected = BACKEND_FAST if name == "array" else name
-        assert resolve_backend(name) == expected
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            resolve_backend("cuda")
-
-
-class TestUnknownBackendEverywhere:
-    def test_metropolis(self):
-        with pytest.raises(ConfigError):
-            MetropolisAnnealer(backend="bogus")
-
-    def test_sa_tsp(self):
-        with pytest.raises(ConfigError):
-            SimulatedAnnealingTSP(backend="bogus")
-
-    def test_macro_batch(self):
-        with pytest.raises(ConfigError):
-            BatchedMacroSolver(backend="bogus")
-
-    def test_taxi_config(self):
-        from repro.core import TAXIConfig
-
-        with pytest.raises(ConfigError):
-            TAXIConfig(backend="bogus")
-
-    def test_registry_param(self):
-        from repro.engine import solve_with
-
-        inst = uniform_instance(12, seed=0)
-        with pytest.raises(ConfigError):
-            solve_with("sa_tsp", inst, sweeps=5, backend="bogus")
-
-
 class TestColorClasses:
     def test_partition_into_independent_sets(self):
         model = lattice_model(60, seed=1)
@@ -104,59 +61,70 @@ class TestColorClasses:
         assert len(color_classes(model.couplings)) == 8
 
 
+#: The two Metropolis kernels by name: each an (anneal, descend) pair.
+SPIN_KERNELS = {
+    "fast": (spin.anneal_fast, spin.descend_fast),
+    "reference": (spin.anneal_reference, spin.descend_reference),
+}
+
+
+def anneal(kernel: str, model: IsingModel, sweeps: int, seed: int):
+    """One anneal on the named kernel: ``(best_spins, energy, trace, accepted)``."""
+    rng = np.random.default_rng(seed)
+    temperatures = TemperatureSchedule.GEOMETRIC.temperatures(10.0, 0.05, sweeps)
+    return SPIN_KERNELS[kernel][0](model, model.random_state(rng), temperatures, rng)
+
+
+def descend(kernel: str, model: IsingModel, sweeps: int, seed: int, initial=None):
+    """One descent on the named kernel: ``(spins, energy, sweeps, accepted)``."""
+    rng = np.random.default_rng(seed)
+    spins = model.random_state(rng) if initial is None else initial.copy()
+    return SPIN_KERNELS[kernel][1](model, spins, sweeps, rng)
+
+
 class TestMetropolisBackends:
     def test_dense_fast_falls_back_bit_exact(self):
         # Coloring is useless on a dense graph; the fast kernel must
         # degrade to the reference loop and match it bit for bit.
         model = dense_model(8)
-        ref = MetropolisAnnealer(sweeps=60, seed=3, backend="reference").anneal(model)
-        fast = MetropolisAnnealer(sweeps=60, seed=3, backend="fast").anneal(model)
-        assert ref.energy == fast.energy
-        np.testing.assert_array_equal(ref.spins, fast.spins)
-        np.testing.assert_array_equal(ref.energy_trace, fast.energy_trace)
+        ref_spins, ref_energy, ref_trace, _ = anneal("reference", model, 60, 3)
+        fast_spins, fast_energy, fast_trace, _ = anneal("fast", model, 60, 3)
+        assert ref_energy == fast_energy
+        np.testing.assert_array_equal(ref_spins, fast_spins)
+        np.testing.assert_array_equal(ref_trace, fast_trace)
 
     def test_sparse_quality_parity(self):
         # Different streams, same physics: mean best energy over seeds
         # must land in the same quality class.
         model = lattice_model(80, seed=4)
-        ref = [
-            MetropolisAnnealer(sweeps=120, seed=s, backend="reference")
-            .anneal(model).energy
-            for s in range(4)
-        ]
-        fast = [
-            MetropolisAnnealer(sweeps=120, seed=s, backend="fast")
-            .anneal(model).energy
-            for s in range(4)
-        ]
+        ref = [anneal("reference", model, 120, s)[1] for s in range(4)]
+        fast = [anneal("fast", model, 120, s)[1] for s in range(4)]
         assert abs(np.mean(ref) - np.mean(fast)) <= 0.1 * abs(np.mean(ref))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_best_energy_matches_best_spins(self, backend):
+    @pytest.mark.parametrize("kernel", sorted(SPIN_KERNELS))
+    def test_best_energy_matches_best_spins(self, kernel):
         # The flip-journal reconstruction must return exactly the state
         # whose energy was recorded as the best.
         model = lattice_model(40, seed=5)
-        result = MetropolisAnnealer(sweeps=40, seed=6, backend=backend).anneal(model)
-        assert model.energy(result.spins) == pytest.approx(result.energy)
+        spins, energy, _, _ = anneal(kernel, model, 40, 6)
+        assert model.energy(spins) == pytest.approx(energy)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_descend_reaches_local_minimum(self, backend):
+    @pytest.mark.parametrize("kernel", sorted(SPIN_KERNELS))
+    def test_descend_reaches_local_minimum(self, kernel):
         model = lattice_model(48, seed=7)
-        result = MetropolisAnnealer(sweeps=100, seed=8, backend=backend).descend(model)
+        spins = descend(kernel, model, 100, 8)[0]
         for i in range(model.n):
-            assert model.flip_delta(result.spins, i) >= -1e-9
+            assert model.flip_delta(spins, i) >= -1e-9
 
     def test_descend_fixed_points_identical(self):
         # A reference fixed point is a fast fixed point and vice versa:
-        # both backends return it unchanged.
+        # both kernels return it unchanged.
         model = lattice_model(48, seed=9)
-        fixed = MetropolisAnnealer(sweeps=100, seed=1, backend="reference").descend(model)
-        for backend in BACKENDS:
-            again = MetropolisAnnealer(sweeps=50, seed=2, backend=backend).descend(
-                model, initial=fixed.spins
-            )
-            np.testing.assert_array_equal(again.spins, fixed.spins)
-            assert again.accepted_flips == 0
+        fixed = descend("reference", model, 100, 1)[0]
+        for kernel in SPIN_KERNELS:
+            spins, _, _, accepted = descend(kernel, model, 50, 2, initial=fixed)
+            np.testing.assert_array_equal(spins, fixed)
+            assert accepted == 0
 
     def test_fast_solves_ferromagnet_ground_state(self):
         # Sparse ferromagnetic ring: the fast kernel must find the
@@ -167,30 +135,30 @@ class TestMetropolisBackends:
         couplings[i, (i + 1) % n] = 1.0
         couplings[(i + 1) % n, i] = 1.0
         model = IsingModel(couplings)
-        result = MetropolisAnnealer(sweeps=200, seed=0, backend="fast").anneal(model)
-        assert result.energy == pytest.approx(-n)
+        assert anneal("fast", model, 200, 0)[1] == pytest.approx(-n)
 
 
 class TestSATSPBackends:
-    # Backend parity (bit-exact tours on registry instances, aggregate
-    # quality over seeds) lives in the backend x solver matrix:
-    # tests/test_parity_matrix.py.
+    # Kernel parity across the registry lives in the solver parity
+    # matrix: tests/test_parity_matrix.py.
 
     @pytest.mark.parametrize("size", [76, 200])
-    def test_registry_instances_bit_exact(self, size):
+    def test_registry_instances_bit_exact(self, size, monkeypatch):
         # Larger-n spot check than the matrix's common instance: the
         # hybrid scalar/batch sweep must replay the reference Markov
-        # chain exactly at realistic sizes too.
+        # chain exactly at realistic sizes too.  Above FAST_MATRIX_LIMIT
+        # cities the solver runs the reference loop.
         inst = load_benchmark(size)
-        ref = SimulatedAnnealingTSP(sweeps=60, seed=11, backend="reference").solve(inst)
-        fast = SimulatedAnnealingTSP(sweeps=60, seed=11, backend="fast").solve(inst)
+        fast = SimulatedAnnealingTSP(sweeps=60, seed=11).solve(inst)
+        monkeypatch.setattr(repro.ising.sa_tsp, "FAST_MATRIX_LIMIT", 0)
+        ref = SimulatedAnnealingTSP(sweeps=60, seed=11).solve(inst)
         assert fast.length == ref.length
         np.testing.assert_array_equal(fast.order, ref.order)
 
     def test_initial_order_respected(self):
         inst = uniform_instance(20, seed=13)
         initial = np.roll(np.arange(20), 5)
-        tour = SimulatedAnnealingTSP(sweeps=5, seed=3, backend="fast").solve(
+        tour = SimulatedAnnealingTSP(sweeps=5, seed=3).solve(
             inst, initial
         )
         assert sorted(tour.order.tolist()) == list(range(20))
@@ -198,7 +166,7 @@ class TestSATSPBackends:
     def test_tiny_instances(self):
         for n in (4, 5):
             inst = uniform_instance(n, seed=14)
-            tour = SimulatedAnnealingTSP(sweeps=20, seed=0, backend="fast").solve(inst)
+            tour = SimulatedAnnealingTSP(sweeps=20, seed=0).solve(inst)
             assert sorted(tour.order.tolist()) == list(range(n))
 
 
@@ -214,20 +182,17 @@ class TestMacroBackends:
         ]
 
     def test_fast_orders_valid_with_fixed_endpoints(self):
-        solver = BatchedMacroSolver(seed=0, backend="fast")
+        solver = BatchedMacroSolver(seed=0)
         for sol in solver.solve_all(self.problems(), paper_schedule(60)):
             assert sorted(sol.order.tolist()) == list(range(8))
             assert sol.order[0] == 0
             assert sol.order[-1] == 7
 
-    # Macro-level distribution parity between backends is asserted for
-    # every macro-based registry solver in tests/test_parity_matrix.py.
-
     def test_fast_deterministic_given_seed(self):
-        a = BatchedMacroSolver(seed=5, backend="fast").solve_all(
+        a = BatchedMacroSolver(seed=5).solve_all(
             self.problems(4), paper_schedule(40)
         )
-        b = BatchedMacroSolver(seed=5, backend="fast").solve_all(
+        b = BatchedMacroSolver(seed=5).solve_all(
             self.problems(4), paper_schedule(40)
         )
         for x, y in zip(a, b):
@@ -264,19 +229,3 @@ class TestRaggedProxy:
                 expected.append(batch_proxy(real, order, closed)[0])
             got = ragged_proxy(weights, orders, sizes, closed)
             np.testing.assert_array_equal(got, expected)
-
-
-class TestBackendThreading:
-    # Per-solver backend agreement (bit-exact and distribution-level)
-    # is swept across the whole registry in tests/test_parity_matrix.py;
-    # here we only keep the TAXI end-to-end threading check.
-
-    def test_taxi_backend_flows_to_macro(self):
-        from repro.core import TAXIConfig, TAXISolver
-
-        inst = uniform_instance(50, seed=16)
-        for backend in BACKENDS:
-            result = TAXISolver(
-                TAXIConfig(sweeps=20, seed=0, backend=backend)
-            ).solve(inst)
-            assert sorted(result.tour.order.tolist()) == list(range(50))

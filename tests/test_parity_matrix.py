@@ -1,46 +1,28 @@
-"""Backend x solver parity matrix.
+"""Solver parity matrix.
 
-One parameterized sweep asserting that the ``fast`` and ``reference``
-kernel backends agree for *every* registry solver, at the strength PR 2
-guarantees per solver:
+Every registry solver runs one kernel.  One parameterized sweep asserts,
+per solver, the strongest property its kernel guarantees:
 
-* ``bit_exact`` — identical tours for any seed.  Holds for ``sa_tsp``
-  (the batched 2-opt kernel replays the reference Markov chain
-  exactly) and for all deterministic solvers (greedy, two_opt, exact,
-  concorde_surrogate — they accept the knob but ignore randomness).
-* ``distribution`` — the macro-based solvers (taxi, hvc, ima, cima,
-  neuro_ising) hoist their RNG draws in the fast backend (same
-  distributions, different stream), so parity is asserted on mean tour
-  length over seeds instead.
+* ``BIT_EXACT`` — the solver's vectorized kernel gives the same tours
+  as the scalar loop it replaced, for any seed.  ``sa_tsp`` reaches its
+  reference loop through the solver, which runs it above
+  ``FAST_MATRIX_LIMIT`` cities; ``two_opt`` through
+  :class:`~repro.kernels.neighbor.NeighborKernelParity`.
+* ``RERUN`` — every other solver reruns bit-identically: the same seed
+  gives the same tour.
 
-This replaces the ad-hoc per-solver parity tests that used to live in
-``test_kernels.py``; a new registry solver fails here until it is
-classified below.
+A new registry solver fails here until it is classified below.
 """
 
 import numpy as np
 import pytest
 
+import repro.ising.sa_tsp
+from repro.baselines.greedy import nearest_neighbor_tour
 from repro.engine import solve_with, solver_names
 from repro.engine.registry import EXACT_SIZE_LIMIT
-from repro.kernels import resolve_backend
+from repro.kernels.neighbor import NeighborKernelParity
 from repro.tsp.generators import clustered_instance, uniform_instance
-
-#: Parity class per registry solver (every solver must be listed).
-BIT_EXACT = {
-    "sa_tsp", "greedy", "two_opt", "exact", "concorde_surrogate",
-}
-DISTRIBUTION = {
-    "taxi", "hvc", "ima", "cima", "neuro_ising",
-}
-#: Meta-solvers with no backend knob of their own: parity is defined as
-#: bit-identical reruns (their arms' backend parity is covered above).
-META_DETERMINISTIC = {
-    "portfolio",
-}
-
-#: Relative tolerance for distribution-level parity on mean lengths.
-DISTRIBUTION_RTOL = 0.10
 
 SEEDS = (0, 1, 2)
 
@@ -57,81 +39,71 @@ def _params_for(solver: str) -> dict:
     return {}
 
 
+def _sa_tsp_tours(instance, seed, monkeypatch):
+    """sa_tsp's tour, then the same solve on its per-proposal loop."""
+    fast = solve_with("sa_tsp", instance, seed=seed, sweeps=60).order
+    with monkeypatch.context() as patch:
+        # Above FAST_MATRIX_LIMIT cities the solver runs its reference loop.
+        patch.setattr(repro.ising.sa_tsp, "FAST_MATRIX_LIMIT", 0)
+        reference = solve_with("sa_tsp", instance, seed=seed, sweeps=60).order
+    return fast, reference
+
+
+def _two_opt_tours(instance, seed, monkeypatch):
+    """two_opt's tour, then its start tour improved by the scalar passes."""
+    reference, fast = NeighborKernelParity(instance).run(
+        nearest_neighbor_tour(instance)
+    )
+    # The harness starts from the solver's own start tour, so its
+    # vectorized side is the solve itself (deterministic: any seed).
+    np.testing.assert_array_equal(
+        solve_with("two_opt", instance, seed=seed).order, fast
+    )
+    return fast, reference
+
+
+#: Parity class per registry solver (every solver must be listed).
+#: A bit-exact solver maps to a function returning its tour and its
+#: scalar reference's tour for one seed.
+BIT_EXACT = {"sa_tsp": _sa_tsp_tours, "two_opt": _two_opt_tours}
+RERUN = {
+    "taxi", "hvc", "ima", "cima", "neuro_ising",
+    "greedy", "exact", "concorde_surrogate", "portfolio",
+}
+
+
 def test_matrix_covers_the_whole_registry():
     """A new solver must declare its parity class before it ships."""
-    classes = (BIT_EXACT, DISTRIBUTION, META_DETERMINISTIC)
-    unclassified = set(solver_names()) - set().union(*classes)
+    unclassified = set(solver_names()) - (set(BIT_EXACT) | RERUN)
     assert not unclassified, (
         f"solvers without a parity class: {sorted(unclassified)}; "
-        "add them to BIT_EXACT, DISTRIBUTION, or META_DETERMINISTIC in "
-        "test_parity_matrix.py"
+        "add them to BIT_EXACT or RERUN in test_parity_matrix.py"
     )
-    for first in classes:
-        for second in classes:
-            if first is not second:
-                overlap = first & second
-                assert not overlap, (
-                    f"solvers in two parity classes: {sorted(overlap)}")
+    overlap = set(BIT_EXACT) & RERUN
+    assert not overlap, f"solvers in two parity classes: {sorted(overlap)}"
 
 
 @pytest.mark.parametrize("solver", sorted(BIT_EXACT))
-def test_bit_exact_backend_parity(solver):
+def test_bit_exact_kernel_parity(solver, monkeypatch):
+    instance = _instance_for(solver)
+    for seed in SEEDS:
+        fast, reference = BIT_EXACT[solver](instance, seed, monkeypatch)
+        np.testing.assert_array_equal(
+            fast, reference,
+            err_msg=f"{solver} seed={seed}: kernel != reference",
+        )
+
+
+@pytest.mark.parametrize("solver", sorted(RERUN))
+def test_reruns_bit_identical(solver):
     instance = _instance_for(solver)
     params = _params_for(solver)
     for seed in SEEDS:
-        ref = solve_with(solver, instance, seed=seed, backend="reference",
-                         **params)
-        fast = solve_with(solver, instance, seed=seed, backend="fast",
-                          **params)
-        np.testing.assert_array_equal(
-            fast.order, ref.order,
-            err_msg=f"{solver} seed={seed}: fast != reference",
-        )
-        assert fast.length == ref.length
-
-
-@pytest.mark.parametrize("solver", sorted(META_DETERMINISTIC))
-def test_meta_deterministic_reruns(solver):
-    instance = clustered_instance(64, seed=90)
-    for seed in SEEDS:
-        first = solve_with(solver, instance, seed=seed)
-        second = solve_with(solver, instance, seed=seed)
+        first = solve_with(solver, instance, seed=seed, **params)
+        second = solve_with(solver, instance, seed=seed, **params)
+        assert sorted(first.order.tolist()) == list(range(instance.n))
         np.testing.assert_array_equal(
             second.order, first.order,
             err_msg=f"{solver} seed={seed}: reruns differ",
         )
         assert second.length == first.length
-
-
-#: Solvers checked under the ``array`` name, an alias of ``fast``
-#: (see docs/backends.md).
-ARRAY_BIT_EXACT = ("sa_tsp", "taxi")
-
-
-@pytest.mark.parametrize("solver", ARRAY_BIT_EXACT)
-def test_array_backend_bit_exact_vs_fast(solver):
-    assert resolve_backend("array") == "fast"
-    instance = clustered_instance(48, seed=11)
-    fast = solve_with(solver, instance, seed=0, backend="fast", sweeps=40)
-    array = solve_with(solver, instance, seed=0, backend="array", sweeps=40)
-    np.testing.assert_array_equal(array.order, fast.order)
-    assert array.length == fast.length
-
-
-@pytest.mark.parametrize("solver", sorted(DISTRIBUTION))
-def test_distribution_backend_parity(solver):
-    instance = _instance_for(solver)
-    params = _params_for(solver)
-    lengths = {"reference": [], "fast": []}
-    for backend in lengths:
-        for seed in SEEDS:
-            tour = solve_with(solver, instance, seed=seed, backend=backend,
-                              **params)
-            assert sorted(tour.order.tolist()) == list(range(instance.n))
-            lengths[backend].append(tour.length)
-    ref_mean = float(np.mean(lengths["reference"]))
-    fast_mean = float(np.mean(lengths["fast"]))
-    assert abs(fast_mean - ref_mean) <= DISTRIBUTION_RTOL * ref_mean, (
-        f"{solver}: fast mean {fast_mean:.0f} vs reference mean "
-        f"{ref_mean:.0f} exceeds {DISTRIBUTION_RTOL:.0%}"
-    )

@@ -68,8 +68,8 @@ class TestGoldenFingerprints:
     PINNED = (
         ("sa_tsp", {"sweeps": 50}, 7, "uniform",
          "34c3749c03530ff599c348433fd270b2e17b494e7350271d085eb25ae7db1c0d"),
-        ("taxi", {"sweeps": 30, "backend": "fast"}, 0, "clustered",
-         "68ca4ffc25794d4e1a14cba94f23332437dc29101a7e94172f34a3880e677b54"),
+        ("taxi", {"sweeps": 30}, 0, "clustered",
+         "2f3e50a954c593d16d29516e8b9601986f4c0b3872351fb3330a8e9d72470787"),
         ("two_opt", None, 1, "uniform",
          "0797ab7f5bae3f387a92be155062267df69364c3bd044f26cabe0414611b2895"),
     )

@@ -64,14 +64,12 @@ def _replica_tuples(replicas):
 class TestEngagement:
     def test_supported_solvers_and_params(self):
         assert foldable(_job(sweeps=10), workers=1)
-        assert foldable(_job(sweeps=10, backend="array"), workers=1)
         # Only taxi folds; sa_tsp replicas run as ordinary tasks.
         assert not foldable(_job(solver="sa_tsp", sweeps=10), workers=1)
         # A pool runs the replicas, not the fold.
         assert not foldable(_job(sweeps=10), workers=2)
-        # k-means hierarchies differ per seed; reference cannot merge.
+        # k-means hierarchies differ per seed.
         assert not foldable(_job(clustering="kmeans"), workers=1)
-        assert not foldable(_job(backend="reference"), workers=1)
         assert not foldable(_job(mystery_knob=1), workers=1)
 
 
@@ -236,8 +234,7 @@ class TestFoldResources:
             built.append(cache)
 
         monkeypatch.setattr(SubmatrixCache, "__init__", record)
-        job = _job(token="clustered:60:5", replicas=3, sweeps=10,
-                   backend="array")
+        job = _job(token="clustered:60:5", replicas=3, sweeps=10)
         assert foldable(job, workers=1)
         run_batch(job)
         assert built

@@ -274,25 +274,40 @@ class TestSparseWorkerParity:
     """A sparse batch solve is bit-identical across worker counts."""
 
     def test_workers_1_vs_2_bit_identical(self):
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.core import EngineConfig
         from repro.engine import BatchJob, run_batch
         from repro.utils.hashing import tour_hash
 
+        class CountingPool(ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(*args, **kwargs)
+
         token = "clustered:16000:3"  # above the full-matrix guard
         params = {"k": 4, "max_rounds": 1}
-        hashes = {}
-        for workers in (1, 2):
+
+        def hashes(workers, executor=None):
             job = BatchJob.create(
                 [token],
                 solver="two_opt",
                 params=params,
                 engine=EngineConfig(replicas=1, workers=workers, seed=0),
             )
-            result = run_batch(job)[0]
-            hashes[workers] = [
-                tour_hash(replica.order) for replica in result.replicas
-            ]
-        assert hashes[1] == hashes[2]
+            result = run_batch(job, executor=executor)[0]
+            return [tour_hash(replica.order) for replica in result.replicas]
+
+        inline = hashes(1)
+        # two_opt is deterministic, so the job is one task, which the
+        # engine solves inline at any worker count; an explicit executor
+        # takes even a single task across the process boundary.
+        with CountingPool(2) as pool:
+            pooled = hashes(2, pool)
+        assert pool.submitted == 1
+        assert pooled == inline
 
 
 class TestScaleBenchGrid:

@@ -116,6 +116,8 @@ class TestFingerprint:
             solve_fingerprint(inst, "quantum", {}, 0)
         with pytest.raises(ConfigError, match="does not accept"):
             solve_fingerprint(inst, "taxi", {"voltage": 3}, 0)
+        with pytest.raises(ConfigError, match="does not accept"):
+            solve_fingerprint(inst, "taxi", {"backend": "fast"}, 0)
 
     def test_content_addressed_not_name_addressed(self):
         a = uniform_instance(30, seed=4, name="alpha")
@@ -521,6 +523,7 @@ class TestHTTPFrontend:
             {"instance": "52", "seed": None},
             {"instance": "52", "solver": "quantum"},
             {"instance": "52", "coords": [[0, 0]]},
+            {"instance": "52", "seed": 0, "params": {"backend": "fast"}},
             {"coords": [[0, 0], [1]]},      # jagged -> numpy ValueError
             {"coords": "not-coordinates"},  # non-numeric
             {},

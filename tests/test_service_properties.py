@@ -34,7 +34,7 @@ from repro.tsp.generators import uniform_instance
 #: Parameter names the taxi solver accepts (fingerprinting validates
 #: names against the registry; values are free-form scalars).
 _TAXI_KEYS = ("sweeps", "bits", "max_cluster_size", "clustering",
-              "endpoint_fixing", "backend", "workers", "chunk_size")
+              "endpoint_fixing", "workers", "chunk_size")
 
 _scalar_values = st.one_of(
     st.none(),

@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mem-gib", type=float, default=2.0,
                         help="RLIMIT_AS cap in GiB")
     parser.add_argument("--bench-sizes", nargs="*", type=int,
-                        default=[2000, 5000],
+                        default=[5000, 10000],
                         help="scale bench grid sizes for the payload gate")
     parser.add_argument("--out", default=None,
                         help="optional JSON summary path")
