@@ -31,10 +31,19 @@ run.  Replay is driven by :mod:`repro.engine.recovery` with a bounded
 :class:`~repro.engine.recovery.RetryPolicy`; while a respawn is in
 flight the pool reports itself *degraded* so serving layers can shed
 load instead of erroring.
+
+**Process model**: the internal pool always *forks* its workers, in
+every process that owns one (a spawned shard included), so a worker
+starts with the solver stack its parent already imported, at start
+and on every respawn.  :func:`_init_worker` then drops the sockets the
+fork copied and ties the worker's life to its parent's.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import stat
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -47,12 +56,55 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def _warmup(seconds: float) -> int:
-    """No-op pool task (module-level so it pickles); returns its pid."""
-    import os
+def _init_worker() -> None:
+    """Pool worker initializer: shed inherited sockets, die with the parent.
 
-    time.sleep(seconds)
-    return os.getpid()
+    A forked worker inherits every socket of its parent: a service's
+    listening socket and its open client connections would outlive a
+    killed service in its workers.  A daemon thread exits the worker
+    when its parent dies, since the siblings keep the call queue open
+    and the worker's read on it would never end.
+
+    Never raises: an initializer error breaks the pool.
+    """
+    try:
+        _shed_sockets()
+    except OSError:  # no /proc or no /dev/null: keep what was inherited
+        pass
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        try:
+            threading.Thread(
+                target=_exit_with, args=(parent,),
+                name="repro-worker-parent-watch", daemon=True,
+            ).start()
+        except RuntimeError:  # no thread to spare: run unwatched
+            pass
+
+
+def _shed_sockets() -> None:
+    """Point every socket fd of this process at ``/dev/null``.
+
+    Not closed: a socket object the fork copied may still close its
+    fd later, and must not hit a file that reused the number.  The
+    executor's queues and the resource tracker use pipes, not sockets.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR | os.O_CLOEXEC)
+    try:
+        for name in os.listdir("/proc/self/fd"):
+            fd = int(name)
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd, inheritable=False)
+            except OSError:  # the listing's own fd, closed by now
+                pass
+    finally:
+        os.close(devnull)
+
+
+def _exit_with(parent: multiprocessing.process.BaseProcess) -> None:
+    parent.join()
+    os._exit(1)
 
 
 def chunk_indices(
@@ -198,26 +250,25 @@ class WavefrontPool:
             return None
         with self._own_lock:
             if self._own is None:
-                self._own = ProcessPoolExecutor(max_workers=self.workers)
+                self._own = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker,
+                )
             return self._own
 
     def prestart(self) -> None:
         """Eagerly spin up the internal pool (serving-layer warm start).
 
-        ``ProcessPoolExecutor`` forks workers lazily per submit (and
-        only when none is idle), so a brief concurrent warmup task per
-        worker is pushed through to actually materialize the full
-        width — after this, :meth:`worker_pids` reports real PIDs.
+        A ``fork`` pool forks all of its workers at the first submit, so
+        one no-op task materializes the full width: after this,
+        :meth:`worker_pids` reports every worker's PID.
         """
         if self._external is not None or self.workers <= 1:
             return
         executor = self._resolve_executor(self.workers)
         assert executor is not None
-        futures = [
-            executor.submit(_warmup, 0.05) for _ in range(self.workers)
-        ]
-        for future in futures:
-            future.result()
+        executor.submit(os.getpid).result()
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the internal pool's live workers (chaos-kill target)."""

@@ -122,7 +122,13 @@ def _build(target: Path) -> str | None:
 
 
 def _declare(library: ctypes.CDLL) -> None:
-    """Argument and result types of the C entry points (checked per call)."""
+    """Argument and result types of the C entry points.
+
+    ``anneal_sweeps`` checks each array's dtype and layout per call.
+    ``ward_chain`` takes raw pointers: :func:`ward` converts or
+    allocates every array it passes, and the checks cost more than the
+    C chain on the many tiny re-split problems.
+    """
 
     def array(dtype, *flags):
         return np.ctypeslib.ndpointer(dtype, flags=("C_CONTIGUOUS", *flags))
@@ -138,8 +144,9 @@ def _declare(library: ctypes.CDLL) -> None:
         f64_out, f64_out, f64_out,
     ]
     library.anneal_sweeps.restype = ctypes.c_int64
+    pointer = ctypes.c_void_p
     library.ward_chain.argtypes = [
-        size, size, f64, size, i64_out, i64_out, f64_out, i64_out, i64_out,
+        size, size, pointer, size, pointer, pointer, pointer, pointer, pointer,
     ]
     library.ward_chain.restype = ctypes.c_int64
 
@@ -214,7 +221,8 @@ def ward(
     heights = np.empty(n - 1)
     labels = np.empty(n if cut else 0, dtype=np.int64)
     status = library.ward_chain(
-        n, d, points, n_clusters if cut else 0, merge_a, merge_b, heights, sizes, labels
+        n, d, points.ctypes.data, n_clusters if cut else 0,
+        *(array.ctypes.data for array in (merge_a, merge_b, heights, sizes, labels)),
     )
     if status != 0:
         return None

@@ -316,6 +316,11 @@ class SolveService:
         """Start the dispatcher loop on a daemon thread (idempotent)."""
         if self._thread is not None:
             return self
+        # Warm the worker pool up front: serving should not pay pool
+        # startup on the first dispatch, and the chaos harness needs
+        # live worker PIDs to aim at.  Before the dispatcher thread, so
+        # the fork copies a one-thread process.
+        self.pool.prestart()
         ready = threading.Event()
 
         def runner() -> None:
@@ -334,10 +339,6 @@ class SolveService:
         )
         self._thread.start()
         ready.wait()
-        # Warm the worker pool up front: serving should not pay pool
-        # startup on the first dispatch, and the chaos harness needs
-        # live worker PIDs to aim at.
-        self.pool.prestart()
         return self
 
     def stop(self, drain: bool = True) -> None:

@@ -169,7 +169,9 @@ class ShardProcess:
 
         ``spawn`` (not fork): the manager may respawn from a monitor
         thread while HTTP handler threads hold arbitrary locks, which
-        a forked child would inherit frozen.
+        a forked child would inherit frozen.  The shard's own pool then
+        forks its workers from the loaded shard (see
+        :mod:`repro.engine.wavefront`).
         """
         ctx = multiprocessing.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -186,14 +188,24 @@ class ShardProcess:
         return self
 
     def await_port(self, timeout: float = _SHARD_START_TIMEOUT) -> int:
+        """Wait for the child's port; a :class:`ConfigError` if none comes."""
         assert self._conn is not None, "spawn() first"
-        if not self._conn.poll(timeout):
+        conn, self._conn = self._conn, None
+        try:
+            if not conn.poll(timeout):
+                raise ConfigError(
+                    f"shard {self.index} did not report a port within {timeout}s"
+                )
+            (self.port,) = conn.recv()
+        except EOFError:  # the child died before it reported
+            assert self.process is not None
+            self.process.join(5.0)
             raise ConfigError(
-                f"shard {self.index} did not report a port within {timeout}s"
-            )
-        (self.port,) = self._conn.recv()
-        self._conn.close()
-        self._conn = None
+                f"shard {self.index} exited with code "
+                f"{self.process.exitcode} before reporting a port"
+            ) from None
+        finally:
+            conn.close()
         return self.port
 
     @property
@@ -306,18 +318,32 @@ class ShardedService:
             self.fault_config, seed=self.fault_config.seed + index
         )
 
+    def _launch(self, indices) -> list[ShardProcess]:
+        """Spawn the shards ``indices`` (concurrently) and await their ports.
+
+        All or nothing: if one fails to start, every shard launched here
+        is terminated before its error propagates.
+        """
+        procs: list[ShardProcess] = []
+        try:
+            for index in indices:
+                procs.append(ShardProcess(
+                    index, self.host, self._shard_config(index),
+                    self.verbose, self._shard_faults(index),
+                ).spawn())
+            for proc in procs:
+                proc.await_port()
+        except BaseException:
+            for proc in procs:
+                proc.terminate()
+            raise
+        return procs
+
     def start(self) -> "ShardedService":
         """Spawn every shard (concurrently), then start the monitor."""
         if self._procs:
             return self
-        procs = [
-            ShardProcess(i, self.host, self._shard_config(i), self.verbose,
-                         self._shard_faults(i)).spawn()
-            for i in range(self.shards)
-        ]
-        for proc in procs:
-            proc.await_port()
-        self._procs = procs
+        self._procs = self._launch(range(self.shards))
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-shard-monitor", daemon=True
         )
@@ -375,11 +401,7 @@ class ShardedService:
                 stale = self._idle.pop((proc.host, proc.port), [])
             for conn in stale:
                 conn.close()
-            fresh = ShardProcess(
-                index, self.host, self._shard_config(index), self.verbose,
-                self._shard_faults(index),
-            ).spawn()
-            fresh.await_port()
+            (fresh,) = self._launch([index])
             self._procs[index] = fresh
             self.shard_respawns.inc()
         with self._lock:

@@ -19,6 +19,7 @@ The sharding contract under test:
 
 import hashlib
 import json
+import multiprocessing
 import os
 import signal
 import statistics
@@ -275,6 +276,51 @@ class TestShardedFleet:
 def _address(fleet, index):
     proc = fleet._procs[index]
     return proc.host, proc.port
+
+
+def _shard_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")}
+
+
+@pytest.mark.slow
+class TestFailedStart:
+    """A fleet that cannot start every shard leaves none running."""
+
+    def test_port_timeout_terminates_every_spawned_shard(self, monkeypatch):
+        await_port = ShardProcess.await_port
+
+        def second_times_out(proc, *args, **kwargs):
+            if proc.index == 1:
+                raise ConfigError("shard 1 did not report a port within 60.0s")
+            return await_port(proc, *args, **kwargs)
+
+        monkeypatch.setattr(ShardProcess, "await_port", second_times_out)
+        running = _shard_pids()  # the module fleet's
+        fleet = ShardedService(2, CONFIG)
+        with pytest.raises(ConfigError, match="shard 1 did not report"):
+            fleet.start()
+        assert _shard_pids() - running == set()
+        fleet.close()
+
+    def test_shard_that_dies_before_reporting_is_a_config_error(
+        self, monkeypatch
+    ):
+        spawn = ShardProcess.spawn
+
+        def second_dies(proc):
+            spawn(proc)
+            if proc.index == 1:
+                proc.process.kill()
+            return proc
+
+        monkeypatch.setattr(ShardProcess, "spawn", second_dies)
+        running = _shard_pids()
+        with pytest.raises(
+            ConfigError, match="shard 1 exited with code -9 before reporting"
+        ):
+            ShardedService(2, CONFIG).start()
+        assert _shard_pids() - running == set()
 
 
 @pytest.mark.slow
