@@ -36,7 +36,10 @@ load instead of erroring.
 every process that owns one (a spawned shard included), so a worker
 starts with the solver stack its parent already imported, at start
 and on every respawn.  :func:`_init_worker` then drops the sockets the
-fork copied and ties the worker's life to its parent's.
+fork copied, ties the worker's life to its parent's and reports the
+worker started; :meth:`WavefrontPool.prestart` and
+:meth:`WavefrontPool.worker_pids` wait for every launched worker's
+report, so no PID they give out still holds an inherited socket.
 """
 
 from __future__ import annotations
@@ -56,14 +59,15 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def _init_worker() -> None:
+def _init_worker(started) -> None:
     """Pool worker initializer: shed inherited sockets, die with the parent.
 
     A forked worker inherits every socket of its parent: a service's
     listening socket and its open client connections would outlive a
     killed service in its workers.  A daemon thread exits the worker
     when its parent dies, since the siblings keep the call queue open
-    and the worker's read on it would never end.
+    and the worker's read on it would never end.  Last, the worker
+    releases ``started``, the pool's fork-inherited start-up semaphore.
 
     Never raises: an initializer error breaks the pool.
     """
@@ -80,6 +84,7 @@ def _init_worker() -> None:
             ).start()
         except RuntimeError:  # no thread to spare: run unwatched
             pass
+    started.release()
 
 
 def _shed_sockets() -> None:
@@ -180,6 +185,10 @@ class WavefrontPool:
         self.on_degraded = on_degraded
         self._external = executor
         self._own: ProcessPoolExecutor | None = None
+        # The current pool's start-up semaphore (one release per worker
+        # that ran _init_worker) and the releases taken from it so far.
+        self._started = None
+        self._started_seen = 0
         # Guards lazy pool creation *and* respawn: the solve service
         # resolves the executor from concurrent dispatcher threads, and
         # two rounds may detect the same broken pool at once.
@@ -250,10 +259,14 @@ class WavefrontPool:
             return None
         with self._own_lock:
             if self._own is None:
+                context = multiprocessing.get_context("fork")
+                self._started = context.Semaphore(0)
+                self._started_seen = 0
                 self._own = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("fork"),
+                    mp_context=context,
                     initializer=_init_worker,
+                    initargs=(self._started,),
                 )
             return self._own
 
@@ -261,26 +274,48 @@ class WavefrontPool:
         """Eagerly spin up the internal pool (serving-layer warm start).
 
         A ``fork`` pool forks all of its workers at the first submit, so
-        one no-op task materializes the full width: after this,
-        :meth:`worker_pids` reports every worker's PID.
+        one no-op task materializes the full width.  Returns once every
+        worker has run :func:`_init_worker`: after this,
+        :meth:`worker_pids` reports every worker's PID, and none of
+        them holds an inherited socket.
         """
         if self._external is not None or self.workers <= 1:
             return
         executor = self._resolve_executor(self.workers)
         assert executor is not None
         executor.submit(os.getpid).result()
+        with self._own_lock:
+            self._await_started()
 
     def worker_pids(self) -> tuple[int, ...]:
-        """PIDs of the internal pool's live workers (chaos-kill target)."""
+        """PIDs of the internal pool's live workers (chaos-kill target).
+
+        Waits until every launched worker has run :func:`_init_worker`,
+        also in a pool freshly respawned.
+        """
         with self._own_lock:
-            pool = self._own
-            if pool is None:
+            if self._own is None:
                 return ()
-            processes = getattr(pool, "_processes", None) or {}
+            processes = self._await_started()
             return tuple(
                 pid for pid, proc in sorted(processes.items())
                 if proc.is_alive()
             )
+
+    def _await_started(self) -> dict:
+        """Wait for each launched worker's start-up release; its processes.
+
+        Caller holds ``_own_lock``.  Stops early when a worker died
+        before it released (the pool is broken, and its respawn counts
+        afresh).
+        """
+        processes = getattr(self._own, "_processes", None) or {}
+        while self._started_seen < len(processes):
+            if self._started.acquire(timeout=0.05):
+                self._started_seen += 1
+            elif not all(proc.is_alive() for proc in list(processes.values())):
+                break
+        return processes
 
     # ------------------------------------------------------------------
     # degraded-mode tracking + respawn

@@ -17,6 +17,9 @@
 
 typedef double (*next_double_fn)(void *state);
 
+/* The gate bias of a failing (0) and a passing (1) unit. */
+static const double gate_bias[2] = {-INFINITY, 0.0};
+
 /* NumPy's pairwise summation of n terms (DOUBLE_pairwise_sum). */
 static double pairwise_sum(const double *a, int64_t n)
 {
@@ -51,20 +54,19 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* NumPy's argmax: the first maximum, or the first NaN if there is one. */
+/*
+ * NumPy's argmax: the first maximum, or the first NaN if there is one
+ * (-0.0 and 0.0 tie, so the first of them wins).  A select loop with no
+ * early exit: once the best is NaN, no later element is better.
+ */
 static int64_t argmax(const double *s, int64_t n)
 {
     double best = s[0];
     int64_t at = 0;
-    if (isnan(best))
-        return 0;
     for (int64_t i = 1; i < n; i++) {
-        if (!(s[i] <= best)) {
-            best = s[i];
-            at = i;
-            if (isnan(best))
-                break;
-        }
+        const int better = !(s[i] <= best) & !isnan(best);
+        best = better ? s[i] : best;
+        at = better ? i : at;
     }
     return at;
 }
@@ -136,22 +138,26 @@ int64_t anneal_sweeps(
                 const int64_t next = next_tab[t * m + i];
 
                 /* Gate: passing units, else every allowed city (NAND
-                 * fallback); the bias adds 0.0 or -inf. */
+                 * fallback).  No branch depends on a draw. */
                 int any = 0;
                 for (int64_t k = 0; k < n; k++) {
-                    pass[k] = g[k] < p_sw && ok[k];
+                    pass[k] = (g[k] < p_sw) & (ok[k] != 0);
                     any |= pass[k];
                 }
                 if (!any)
                     memcpy(pass, ok, (size_t)n);
 
                 /* Scores: previous plus next neighbour's weight row, or
-                 * the previous alone where both are one position. */
+                 * the previous alone where both are one position, plus
+                 * the gate bias.  Adding 0.0 turns -0.0 into 0.0, as
+                 * NumPy's ``scores += bias`` does. */
                 const double *a = w + ord[prev] * n, *b = w + ord[next] * n;
-                for (int64_t k = 0; k < n; k++) {
-                    double s = prev == next ? a[k] : a[k] + b[k];
-                    scores[k] = s + (pass[k] ? 0.0 : -INFINITY);
-                }
+                if (prev == next)
+                    for (int64_t k = 0; k < n; k++)
+                        scores[k] = a[k] + gate_bias[pass[k]];
+                else
+                    for (int64_t k = 0; k < n; k++)
+                        scores[k] = (a[k] + b[k]) + gate_bias[pass[k]];
                 if (resolution > 0) {
                     const double *j = jitter + (t * m + i) * n;
                     const double scale = resolution * fabs(scores[argmax(scores, n)]);

@@ -278,6 +278,9 @@ class ShardedService:
         self.shard_respawns = self.registry.counter(
             "repro_shard_respawns_total",
             "Shard processes respawned after death")
+        self.respawn_failures = self.registry.counter(
+            "repro_shard_respawn_failures_total",
+            "Shard respawns that failed to start (retried later)")
         self.replayed_jobs = self.registry.counter(
             "repro_replayed_jobs_total",
             "Undelivered jobs replayed onto a respawned shard")
@@ -390,7 +393,10 @@ class ShardedService:
 
         Serialized under that shard's respawn lock, so the monitor and
         a forwarding handler that both notice the death respawn once,
-        while traffic to the other shards goes on.
+        while traffic to the other shards goes on.  A respawn that fails
+        to start leaves the shard dead: the monitor tries again on its
+        next tick, and a forward counts one more attempt that found the
+        shard dead.
         """
         with self._respawn_locks[index]:
             proc = self._procs[index]
@@ -401,7 +407,11 @@ class ShardedService:
                 stale = self._idle.pop((proc.host, proc.port), [])
             for conn in stale:
                 conn.close()
-            (fresh,) = self._launch([index])
+            try:
+                (fresh,) = self._launch([index])
+            except (ConfigError, OSError):  # no port reported, or no process
+                self.respawn_failures.inc()
+                return
             self._procs[index] = fresh
             self.shard_respawns.inc()
         with self._lock:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -35,6 +35,10 @@ BIT_GENERATORS = (
 
 #: Open-path fixed endpoints: (first pinned, last pinned).
 FIXED_ENDS = [(True, True), (True, False), (False, True), (False, False)]
+
+#: Weight values the selection must treat as NumPy does: an infinite
+#: score, a NaN that wins its argmax, and a zero whose sign is dropped.
+SPECIALS = (np.inf, -np.inf, np.nan, -0.0)
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 
@@ -91,6 +95,10 @@ def _inputs(spec):
             weights = rng.integers(0, 4, (rows, n, n)).astype(float)
         else:
             weights = rng.random((rows, n, n))
+        if "specials" in spec:  # (values, fraction of entries)
+            values, fraction = spec["specials"]
+            hit = rng.random(weights.shape) < fraction
+            weights[hit] = rng.choice(np.array(values), int(hit.sum()))
         order = np.array([rng.permutation(n) for _ in range(rows)])
         allowed = np.ones((rows, n), dtype=bool)
         start, stop = 0, n
@@ -113,6 +121,7 @@ def _inputs(spec):
     return chunks, positions, rng.random(spec["sweeps"]), rngs
 
 
+@np.errstate(invalid="ignore")  # inf + -inf is NaN on both paths
 def _anneal(spec, *, numpy):
     chunks, positions, probabilities, rngs = _inputs(spec)
     with numpy_loop() if numpy else nullcontext():
@@ -121,10 +130,27 @@ def _anneal(spec, *, numpy):
             closed=spec["closed"], read_noise=0.0,
             resolution=spec["resolution"], guarded=spec["guarded"], rngs=rngs,
         )
-    state = [array.tobytes() for chunk in chunks for array in chunk[1:]]
+    state = [array.tobytes() for chunk in chunks for array in chunk[1:4]]
+    proxies = [chunk[4].copy() for chunk in chunks]
     # Each distinct generator's next draws: both paths consumed as much.
     following = [g.random(3).tobytes() for g in dict.fromkeys(rngs)]
-    return done, state, following
+    return done, state, proxies, following
+
+
+def assert_compiled_equals_numpy(spec, *, proxy_bits=True) -> None:
+    """Both paths leave equal orders, positions, proxies and streams.
+
+    ``proxy_bits=False`` compares the guard proxies NaN-aware: a NaN
+    from ``inf + -inf`` may carry other sign or payload bits in C.
+    """
+    done, state, proxies, following = _anneal(spec, numpy=False)
+    oracle = _anneal(spec, numpy=True)
+    assert (done, state, following) == (oracle[0], oracle[1], oracle[3])
+    for proxy, expected in zip(proxies, oracle[2]):
+        if proxy_bits:
+            assert proxy.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_array_equal(proxy, expected)
 
 
 class TestCompiledEqualsNumpy:
@@ -132,7 +158,28 @@ class TestCompiledEqualsNumpy:
     @given(spec=batches())
     def test_random_ragged_batches(self, spec):
         require_library()
-        assert _anneal(spec, numpy=False) == _anneal(spec, numpy=True)
+        assert_compiled_equals_numpy(spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=batches(), special=st.sampled_from(SPECIALS),
+           fraction=st.sampled_from([0.05, 0.3]))
+    @example(  # integer weights: ties, so the first maximum must win
+        spec=dict(chunks=[(9, 2, (False, False), 0), (12, 1, (True, True), 2)],
+                  closed=False, integer=True, guarded=True, resolution=1e-3,
+                  share=True, sweeps=3, seed=11),
+        special=-0.0, fraction=0.3,
+    )
+    def test_one_special_weight_kind(self, spec, special, fraction):
+        require_library()
+        assert_compiled_equals_numpy({**spec, "specials": ((special,), fraction)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=batches(), fraction=st.sampled_from([0.05, 0.3]))
+    def test_mixed_special_weights(self, spec, fraction):
+        require_library()
+        assert_compiled_equals_numpy(
+            {**spec, "specials": (SPECIALS, fraction)}, proxy_bits=False
+        )
 
     def test_rank_order_differs_from_input_order(self):
         # Chunks listed shortest first: drawing in input order instead of
@@ -144,7 +191,7 @@ class TestCompiledEqualsNumpy:
             share=True, sweeps=3, seed=5,
         )
         require_library()
-        assert _anneal(spec, numpy=False) == _anneal(spec, numpy=True)
+        assert_compiled_equals_numpy(spec)
 
 
     def test_out_of_range_positions_raise_instead_of_reading_past_rows(self):

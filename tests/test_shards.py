@@ -26,6 +26,8 @@ import statistics
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -42,6 +44,8 @@ from repro.service.shards import (
     shard_for,
     shard_for_job,
 )
+
+from conftest import serve_in_thread
 
 SWEEPS = 15
 CONFIG = ServiceConfig(workers=1)
@@ -68,6 +72,15 @@ def _solve(fleet, body, wait=120):
         view = json.loads(payload)
     assert view["status"] == "done", view
     return view
+
+
+def _owned_body(shard: int, shards: int) -> dict:
+    """A solve request the router sends to ``shard``."""
+    for seed in range(1000):
+        body = _body(seed=seed)
+        if shard_for(build_request(body).fingerprint(), shards) == shard:
+            return body
+    raise AssertionError(f"no seed routes to shard {shard}")
 
 
 def _fingerprints(count):
@@ -321,6 +334,66 @@ class TestFailedStart:
         ):
             ShardedService(2, CONFIG).start()
         assert _shard_pids() - running == set()
+
+
+@pytest.mark.slow
+class TestFailedRespawn:
+    """A respawn that fails to start leaves the shard dead, not the fleet."""
+
+    def test_monitor_survives_and_router_sheds_until_a_respawn_works(
+        self, monkeypatch
+    ):
+        from repro.service.http import make_server
+
+        await_port = ShardProcess.await_port
+        failed = []
+
+        def shard_0_fails(proc, *args, **kwargs):
+            if proc.index == 0:
+                failed.append(proc.pid)
+                raise ConfigError("shard 0 did not report a port within 60.0s")
+            return await_port(proc, *args, **kwargs)
+
+        fleet = ShardedService(2, CONFIG)
+        server = make_server(fleet, port=0)
+        fleet.start()
+        serve_in_thread(server)
+        try:
+            body = _owned_body(0, fleet.shards)
+            before = _solve(fleet, body)
+            monkeypatch.setattr(ShardProcess, "await_port", shard_0_fails)
+            os.kill(fleet._procs[0].pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while len(failed) < 2:  # a failed respawn, then the next tick's
+                assert time.monotonic() < deadline, "the monitor stopped"
+                time.sleep(0.05)
+            assert fleet._monitor.is_alive()
+
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.server_address[1]}/solve",
+                data=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as answer:
+                urllib.request.urlopen(request, timeout=60)
+            assert answer.value.code == 503
+            assert answer.value.headers["Retry-After"] == "1"
+            assert fleet._monitor.is_alive()
+            assert fleet.stats()["shards"]["respawns"] == 0
+
+            monkeypatch.undo()
+            deadline = time.monotonic() + 60
+            while fleet.stats()["shards"]["respawns"] < 1:
+                assert time.monotonic() < deadline, "shard 0 not respawned"
+                time.sleep(0.05)
+            assert fleet.stats()["shards"]["respawns"] == 1
+            assert fleet.respawn_failures.value >= 2
+            after = _solve(fleet, body)
+            assert after["result"]["tour_hash"] == before["result"]["tour_hash"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            fleet.close()
 
 
 @pytest.mark.slow

@@ -25,10 +25,9 @@ import pytest
 from repro.core.config import ServiceConfig
 from repro.engine.wavefront import WavefrontPool
 from repro.service.faults import FaultInjector
-from repro.service.http import build_request
 from repro.service.queue import SolveRequest, SolveService
-from repro.service.shards import ShardedService, shard_for
-from test_shards import _body, _solve
+from repro.service.shards import ShardedService
+from test_shards import _owned_body, _solve
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc"
@@ -164,6 +163,29 @@ class TestForkedPool:
             _reap(process, pids)
 
 
+class TestPrestart:
+    #: Repeats: a prestart that waited for one no-op result only left a
+    #: worker holding the socket about once in 60 prestarts.
+    PRESTARTS = 40
+
+    def test_no_worker_holds_a_socket_when_prestart_returns(self):
+        # A worker that has not run the initializer yet still holds the
+        # listening socket; prestart must not return before both have.
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            assert _sockets(os.getpid()), "the test holds its socket"
+            for attempt in range(self.PRESTARTS):
+                with WavefrontPool(workers=2, eager=True) as pool:
+                    pool.prestart()
+                    # Straight from the executor: worker_pids() waits too.
+                    workers = sorted(pool._own._processes)
+                    held = {pid: _sockets(pid) for pid in workers}
+                    assert len(workers) == 2, (attempt, workers)
+                    assert held == {pid: [] for pid in workers}, attempt
+                    assert list(pool.worker_pids()) == workers
+
+
 class TestServiceWorkers:
     def test_no_worker_holds_a_socket_at_start_or_after_respawn(self):
         from repro.service.http import make_server
@@ -198,15 +220,6 @@ class TestServiceWorkers:
         finally:
             server.server_close()
             service.stop()
-
-
-def _owned_body(shard: int, shards: int) -> dict:
-    """A solve request the router sends to ``shard``."""
-    for seed in range(1000):
-        body = _body(seed=seed)
-        if shard_for(build_request(body).fingerprint(), shards) == shard:
-            return body
-    raise AssertionError(f"no seed routes to shard {shard}")
 
 
 @pytest.mark.slow
