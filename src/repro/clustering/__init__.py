@@ -10,8 +10,8 @@
   cities -> clusters -> centroids -> ... until one macro-sized level.
 * :mod:`~repro.clustering.fixing` — inter-cluster endpoint fixing via
   closest city pairs (Section IV-2).
-* :mod:`~repro.clustering.cache` — distance-submatrix cache keyed by
-  (instance, cluster), shared by endpoint fixing and cluster ordering.
+* :mod:`~repro.clustering.cache` — endpoint fixing's cross-block cache
+  keyed by (instance, cluster pair).
 """
 
 from repro.clustering.agglomerative import (

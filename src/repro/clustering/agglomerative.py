@@ -299,16 +299,20 @@ def _split_oversized(
         if oversized.size == 0:
             return labels
         # A re-split only hands out labels above every oversized one, so
-        # the pass's members can all be collected before any relabel.
-        groups = [np.flatnonzero(labels == label) for label in oversized]
-        parts = [int(np.ceil(members.size / max_size)) for members in groups]
+        # the pass's members can all be collected before any relabel:
+        # one stable sort groups them, each label's members ascending.
+        by_label = np.argsort(labels, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        groups = [by_label[starts[label] : starts[label] + sizes[label]] for label in oversized]
+        parts = [-(-members.size // max_size) for members in groups]
         problems = [(points[members], count) for members, count in zip(groups, parts)]
         solved = _map_ward_labels(map, problems, exact_threshold)
         for members, count, sub in zip(groups, parts, solved):
-            # Part 0 keeps the old label, the rest get fresh ones.
-            for part in range(1, count):
-                labels[members[sub == part]] = next_label
-                next_label += 1
+            # Part 0 keeps the old label, part p > 0 gets the (p-1)-th
+            # fresh one.
+            moved = sub > 0
+            labels[members[moved]] = next_label + sub[moved] - 1
+            next_label += count - 1
 
 
 def _map_ward_labels(map, problems: list, exact_threshold: int) -> Iterator[np.ndarray]:

@@ -248,10 +248,12 @@ def centroid_distance_matrix(centroids: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between cluster centroids.
 
     Upper hierarchy levels order *clusters*, whose pairwise distances
-    the paper takes between centroids.
+    the paper takes between centroids.  Leading batch axes are allowed:
+    ``(..., k, 2)`` gives ``(..., k, k)``, each slice bit-identical to
+    its own call.
     """
     centroids = np.asarray(centroids, dtype=float)
-    if centroids.ndim != 2:
+    if centroids.ndim < 2:
         raise ClusteringError(f"centroids must be (k, 2), got {centroids.shape}")
-    diff = centroids[:, None, :] - centroids[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    diff = centroids[..., :, None, :] - centroids[..., None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))

@@ -131,6 +131,9 @@ def build_hierarchy(
             leaves=list(np.arange(n, dtype=int).reshape(n, 1)),
         )
     ]
+    # The level below's leaves, node after node, and each node's count.
+    flat_leaves = np.arange(n, dtype=int)
+    leaf_counts = np.ones(n, dtype=np.intp)
     while levels[-1].n_nodes > max_cluster_size:
         below = levels[-1]
         labels = np.asarray(cluster_fn(below.centroids, max_cluster_size))
@@ -139,43 +142,70 @@ def build_hierarchy(
                 f"cluster_fn returned labels of shape {labels.shape} for "
                 f"{below.n_nodes} nodes"
             )
-        # Group member indices by label in one stable argsort instead
-        # of one O(n) scan per label: members stay ascending (stable
-        # sort preserves index order within a label), so the grouping
-        # is bit-identical to the flatnonzero-per-label loop it
-        # replaces while costing O(n log n) total.
-        sort_idx = np.argsort(labels, kind="stable")
-        sorted_labels = labels[sort_idx]
-        boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-        unique = sorted_labels[np.concatenate(([0], boundaries))]
-        groups = np.split(sort_idx, boundaries)
-        children: list[np.ndarray] = []
-        leaves: list[np.ndarray] = []
-        centroids = np.empty((unique.size, 2))
-        for new_idx, members in enumerate(groups):
-            if members.size > max_cluster_size:
-                raise ClusteringError(
-                    f"cluster_fn produced a cluster of {members.size} nodes "
-                    f"(max {max_cluster_size})"
-                )
-            children.append(members)
-            member_leaves = np.concatenate([below.leaves[i] for i in members])
-            leaves.append(member_leaves)
-            # Leaf-weighted centroid = mean of the original cities.
-            centroids[new_idx] = instance.coords[member_leaves].mean(axis=0)
-        if unique.size >= below.n_nodes:
+        children, flat_leaves, leaf_counts = _group(
+            labels, flat_leaves, leaf_counts, max_cluster_size
+        )
+        if len(children) >= below.n_nodes:
             raise ClusteringError(
                 "clustering failed to reduce the level size; "
-                f"{below.n_nodes} -> {unique.size}"
+                f"{below.n_nodes} -> {len(children)}"
             )
+        # Leaf-weighted centroid = mean of the original cities.  bincount
+        # sums each cluster's coordinates from 0.0 one by one in leaf
+        # order, as ``.mean(axis=0)`` does, so the centroids are
+        # bit-identical to the per-cluster means.
+        cluster_of_leaf = np.repeat(np.arange(len(children)), leaf_counts)
+        coords = instance.coords[flat_leaves]
+        sums = np.column_stack([
+            np.bincount(cluster_of_leaf, weights=coords[:, axis]) for axis in range(2)
+        ])
         levels.append(
             HierarchyLevel(
                 level=len(levels),
-                centroids=centroids,
+                centroids=sums / leaf_counts[:, None],
                 children=children,
-                leaves=leaves,
+                leaves=_runs(flat_leaves, np.cumsum(leaf_counts)[:-1]),
             )
         )
     hierarchy = Hierarchy(instance, max_cluster_size, levels)
     hierarchy.validate()
     return hierarchy
+
+
+def _group(
+    labels: np.ndarray,
+    flat_leaves: np.ndarray,
+    leaf_counts: np.ndarray,
+    max_cluster_size: int,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Group one level's nodes by label in one stable sort.
+
+    Returns the new level's children (members ascending, clusters in
+    label order), its leaves node after node, and its leaf counts.
+    ``flat_leaves`` and ``leaf_counts`` describe the level below the
+    same way, so each cluster's leaves are its members' leaves in
+    member order.
+    """
+    sort_idx = np.argsort(labels, kind="stable")
+    sorted_labels = labels[sort_idx]
+    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
+    sizes = np.diff(boundaries, prepend=0, append=labels.size)
+    oversized = np.flatnonzero(sizes > max_cluster_size)
+    if oversized.size:
+        raise ClusteringError(
+            f"cluster_fn produced a cluster of {sizes[oversized[0]]} nodes "
+            f"(max {max_cluster_size})"
+        )
+    # Each member's leaves, members in sorted order: a gather of runs.
+    counts = leaf_counts[sort_idx]
+    run_starts = (np.cumsum(leaf_counts) - leaf_counts)[sort_idx]
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    grouped = flat_leaves[np.repeat(run_starts, counts) + offsets]
+    cluster_counts = np.add.reduceat(counts, np.concatenate(([0], boundaries)))
+    return _runs(sort_idx, boundaries), grouped, cluster_counts
+
+
+def _runs(array: np.ndarray, boundaries: np.ndarray) -> list[np.ndarray]:
+    """``np.split(array, boundaries)``, as one slice per run."""
+    bounds = [0, *boundaries.tolist(), array.size]
+    return [array[start:stop] for start, stop in zip(bounds, bounds[1:])]

@@ -28,23 +28,31 @@ the cap; a pool gets at least one per worker.  Either way each chunk
 draws only from its own stream — compute is merged, RNG streams are
 not — so ``workers=1`` reproduces any parallel run bit-for-bit.
 
-Distances: child orderings at levels >= 2 use centroid distances;
-level-1 clusters order actual cities with the instance metric, sliced
-through a per-solve :class:`~repro.clustering.cache.SubmatrixCache`
-shared with the endpoint-fixing step.
+What a wave task receives
+-------------------------
+The parent fixes each level's endpoints and cuts the level into
+chunks; a :class:`WaveChunk` then carries, per cluster, only what its
+sub-problem is derived from (:class:`ChunkSpec`): the points it orders,
+its entry and exit child and its tag.  The task builds the distance
+matrices and the nearest-neighbour input orders itself
+(:func:`build_chunk_problems`) and returns the solved orders.  Child
+orderings at levels >= 2 use centroid distances; level-1 clusters order
+actual cities with the instance metric.  The parent's per-solve
+:class:`~repro.clustering.cache.SubmatrixCache` serves endpoint fixing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.cache import DEFAULT_CACHE_BUDGET, SubmatrixCache
+from repro.clustering.cache import SubmatrixCache
 from repro.clustering.fixing import (
     EndpointFixing,
     centroid_distance_matrix,
@@ -56,12 +64,13 @@ from repro.engine.wavefront import WavefrontPool, chunk_indices
 from repro.errors import SolverError
 from repro.macro.batch import (
     BatchedMacroSolver,
+    ChunkArrays,
     SubProblem,
-    SubSolution,
-    solve_chunks,
+    anneal_chunks,
 )
 from repro.macro.config import MacroConfig
 from repro.macro.schedule import AnnealSchedule
+from repro.tsp.instance import EdgeWeightType, TSPInstance
 
 #: Sub-problems per dispatch chunk.  Part of the solve's deterministic
 #: identity (chunk boundaries feed the per-chunk seeds), NOT a tuning
@@ -71,27 +80,49 @@ DEFAULT_CHUNK_SIZE = 8
 #: Most macro rows (sub-problems x restarts) one wave task anneals.  A
 #: dispatch bound, NOT part of the solve identity: super-batch
 #: boundaries never move a chunk boundary or seed, so tours do not
-#: depend on it.  It keeps each task's pickled payload and padded
-#: kernel arrays small.
+#: depend on it.  It keeps each task's pickled payload, its padded
+#: sub-problem build and its kernel arrays small.
 MAX_BATCH_ROWS = 512
-
-#: Clusters per slice of a level's sub-problem build: their square
-#: blocks come from the cache in one padded call and their initial
-#: orders are built in lock-step.  A memory bound, NOT part of the
-#: solve identity: slices never change a sub-problem.
-BUILD_SLICE_CLUSTERS = 64
 
 #: One solve's result: (city order, phase times, per-level stats).
 SolveResult = tuple[np.ndarray, PhaseTimes, list[LevelStats]]
 
 
 @dataclass(frozen=True)
+class ChunkSpec:
+    """What one chunk's sub-problems are derived from; they share a shape.
+
+    Per cluster ``i``: ``points[i]``, the ``(n, 2)`` points whose
+    visiting order it solves (its cities at level 1, its children's
+    centroids above); ``entries[i]``, the local child its input order
+    starts from; ``exits[i]``, the child pinned last, ``-1`` when free;
+    and ``tags[i]``, its position in the level's node sequence.
+    ``metric`` is the instance metric at level 1 and ``None`` (Euclidean
+    between centroids) above.  An explicit-matrix instance has no
+    metric to derive from, so there ``points`` holds the ``(p, n, n)``
+    distance blocks themselves.
+    """
+
+    metric: EdgeWeightType | None
+    points: np.ndarray
+    entries: tuple[int, ...]
+    exits: tuple[int, ...]
+    tags: tuple
+    closed: bool = False
+    fixed_first: bool = True
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+
+@dataclass(frozen=True)
 class WaveChunk:
     """One picklable unit of wavefront work: a few sibling sub-problems.
 
-    The chunk seed is derived inside the worker from
-    ``(master_seed, level, ordinal)`` — nothing stateful crosses the
-    process boundary, so results are identical at any worker count.
+    ``problems`` says what they are derived from; the task builds them.
+    The chunk seed is derived inside the worker from ``(master_seed,
+    level, ordinal)`` — nothing stateful crosses the process boundary,
+    so results are identical at any worker count.
     """
 
     level: int
@@ -99,18 +130,19 @@ class WaveChunk:
     master_seed: int
     config: MacroConfig
     schedule: AnnealSchedule
-    problems: tuple[SubProblem, ...]
+    problems: ChunkSpec
 
 
 def solve_wave_chunks(
     chunks: tuple[WaveChunk, ...],
-) -> list[tuple[list[SubSolution], int, int]]:
-    """Solve one super-batch of chunks as one ragged batch (a wave task).
+) -> list[tuple[np.ndarray, int, int]]:
+    """Build and solve one super-batch of chunks as one ragged batch.
 
-    Module-level so process pools can pickle it.  Each chunk gets its
-    own seeded solver; returns ``(solutions, sweeps, iterations)`` per
-    chunk, where the counters are the chunk solver's totals (for the
-    replica solver's bookkeeping).
+    Module-level so process pools can pickle it.  The chunks' problems
+    are built in one padded pass (:func:`build_chunk_problems`), and
+    each chunk gets its own seeded solver; returns ``(orders, sweeps,
+    iterations)`` per chunk: its ``(p, n)`` solved orders and the chunk
+    solver's totals (for the replica solver's bookkeeping).
     """
     solvers = [
         BatchedMacroSolver(
@@ -123,13 +155,70 @@ def solve_wave_chunks(
         )
         for chunk in chunks
     ]
-    solved = solve_chunks(
-        solvers, [list(chunk.problems) for chunk in chunks], chunks[0].schedule
-    )
+    built = build_chunk_problems([chunk.problems for chunk in chunks])
+    solved = anneal_chunks(solvers, built, chunks[0].schedule)
     return [
-        (solutions, solver.total_sweeps, solver.total_iterations)
-        for solutions, solver in zip(solved, solvers)
+        (orders, solver.total_sweeps, solver.total_iterations)
+        for (orders, _), solver in zip(solved, solvers)
     ]
+
+
+def build_chunk_problems(specs: Sequence[ChunkSpec]) -> list[ChunkArrays]:
+    """Each chunk's distance matrices and input orders, in padded passes.
+
+    The specs come from one wave, so they share a metric and are all
+    closed (the top tour, which starts from the identity order) or all
+    open.  All their distances come from one padded distance call: each
+    cluster's points are padded with repeats of its last point, and the
+    padding is cut away.  The open problems' input orders come from one
+    lock-step nearest-neighbour pass (:func:`_nn_chains`), from each
+    entry child and ending at the exit child when one is pinned.
+    """
+    metric = specs[0].metric
+    sizes = [spec.points.shape[1] for spec in specs]
+    if metric is EdgeWeightType.EXPLICIT:
+        stacks = [spec.points for spec in specs]
+    else:
+        stacks = _distance_stacks(metric, specs, sizes)
+    if specs[0].closed:
+        orders = [np.tile(np.arange(size), (len(spec), 1)) for spec, size in zip(specs, sizes)]
+    else:
+        chains = iter(_nn_chains(
+            [dist for stack in stacks for dist in stack],
+            np.concatenate([spec.entries for spec in specs]),
+            np.concatenate([spec.exits for spec in specs]),
+        ))
+        orders = [np.stack([next(chains) for _ in range(len(spec))]) for spec in specs]
+    return [
+        ChunkArrays(stack, order, spec.closed, spec.fixed_first, spec.exits[0] >= 0)
+        for spec, stack, order in zip(specs, stacks, orders)
+    ]
+
+
+def _distance_stacks(
+    metric: EdgeWeightType | None, specs: Sequence[ChunkSpec], sizes: list[int]
+) -> list[np.ndarray]:
+    """Each spec's ``(p, n, n)`` distances, from one padded call."""
+    width = max(sizes)
+    padded = np.concatenate([
+        spec.points[:, np.minimum(np.arange(width), size - 1)]
+        for spec, size in zip(specs, sizes)
+    ])
+    if metric is None:
+        stack = centroid_distance_matrix(padded)
+    else:
+        # Distinct ids per point: TSPLIB's d(i, i) = 0 lands on the
+        # diagonal only, as it does for a cluster's distinct cities.
+        ids = np.arange(padded.shape[0] * width).reshape(-1, width)
+        stack = TSPInstance("wave", padded.reshape(-1, 2), metric).distance_block(
+            ids, ids
+        )
+    stacks = []
+    row = 0
+    for spec, size in zip(specs, sizes):
+        stacks.append(stack[row : row + len(spec), :size, :size].copy())
+        row += len(spec)
+    return stacks
 
 
 def solve_hierarchical(
@@ -175,9 +264,10 @@ def solve_hierarchical(
         Sub-problems per dispatch chunk; part of the deterministic
         solve identity (see :data:`DEFAULT_CHUNK_SIZE`).
     cache:
-        Distance-submatrix cache.  Defaults to a fresh budgeted
-        per-solve cache shared by the replicas; callers solving one
-        hierarchy repeatedly may pass their own to reuse its slices.
+        The endpoint-fixing cross-block cache.  Defaults to a fresh
+        per-solve cache shared by the replicas that retains no block
+        (each pair block is requested once per replica); callers
+        solving one hierarchy repeatedly may pass a retaining one.
     pool:
         An open :class:`~repro.engine.wavefront.WavefrontPool` to use
         instead of one from ``workers`` and ``executor``.
@@ -188,16 +278,7 @@ def solve_hierarchical(
     all_times = [PhaseTimes() for _ in solvers]
     all_stats: list[list[LevelStats]] = [[] for _ in solvers]
     if cache is None:
-        # Per-solve cache: every pair block is requested once per
-        # replica, so only the (reusable) square submatrices are worth
-        # retaining — and only up to a byte budget, so an n=10^5 solve
-        # holds a bounded working set of blocks instead of one per
-        # cluster.  Small solves never reach the budget.
-        cache = SubmatrixCache(
-            instance,
-            retain_cross_blocks=False,
-            budget_bytes=DEFAULT_CACHE_BUDGET,
-        )
+        cache = SubmatrixCache(instance, retain_cross_blocks=False)
     # One draw per replica, before any dispatch: every chunk seed
     # derives from it, so each solve is a function of its solver's RNG.
     master_seeds = [
@@ -217,21 +298,22 @@ def solve_hierarchical(
             # Any cyclic order of <= 3 nodes has the same length.
             sequences = [np.arange(k) for _ in solvers]
         else:
-            problem = SubProblem(
-                centroid_distance_matrix(top.centroids),
+            wave = _Wave(
+                groups=[np.arange(k)],
+                entries=np.zeros(1, dtype=np.intp),
+                exits=np.full(1, -1),
+                tags=["top"],
+                metric=None,
+                points_of=top.centroids.__getitem__,
                 closed=True,
                 fixed_first=False,
-                fixed_last=False,
-                tag="top",
             )
-            solved, share = solve_wave([[problem]] * len(solvers), hierarchy.depth - 1)
+            solved, share = solve_wave([wave] * len(solvers), hierarchy.depth - 1)
             sequences = []
-            for r, (solution,) in enumerate(solved):
+            for r, result in enumerate(solved):
                 all_times[r].ising += share
-                all_stats[r].append(
-                    _level_stats(hierarchy.depth - 1, [problem], [solution])
-                )
-                sequences.append(solution.order.astype(int))
+                all_stats[r].append(result.stats(hierarchy.depth - 1, wave))
+                sequences.append(result.orders[0].astype(int))
 
         for level_idx in range(hierarchy.depth - 1, 0, -1):
             _solve_level(
@@ -254,36 +336,99 @@ def solve_hierarchical(
 # ----------------------------------------------------------------------
 # stages
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Wave:
+    """One replica's sub-problems at one level, before chunking.
+
+    ``groups[i]`` are the ids problem ``i`` orders, and
+    ``points_of(ids)`` maps a ``(p, n)`` id array to a chunk's
+    :attr:`ChunkSpec.points`; the other fields are per problem as in
+    :class:`ChunkSpec`.
+    """
+
+    groups: list[np.ndarray]
+    entries: np.ndarray
+    exits: np.ndarray
+    tags: list
+    metric: EdgeWeightType | None
+    points_of: Callable[[np.ndarray], np.ndarray]
+    closed: bool = False
+    fixed_first: bool = True
+
+    def chunks(self, chunk_size: int) -> list[tuple[list[int], ChunkSpec]]:
+        """The wave cut into same-shape chunks: ``(indices, spec)`` each."""
+        keys = zip(
+            (group.size for group in self.groups),
+            itertools.repeat(self.closed),
+            itertools.repeat(self.fixed_first),
+            (self.exits >= 0).tolist(),
+        )
+        out = []
+        for indices in chunk_indices(list(keys), chunk_size):
+            ids = np.stack([self.groups[i] for i in indices])
+            out.append((
+                indices,
+                ChunkSpec(
+                    metric=self.metric,
+                    points=self.points_of(ids),
+                    entries=tuple(self.entries[indices].tolist()),
+                    exits=tuple(self.exits[indices].tolist()),
+                    tags=tuple(self.tags[i] for i in indices),
+                    closed=self.closed,
+                    fixed_first=self.fixed_first,
+                ),
+            ))
+        return out
+
+
+@dataclass
+class _Solved:
+    """One replica's solved wave: an order per problem, plus its work."""
+
+    orders: list[np.ndarray]
+    sweeps: int = 0
+    iterations: int = 0
+
+    def stats(self, level: int, wave: _Wave) -> LevelStats:
+        return LevelStats(
+            level=level,
+            n_subproblems=len(wave.groups),
+            subproblem_sizes=[group.size for group in wave.groups],
+            sweeps=self.sweeps,
+            total_iterations=self.iterations,
+        )
+
+
 def _solve_wave(
     pool: WavefrontPool,
     solvers: list[BatchedMacroSolver],
     master_seeds: list[int],
     schedule: AnnealSchedule,
     chunk_size: int,
-    waves: list[list[SubProblem]],
+    waves: list[_Wave],
     level: int,
-) -> tuple[list[list[SubSolution]], float]:
+) -> tuple[list[_Solved], float]:
     """Solve one level's wavefront of every replica.
 
-    Returns the solutions (aligned with ``waves``) and each replica's
-    share of the wall time.  Each replica's problems are cut into chunks
-    (ordinals per replica); the chunks of every shape and replica are
-    then cut into contiguous super-batches, one wave task each (see
-    :func:`_super_batches`).
+    Returns each replica's solved wave (aligned with ``waves``) and
+    each replica's share of the wall time.  Each replica's problems are
+    cut into chunks (ordinals per replica); the chunks of every shape
+    and replica are then cut into contiguous super-batches, one wave
+    task each (see :func:`_super_batches`).
     """
     start = time.perf_counter()
-    results: list[list[SubSolution]] = []
+    results: list[_Solved] = []
     chunks: list[WaveChunk] = []
     owners: list[tuple[int, list[int]]] = []
-    for r, (solver, problems) in enumerate(zip(solvers, waves)):
-        results.append([None] * len(problems))  # type: ignore[list-item]
-        if not problems:
+    for r, (solver, wave) in enumerate(zip(solvers, waves)):
+        results.append(_Solved([None] * len(wave.groups)))  # type: ignore[list-item]
+        if not wave.groups:
             continue
+        specs = wave.chunks(chunk_size)
         if not isinstance(solver, BatchedMacroSolver):
-            results[r] = solver.solve_all(problems, schedule)
+            results[r] = _solve_all(solver, specs, len(wave.groups), schedule)
             continue
-        keys = [p.shape_key for p in problems]
-        for ordinal, indices in enumerate(chunk_indices(keys, chunk_size)):
+        for ordinal, (indices, spec) in enumerate(specs):
             chunks.append(
                 WaveChunk(
                     level=level,
@@ -291,19 +436,49 @@ def _solve_wave(
                     master_seed=master_seeds[r],
                     config=solver.config,
                     schedule=schedule,
-                    problems=tuple(problems[i] for i in indices),
+                    problems=spec,
                 )
             )
             owners.append((r, indices))
     if chunks:
         outputs = pool.map(solve_wave_chunks, _super_batches(chunks, pool.workers))
         solved = (output for task_output in outputs for output in task_output)
-        for (r, indices), (solutions, sweeps, iterations) in zip(owners, solved):
+        for (r, indices), (orders, sweeps, iterations) in zip(owners, solved):
             solvers[r].total_sweeps += sweeps
             solvers[r].total_iterations += iterations
-            for local, solution in zip(indices, solutions):
-                results[r][local] = solution
+            result = results[r]
+            result.sweeps = max(result.sweeps, sweeps)
+            result.iterations += iterations
+            for local, order in zip(indices, orders):
+                result.orders[local] = order
     return results, (time.perf_counter() - start) / len(solvers)
+
+
+def _solve_all(
+    solver, specs: list[tuple[list[int], ChunkSpec]], count: int,
+    schedule: AnnealSchedule,
+) -> _Solved:
+    """One in-process ``solve_all`` call over a whole wave, in wave order."""
+    problems: list[SubProblem] = [None] * count  # type: ignore[list-item]
+    built = build_chunk_problems([spec for _, spec in specs])
+    for (indices, spec), arrays in zip(specs, built):
+        for local, dist, order, tag in zip(
+            indices, arrays.distances, arrays.initial_orders, spec.tags
+        ):
+            problems[local] = SubProblem(
+                dist,
+                initial_order=order,
+                closed=arrays.closed,
+                fixed_first=arrays.fixed_first,
+                fixed_last=arrays.fixed_last,
+                tag=tag,
+            )
+    solutions = solver.solve_all(problems, schedule)
+    return _Solved(
+        [solution.order for solution in solutions],
+        max((solution.sweeps for solution in solutions), default=0),
+        sum(solution.iterations for solution in solutions),
+    )
 
 
 def _super_batches(
@@ -353,8 +528,8 @@ def _solve_level(
 ) -> None:
     """Order every replica's children at one level; updates ``sequences``.
 
-    A function of its own so that one level's sub-problems are freed
-    before the next level builds its own.
+    A function of its own so that one level's waves are freed before
+    the next level describes its own.
     """
     child_of_leaf = None
     if endpoint_fixing:
@@ -368,37 +543,21 @@ def _solve_level(
         fixings = _fix_endpoints_for(
             hierarchy, level, sequence, child_of_leaf, all_times[r], cache
         )
-        build_start = time.perf_counter()
-        waves.append(
-            _build_child_problems(
-                hierarchy, level, sequence, fixings, cache, child_of_leaf
-            )
-        )
-        all_times[r].merge += time.perf_counter() - build_start
+        wave_start = time.perf_counter()
+        waves.append(_child_wave(hierarchy, level, sequence, fixings, child_of_leaf))
+        all_times[r].merge += time.perf_counter() - wave_start
 
     solved, share = solve_wave(waves, level.level)
 
-    for r, (problems, solutions) in enumerate(zip(waves, solved)):
+    for r, (wave, result) in enumerate(zip(waves, solved)):
         all_times[r].ising += share
         merge_start = time.perf_counter()
         sequences[r] = _merge_child_orders(
-            level, sequences[r], [(p.tag, s.order) for p, s in zip(problems, solutions)]
+            level, sequences[r], zip(wave.tags, result.orders)
         )
         all_times[r].merge += time.perf_counter() - merge_start
-        if problems:
-            all_stats[r].append(_level_stats(level.level, problems, solutions))
-
-
-def _level_stats(
-    level: int, problems: list[SubProblem], solutions: list[SubSolution]
-) -> LevelStats:
-    return LevelStats(
-        level=level,
-        n_subproblems=len(problems),
-        subproblem_sizes=[p.n for p in problems],
-        sweeps=max((s.sweeps for s in solutions), default=0),
-        total_iterations=sum(s.iterations for s in solutions),
-    )
+        if wave.groups:
+            all_stats[r].append(result.stats(level.level, wave))
 
 
 def _child_of_leaf(hierarchy: Hierarchy, level) -> np.ndarray:
@@ -443,25 +602,24 @@ def _fix_endpoints_for(
     return fixings
 
 
-def _build_child_problems(
+def _child_wave(
     hierarchy: Hierarchy,
     level,
     sequence: np.ndarray,
     fixings: list[EndpointFixing] | None,
-    cache: SubmatrixCache,
     child_of_leaf: np.ndarray | None,
-) -> list[SubProblem]:
+) -> _Wave:
     """One level's child-ordering sub-problems, tagged with their position.
 
     Every node of ``sequence`` with more than one child gets a
-    sub-problem; single-child nodes need none.  The nodes are built in
-    slices of :data:`BUILD_SLICE_CLUSTERS`.  Pure function of
-    ``(hierarchy, sequence, fixings)``, so each replica's problems are
-    built independently of the others.
+    sub-problem; single-child nodes need none.  A problem orders its
+    children: cities under the instance metric at level 1, centroids
+    of the level below above it.  Without fixings the input order
+    starts from child 0 and nothing is pinned.  Pure function of
+    ``(hierarchy, sequence, fixings)``, so each replica's wave is
+    described independently of the others.
     """
-    below = hierarchy.levels[level.level - 1]
-    nodes = sequence.tolist()
-    children = [level.children[node] for node in nodes]
+    children = [level.children[node] for node in sequence.tolist()]
     positions = [p for p, group in enumerate(children) if group.size > 1]
     if fixings is None:
         entry = np.zeros(len(positions), dtype=np.intp)
@@ -472,34 +630,26 @@ def _build_child_problems(
         # Same child at both ends: pin the entry side only; the annealer
         # may choose the exit child freely.
         exit_[exit_ == entry] = -1
-    problems: list[SubProblem] = []
-    for lo in range(0, len(positions), BUILD_SLICE_CLUSTERS):
-        batch = positions[lo : lo + BUILD_SLICE_CLUSTERS]
-        groups = [children[p] for p in batch]
-        if level.level == 1:
-            dists = cache.submatrices(
-                [("sub", level.level, nodes[p]) for p in batch], groups
-            )
-        else:
-            dists = [centroid_distance_matrix(below.centroids[g]) for g in groups]
-        ends = exit_[lo : lo + BUILD_SLICE_CLUSTERS]
-        orders = _nn_chains(dists, entry[lo : lo + BUILD_SLICE_CLUSTERS], ends)
-        for position, dist, order, end in zip(batch, dists, orders, ends.tolist()):
-            problems.append(
-                SubProblem(
-                    dist,
-                    initial_order=order,
-                    closed=False,
-                    fixed_first=fixings is not None,
-                    fixed_last=end >= 0,
-                    tag=position,
-                )
-            )
-    return problems
+    instance = hierarchy.instance
+    if level.level > 1:
+        metric, points_of = None, hierarchy.levels[level.level - 1].centroids.__getitem__
+    elif instance.metric is EdgeWeightType.EXPLICIT:
+        metric, points_of = instance.metric, lambda ids: instance.distance_block(ids, ids)
+    else:
+        metric, points_of = instance.metric, instance.coords.__getitem__
+    return _Wave(
+        groups=[children[p] for p in positions],
+        entries=entry,
+        exits=exit_,
+        tags=positions,
+        metric=metric,
+        points_of=points_of,
+        fixed_first=fixings is not None,
+    )
 
 
 def _merge_child_orders(
-    level, sequence: np.ndarray, solved: list[tuple[int, np.ndarray]]
+    level, sequence: np.ndarray, solved: Iterable[tuple[int, np.ndarray]]
 ) -> np.ndarray:
     """Expand a node sequence into its ordered children.
 

@@ -31,13 +31,20 @@ Contracts:
   deliberately unregister from the ``resource_tracker`` so a worker
   exiting can never destroy a block other processes still map
   (CPython registers on *attach* too, which would otherwise tear the
-  arena down with the first recycled pool worker).
+  arena down with the first recycled pool worker);
+* **orphans are reclaimed** — an owner killed with SIGKILL never
+  unlinks, and its forked workers' unregister dropped the tracker's
+  record of its blocks.  Every block's name carries its owner's pid
+  (``repro_<pid>_<random>``), and each new arena unlinks the blocks of
+  owners that are gone (:func:`sweep_orphans`): a restarted service or
+  a respawned shard reclaims what its dead predecessor left.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import secrets
 import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -50,6 +57,12 @@ from repro.tsp.instance import EdgeWeightType, TSPInstance
 #: Instances above this size never get their full matrix published
 #: (memory, not CPU, binds there) — coordinates still are.
 MATRIX_SHARE_LIMIT = 4096
+
+#: Name prefix of every published block; the owner's pid follows it.
+BLOCK_PREFIX = "repro_"
+
+#: Where POSIX shared-memory blocks appear as files (Linux).
+SHM_DIR = "/dev/shm"
 
 
 def content_key(instance: TSPInstance) -> str:
@@ -145,7 +158,15 @@ def _publish_array(array: np.ndarray) -> tuple[ArenaBlock,
     already; candidate-index blocks stay int32, half the bytes).
     """
     data = np.ascontiguousarray(array)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, data.nbytes))
+    while True:
+        name = f"{BLOCK_PREFIX}{os.getpid()}_{secrets.token_hex(4)}"
+        try:
+            shm = shared_memory.SharedMemory(
+                name=name, create=True, size=max(1, data.nbytes)
+            )
+            break
+        except FileExistsError:  # pragma: no cover - 32-bit name clash
+            continue
     view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
     view[...] = data
     view.flags.writeable = False
@@ -246,6 +267,37 @@ def attach_shared_candidates(ref: ArenaRef):
     return lists
 
 
+def sweep_orphans() -> None:
+    """Unlink the blocks of arena owners that are gone.
+
+    A block's owner is the pid in its name.  Only owners in this
+    process's pid namespace are told apart, as processes of one host
+    or container are.  Where blocks are not files under
+    :data:`SHM_DIR`, nothing can be listed and nothing is swept.
+    """
+    try:
+        names = os.listdir(SHM_DIR)
+    except OSError:
+        return
+    for name in names:
+        owner = name[len(BLOCK_PREFIX):].split("_", 1)[0]
+        if name.startswith(BLOCK_PREFIX) and owner.isdigit() and not _alive(int(owner)):
+            try:
+                os.unlink(os.path.join(SHM_DIR, name))
+            except OSError:  # another sweeper won the race
+                pass
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # someone else's live process
+        return True
+    return True
+
+
 def clear_attachments() -> None:
     """Drop this process's attach cache (tests, memory reclamation)."""
     for blocks, _instance, _matrix in _ATTACHED.values():
@@ -271,9 +323,12 @@ class InstanceArena:
     safe because the service dispatcher publishes from concurrent group
     runners.  ``close()`` unlinks every block — attached processes keep
     their mappings (POSIX semantics) but no new attach can succeed.
+    A new arena first reclaims the blocks of dead owners
+    (:func:`sweep_orphans`).
     """
 
     def __init__(self) -> None:
+        sweep_orphans()
         self._lock = threading.Lock()
         self._refs: dict[str, ArenaRef] = {}
         self._blocks: list[shared_memory.SharedMemory] = []

@@ -11,10 +11,13 @@ swap updates) — verified against the faithful model in the test suite.
 
 The probability x position sweep loop lives in
 :mod:`repro.kernels.macro`, which hoists each sweep's draws into bulk
-generator calls.  :func:`solve_chunks` anneals many chunks of any sizes
-and fixed endpoints, each with its own solver and RNG stream, as one
-padded kernel batch: the hierarchical pipeline's level-wide ragged
-lock-step.  :meth:`BatchedMacroSolver.solve_all` keeps one kernel call
+generator calls.  :func:`anneal_chunks` anneals many chunks of any
+sizes and fixed endpoints, each with its own solver and RNG stream, as
+one padded kernel batch: the hierarchical pipeline's level-wide ragged
+lock-step.  Its chunks are stacked arrays (:class:`ChunkArrays`);
+:func:`solve_chunks` takes and returns :class:`SubProblem` and
+:class:`SubSolution` objects instead.
+:meth:`BatchedMacroSolver.solve_all` keeps one kernel call
 per shape group, because its groups draw from one shared generator in
 sequence.
 """
@@ -22,7 +25,7 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -146,6 +149,26 @@ class BatchedMacroSolver:
         return solutions  # type: ignore[return-value]
 
 
+class ChunkArrays(NamedTuple):
+    """One chunk's sub-problems as stacked arrays; they share one shape.
+
+    ``distances`` is ``(p, n, n)`` and ``initial_orders`` ``(p, n)``.
+    """
+
+    distances: np.ndarray
+    initial_orders: np.ndarray
+    closed: bool
+    fixed_first: bool
+    fixed_last: bool
+
+    @property
+    def shape_key(self) -> tuple[int, bool, bool, bool]:
+        return (
+            int(self.distances.shape[1]), self.closed, self.fixed_first,
+            self.fixed_last,
+        )
+
+
 def solve_chunks(
     solvers: list[BatchedMacroSolver],
     chunk_problems: list[list[SubProblem]],
@@ -155,51 +178,82 @@ def solve_chunks(
 
     ``chunk_problems[i]`` is one chunk: its problems share one
     ``shape_key`` (as :func:`repro.engine.wavefront.chunk_indices`
-    guarantees), while different chunks may differ in size and fixed
-    endpoints.  The chunks must be all closed or all open, and
-    ``solvers[i]`` is chunk ``i``'s seeded solver; all solvers share one
-    config.  Each chunk consumes its solver's RNG exactly as a solo
-    solve of that chunk would (weight draws at prepare time, then
-    per-sweep blocks), so the solutions are bit-identical to solving
-    chunk by chunk.  One kernel call anneals every chunk.  A chunk with
-    nothing to anneal draws no randoms and joins no kernel call.
+    guarantees).  :func:`anneal_chunks` does the work; this wraps each
+    picked order in a :class:`SubSolution`.
+    """
+    chunks = [
+        ChunkArrays(
+            np.stack([p.distances for p in problems]),
+            np.stack([p.initial_order for p in problems]),
+            *problems[0].shape_key[1:],
+        )
+        for problems in chunk_problems
+    ]
+    restarts = solvers[0].config.restarts
+    results: list[list[SubSolution]] = []
+    for problems, chunk, (orders, sweeps) in zip(
+        chunk_problems, chunks, anneal_chunks(solvers, chunks, schedule)
+    ):
+        iterations = sweeps * _optimizable_positions(*chunk.shape_key).size * restarts
+        results.append([
+            SubSolution(
+                order=order.copy(),
+                tag=problem.tag,
+                sweeps=sweeps,
+                iterations=iterations,
+                length=_order_length(problem.distances, order, problem.closed),
+            )
+            for problem, order in zip(problems, orders)
+        ])
+    return results
+
+
+def anneal_chunks(
+    solvers: list[BatchedMacroSolver],
+    chunks: list[ChunkArrays],
+    schedule: AnnealSchedule | None = None,
+) -> list[tuple[np.ndarray, int]]:
+    """Anneal chunks, one solver each, as one merged ragged batch.
+
+    Different chunks may differ in size and fixed endpoints, but must be
+    all closed or all open; ``solvers[i]`` is chunk ``i``'s seeded
+    solver, and all solvers share one config.  Each chunk consumes its
+    solver's RNG exactly as a solo solve of that chunk would (weight
+    draws at prepare time, then per-sweep blocks), so the orders are
+    bit-identical to solving chunk by chunk.  One kernel call anneals
+    every chunk.  A chunk with nothing to anneal draws no randoms and
+    joins no kernel call.
+
+    Returns each chunk's ``(p, n)`` picked orders and its sweep count;
+    each solver's counters accumulate its chunk's sweeps and
+    iterations.
     """
     schedule = schedule if schedule is not None else paper_schedule()
     config = solvers[0].config
     if any(solver.config != config for solver in solvers[1:]):
         raise MacroError("merged chunks need one shared config")
-    for problems in chunk_problems:
-        for problem in problems:
-            if problem.n > config.max_cities:
-                raise MacroError(
-                    f"sub-problem of {problem.n} cities exceeds macro "
-                    f"capacity {config.max_cities}"
-                )
-    closed = chunk_problems[0][0].closed
-    if any(p.closed != closed for problems in chunk_problems for p in problems):
+    for chunk in chunks:
+        if chunk.distances.shape[1] > config.max_cities:
+            raise MacroError(
+                f"sub-problem of {chunk.distances.shape[1]} cities exceeds "
+                f"macro capacity {config.max_cities}"
+            )
+    closed = chunks[0].closed
+    if any(chunk.closed != closed for chunk in chunks):
         raise MacroError("merged chunks must be all closed or all open")
     restarts = config.restarts
-    positions = [
-        _optimizable_positions(*problems[0].shape_key) for problems in chunk_problems
-    ]
-    # Chunks the annealer may change; the rest draw no randoms.
-    live = [
-        i for i, problems in enumerate(chunk_problems)
-        if positions[i].size and problems[0].n - _fixed_count(problems[0]) >= 2
-    ]
-    sweeps = [0] * len(chunk_problems)
-    # One order per problem: every restart copy of a chunk the annealer
-    # leaves alone keeps the initial order, so that is the pick.
-    orders = [[p.initial_order for p in problems] for problems in chunk_problems]
+    positions = [_optimizable_positions(*chunk.shape_key) for chunk in chunks]
+    # Chunks the annealer may change (two movable positions to swap);
+    # the rest draw no randoms.
+    live = [i for i, chunk_positions in enumerate(positions) if chunk_positions.size >= 2]
+    sweeps = [0] * len(chunks)
+    # Every restart copy of a chunk the annealer leaves alone keeps the
+    # initial order, so that is the pick.
+    orders = [chunk.initial_orders for chunk in chunks]
     if live:
-        levels = [
-            inverse_distance_levels(
-                np.stack([p.distances for p in chunk_problems[i]]), config.bits
-            )
-            for i in live
-        ]
+        levels = [inverse_distance_levels(chunks[i].distances, config.bits) for i in live]
         prepared = [
-            _prepare(solvers[i], chunk_problems[i], chunk_levels, restarts)
+            _prepare(solvers[i], chunks[i], chunk_levels, restarts)
             for i, chunk_levels in zip(live, levels)
         ]
         done = anneal_group_fast(
@@ -217,27 +271,14 @@ def solve_chunks(
         for i, chunk_levels, arrays in zip(live, levels, prepared):
             orders[i] = _pick_restarts(chunk_levels, arrays[1], closed)
 
-    results: list[list[SubSolution]] = []
-    for solver, problems, chunk_orders, chunk_sweeps, chunk_positions in zip(
-        solvers, chunk_problems, orders, sweeps, positions
+    for solver, chunk, chunk_sweeps, chunk_positions in zip(
+        solvers, chunks, sweeps, positions
     ):
-        iterations = chunk_sweeps * chunk_positions.size
         solver.total_sweeps += chunk_sweeps
-        solver.total_iterations += iterations * len(problems) * restarts
-        solutions = []
-        for problem, order in zip(problems, chunk_orders):
-            order = order.copy()
-            solutions.append(
-                SubSolution(
-                    order=order,
-                    tag=problem.tag,
-                    sweeps=chunk_sweeps,
-                    iterations=iterations * restarts,
-                    length=_order_length(problem.distances, order, problem.closed),
-                )
-            )
-        results.append(solutions)
-    return results
+        solver.total_iterations += (
+            chunk_sweeps * chunk_positions.size * len(chunk.distances) * restarts
+        )
+    return list(zip(orders, sweeps))
 
 
 def _pick_restarts(levels: np.ndarray, orders: np.ndarray, closed: bool) -> np.ndarray:
@@ -264,7 +305,7 @@ def _pick_restarts(levels: np.ndarray, orders: np.ndarray, closed: bool) -> np.n
 
 def _prepare(
     solver: BatchedMacroSolver,
-    problems: list[SubProblem],
+    chunk: ChunkArrays,
     levels: np.ndarray,
     restarts: int,
 ) -> tuple[np.ndarray, ...]:
@@ -274,32 +315,23 @@ def _prepare(
     gets ``restarts`` adjacent macro rows.  The effective weights are
     the chunk's first draw from its RNG.
     """
-    _, closed, fixed_first, fixed_last = problems[0].shape_key
-    initial = np.stack([p.initial_order for p in problems])
     weights = effective_weight_matrices(
         np.repeat(levels, restarts, axis=0),
         solver.config.bits,
         solver.config.crossbar,
         solver._rng,
     )  # (m, n, n)
-    order = np.repeat(initial, restarts, axis=0).astype(int)  # (m, n)
+    order = np.repeat(chunk.initial_orders, restarts, axis=0).astype(int)  # (m, n)
     m, n = order.shape
     pos_of = np.argsort(order, axis=1)
     allowed = np.ones((m, n), dtype=bool)
-    if not closed:
+    if not chunk.closed:
         rows = np.arange(m)
-        if fixed_first:
+        if chunk.fixed_first:
             allowed[rows, order[:, 0]] = False
-        if fixed_last:
+        if chunk.fixed_last:
             allowed[rows, order[:, -1]] = False
-    return weights, order, pos_of, allowed, batch_proxy(weights, order, closed)
-
-
-def _fixed_count(problem: SubProblem) -> int:
-    """Pinned endpoints of a problem (none on a closed tour)."""
-    if problem.closed:
-        return 0
-    return int(problem.fixed_first) + int(problem.fixed_last)
+    return weights, order, pos_of, allowed, batch_proxy(weights, order, chunk.closed)
 
 
 def _optimizable_positions(

@@ -18,7 +18,7 @@ from repro.clustering.agglomerative import (
     ward_labels,
     ward_linkage_matrix,
 )
-from repro.clustering.hierarchy import build_hierarchy
+from repro.clustering.hierarchy import HierarchyLevel, build_hierarchy
 from repro.clustering.kmeans import kmeans_labels, kmeans_with_max_size
 from repro.engine.wavefront import WavefrontPool
 from repro.errors import ClusteringError
@@ -77,6 +77,30 @@ def reference_nn_chain_merges(points):
         else:
             chain.append(nearest)
     return merges
+
+
+def reference_hierarchy_levels(instance, max_cluster_size, cluster_fn):
+    """The per-cluster grouping loop the one-pass grouping replaced.
+
+    Each cluster's members by one scan per label, its leaves by one
+    concatenation, its centroid by one ``.mean``.
+    """
+    n = instance.n
+    levels = [
+        HierarchyLevel(0, instance.coords.copy(), [], list(np.arange(n).reshape(n, 1)))
+    ]
+    while levels[-1].n_nodes > max_cluster_size:
+        below = levels[-1]
+        labels = np.asarray(cluster_fn(below.centroids, max_cluster_size))
+        children, leaves, centroids = [], [], []
+        for label in np.unique(labels):
+            members = np.flatnonzero(labels == label)
+            member_leaves = np.concatenate([below.leaves[i] for i in members])
+            children.append(members)
+            leaves.append(member_leaves)
+            centroids.append(instance.coords[member_leaves].mean(axis=0))
+        levels.append(HierarchyLevel(len(levels), np.array(centroids), children, leaves))
+    return levels
 
 
 def hierarchy_digest(hierarchy):
@@ -319,6 +343,36 @@ class TestHierarchy:
         inst = uniform_instance(30, seed=18)
         with pytest.raises(ClusteringError):
             build_hierarchy(inst, 1)
+
+    @pytest.mark.parametrize("clustering", ["ward", "kmeans"])
+    def test_grouping_pass_equals_per_cluster_loop(self, clustering):
+        # Byte-identical children, leaves and centroids.  A tight column
+        # of cities at x = -0.0 makes a cluster whose leaves all have
+        # x = -0.0: ``.mean`` sums from +0.0 and gives +0.0, where a sum
+        # started from the first leaf would give -0.0.
+        coords = clustered_instance(3000, seed=7).coords.copy()
+        coords[:6] = np.column_stack([np.full(6, -0.0), np.arange(6) * 1e-3])
+        inst = TSPInstance("negzero", coords)
+        if clustering == "ward":
+            cluster_fn = functools.partial(cluster_with_max_size, exact_threshold=256)
+        else:
+            cluster_fn = functools.partial(kmeans_with_max_size, seed=1)
+        got = build_hierarchy(inst, 12, cluster_fn).levels
+        expected = reference_hierarchy_levels(inst, 12, cluster_fn)
+        assert len(got) == len(expected) >= 3
+        for level, want in zip(got, expected):
+            assert level.centroids.dtype == want.centroids.dtype
+            assert level.centroids.tobytes() == want.centroids.tobytes()
+            for name in ("children", "leaves"):
+                ours, theirs = getattr(level, name), getattr(want, name)
+                assert len(ours) == len(theirs)
+                for a, b in zip(ours, theirs):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+        assert any(
+            np.signbit(coords[leaves, 0]).all() and (coords[leaves, 0] == 0).all()
+            for leaves in got[1].leaves
+        )
 
     # Digests of the row-wise NN-chain's hierarchies: clustering must stay
     # byte-identical, on the compiled chain and on the NumPy chain.  The

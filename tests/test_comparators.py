@@ -8,7 +8,8 @@ from repro.baselines.hvc import HVCSolver
 from repro.baselines.neuro_ising import NeuroIsingSolver
 from repro.core import TAXIConfig, TAXISolver
 from repro.macro.timing import MacroTiming
-from repro.tsp.generators import uniform_instance
+from repro.tsp.generators import clustered_instance, uniform_instance
+from repro.utils.hashing import tour_hash
 
 SWEEPS = 80
 
@@ -78,6 +79,18 @@ class TestNeuroIsing:
             uniform_instance(300, seed=23)
         )
         assert large.modeled_seconds > small.modeled_seconds
+
+    def test_selective_budget_tour_is_pinned(self):
+        # The solve_all path: the pipeline builds every wave's
+        # sub-problems in process and hands them over in level order.
+        # 3,000 cities make ~300 level-1 clusters against a budget of
+        # 40, so most problems keep their nearest-neighbour input order.
+        # Recorded before the wave tasks built their own sub-problems.
+        result = NeuroIsingSolver(sweeps=10, seed=2, cluster_budget=40).solve(
+            clustered_instance(3000, seed=5)
+        )
+        assert tour_hash(result.tour.order) == "6fef3cb05f612abb"
+        assert result.tour.length == 381210
 
 
 class TestOffMacroPenalty:

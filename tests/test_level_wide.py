@@ -5,8 +5,11 @@ orders, the distance blocks, the W_D quantization and the restart pick
 each run as array passes over a whole hierarchy level (or a stack of
 sub-problems).  The per-cluster versions they replaced live on below as
 ``reference_*`` oracles, and every test requires bit-equal results.
+The sub-problem build runs inside each wave task, from what its chunks
+carry; the tests build from chunks that crossed a pickle round trip.
 """
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -23,7 +26,9 @@ from repro.clustering.fixing import (
     fix_level_endpoints,
 )
 from repro.clustering.hierarchy import build_hierarchy
-from repro.macro.batch import _pick_restarts
+from repro.macro.batch import BatchedMacroSolver, _pick_restarts
+from repro.macro.config import MacroConfig
+from repro.macro.schedule import paper_schedule
 from repro.tsp.generators import clustered_instance
 from repro.tsp.instance import EdgeWeightType, TSPInstance
 from repro.tsp.neighbors import closest_pair_between
@@ -319,12 +324,41 @@ class TestLockStepNNChains:
             assert chain.dtype == expected.dtype
 
 
+def task_built_problems(wave, chunk_size=pipeline.DEFAULT_CHUNK_SIZE):
+    """A wave's problems as its wave tasks build them, in wave order.
+
+    The chunk specs cross a pickle round trip, as they do to a pool
+    worker, and the build runs on all of them at once, as one task.
+    """
+    chunks = pickle.loads(pickle.dumps(wave.chunks(chunk_size)))
+    built = pipeline.build_chunk_problems([spec for _, spec in chunks])
+    problems = [None] * len(wave.groups)
+    for (indices, spec), arrays in zip(chunks, built):
+        for j, local in enumerate(indices):
+            problems[local] = (
+                spec.tags[j], arrays.distances[j], arrays.initial_orders[j],
+                arrays.fixed_first, arrays.fixed_last,
+            )
+    return problems
+
+
+def assert_problems_equal(got, expected):
+    assert len(got) == len(expected)
+    for (tag, dist, order, first, last), want in zip(got, expected):
+        assert tag == want[0] and type(tag) is int
+        assert dist.dtype == want[1].dtype and dist.shape == want[1].shape
+        assert dist.tobytes() == want[1].tobytes()
+        np.testing.assert_array_equal(order, want[2])
+        assert order.dtype == want[2].dtype
+        assert (first, last) == want[3:]
+        assert type(first) is bool and type(last) is bool
+
+
 class TestLevelBuildEqualsPerCluster:
     @pytest.mark.parametrize("endpoint_fixing", [True, False])
     def test_problems_and_merge(self, endpoint_fixing):
         inst = clustered_instance(2500, seed=9)
         hierarchy = build_hierarchy(inst, 12)
-        cache = SubmatrixCache(inst, retain_cross_blocks=False)
         rng = np.random.default_rng(5)
         for level in hierarchy.levels[1:]:
             sequence = rng.permutation(level.n_nodes)
@@ -336,24 +370,17 @@ class TestLevelBuildEqualsPerCluster:
                     [level.leaves[node] for node in sequence],
                     child_of_leaf,
                 )
-            with mock.patch.object(pipeline, "BUILD_SLICE_CLUSTERS", 7):
-                problems = pipeline._build_child_problems(
-                    hierarchy, level, sequence, fixings, cache, child_of_leaf
-                )
-            expected = reference_build_child_problems(
-                hierarchy, level, sequence, fixings
+            wave = pipeline._child_wave(
+                hierarchy, level, sequence, fixings, child_of_leaf
             )
-            assert len(problems) == len(expected)
-            for problem, (tag, dist, order, first, last) in zip(problems, expected):
-                assert problem.tag == tag and type(problem.tag) is int
-                np.testing.assert_array_equal(problem.distances, dist)
-                np.testing.assert_array_equal(problem.initial_order, order)
-                assert (problem.fixed_first, problem.fixed_last) == (first, last)
-                assert type(problem.fixed_last) is bool
+            # Small chunks: every task mixes shapes and widths.
+            problems = task_built_problems(wave, chunk_size=3)
+            assert_problems_equal(
+                problems,
+                reference_build_child_problems(hierarchy, level, sequence, fixings),
+            )
             # Merge: each node's children in its solved order.
-            solved = [
-                (p.tag, rng.permutation(p.n)) for p in problems
-            ]
+            solved = [(tag, rng.permutation(dist.shape[0])) for tag, dist, *_ in problems]
             local = dict(solved)
             expected_sequence = []
             for position, node in enumerate(sequence):
@@ -364,6 +391,103 @@ class TestLevelBuildEqualsPerCluster:
                 pipeline._merge_child_orders(level, sequence, solved),
                 expected_sequence,
             )
+
+    @pytest.mark.parametrize("metric", list(EdgeWeightType), ids=lambda m: m.name)
+    def test_level_one_under_every_metric(self, metric):
+        # Level 1 orders cities under the instance metric; GEO's
+        # d(i, i) = 0 rule and an explicit matrix (with display
+        # coordinates to cluster on) are the cases a plain Euclidean
+        # build would get wrong.
+        rng = np.random.default_rng(11)
+        if metric is EdgeWeightType.GEO:
+            coords = np.column_stack(
+                [rng.uniform(-80, 80, size=300), rng.uniform(-170, 170, size=300)]
+            )
+        else:
+            coords = rng.uniform(0, 1000, size=(300, 2))
+        coords[1] = coords[0]  # coincident cities
+        if metric is EdgeWeightType.EXPLICIT:
+            matrix = TSPInstance("d", coords).distance_matrix() + 1.0
+            np.fill_diagonal(matrix, 0.0)
+            inst = TSPInstance("e", coords, metric, matrix=matrix)
+        else:
+            inst = TSPInstance("m", coords, metric)
+        hierarchy = build_hierarchy(inst, 12)
+        level = hierarchy.levels[1]
+        sequence = rng.permutation(level.n_nodes)
+        child_of_leaf = pipeline._child_of_leaf(hierarchy, level)
+        fixings = fix_level_endpoints(
+            inst, [level.leaves[node] for node in sequence], child_of_leaf
+        )
+        wave = pipeline._child_wave(hierarchy, level, sequence, fixings, child_of_leaf)
+        assert_problems_equal(
+            task_built_problems(wave),
+            reference_build_child_problems(hierarchy, level, sequence, fixings),
+        )
+
+
+class TestWaveTasksBuildTheReferenceProblems:
+    """The chunks a solve ships, built by the task, equal the oracle."""
+
+    @pytest.mark.parametrize("endpoint_fixing", [True, False])
+    def test_folded_replicas_on_a_kd_split_instance(self, monkeypatch, endpoint_fixing):
+        # n=5000 is above the exact-clustering threshold (KD-split Ward):
+        # level 1 orders cities under the metric, levels 2 and 3 order
+        # centroids.  Two folded replicas share each level's tasks.
+        inst = clustered_instance(5000, seed=7)
+        hierarchy = build_hierarchy(inst, 12)
+        assert hierarchy.depth >= 4
+        waves = []  # (level, sequence, fixings) per replica, in call order
+        child_wave = pipeline._child_wave
+
+        def recorded_wave(hierarchy, level, sequence, fixings, child_of_leaf):
+            waves.append((level.level, sequence.copy(), fixings))
+            return child_wave(hierarchy, level, sequence, fixings, child_of_leaf)
+
+        tasks = []  # every task's chunks, in dispatch order
+        solve_chunks = pipeline.solve_wave_chunks
+
+        def recorded_task(chunks):
+            chunks = pickle.loads(pickle.dumps(chunks))
+            tasks.append(chunks)
+            return solve_chunks(chunks)
+
+        monkeypatch.setattr(pipeline, "_child_wave", recorded_wave)
+        monkeypatch.setattr(pipeline, "solve_wave_chunks", recorded_task)
+        solvers = [BatchedMacroSolver(MacroConfig(), seed=seed) for seed in (4, 5)]
+        pipeline.solve_hierarchical(
+            hierarchy, solvers, paper_schedule(10), endpoint_fixing=endpoint_fixing
+        )
+
+        replica_of_seed = {}
+        built = {}  # (replica, level) -> {tag: problem}
+        for chunks in tasks:
+            if chunks[0].problems.closed:
+                continue  # the top tours
+            for chunk, arrays in zip(
+                chunks, pipeline.build_chunk_problems([c.problems for c in chunks])
+            ):
+                r = replica_of_seed.setdefault(chunk.master_seed, len(replica_of_seed))
+                for j, tag in enumerate(chunk.problems.tags):
+                    built.setdefault((r, chunk.level), {})[tag] = (
+                        tag, arrays.distances[j], arrays.initial_orders[j],
+                        arrays.fixed_first, arrays.fixed_last,
+                    )
+        assert len(replica_of_seed) == 2
+        levels_seen = set()
+        for index, (level_no, sequence, fixings) in enumerate(waves):
+            r = index % 2
+            assert (fixings is not None) == endpoint_fixing
+            level = hierarchy.levels[level_no]
+            expected = reference_build_child_problems(
+                hierarchy, level, sequence, fixings
+            )
+            got = built.pop((r, level_no), {})
+            assert_problems_equal([got[row[0]] for row in expected], expected)
+            assert len(got) == len(expected)
+            levels_seen.add(level_no)
+        assert not built
+        assert {1, 2} <= levels_seen
 
 
 # ----------------------------------------------------------------------
@@ -405,28 +529,6 @@ class TestBatchedDistanceBlock:
 
 
 class TestBatchedCacheLookups:
-    def test_submatrices_match_one_key_lookups(self):
-        # A budget of about three blocks: insertions evict mid-batch,
-        # and a repeated key hits the copy stored earlier in the batch.
-        inst = _instance(EdgeWeightType.EUC_2D, 60, seed=4)
-        rng = np.random.default_rng(6)
-        groups = {key: rng.choice(60, size=int(rng.integers(2, 10)), replace=False)
-                  for key in range(8)}
-        keys = [0, 1, 2, 0, 3, 4, 1, 5, 5, 6, 0, 7, 2]
-        budget = 3 * 9 * 9 * 8
-        one, batched = (SubmatrixCache(inst, budget_bytes=budget) for _ in range(2))
-        expected = [one.submatrix(key, groups[key]) for key in keys]
-        got = batched.submatrices(keys[:6], [groups[k] for k in keys[:6]])
-        got += batched.submatrices(keys[6:], [groups[k] for k in keys[6:]])
-        for a, b in zip(got, expected):
-            np.testing.assert_array_equal(a, b)
-            assert not a.flags.writeable
-        assert (batched.hits, batched.misses, batched.evictions) == (
-            one.hits, one.misses, one.evictions
-        )
-        assert batched.evictions > 0 and batched.hits > 0
-        assert batched.held_bytes == one.held_bytes
-
     @pytest.mark.parametrize("retain", [True, False])
     def test_cross_blocks_are_padded_cross_block_stacks(self, retain):
         inst = _instance(EdgeWeightType.ATT, 50, seed=7)

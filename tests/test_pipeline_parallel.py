@@ -8,7 +8,7 @@ The safety net for the wavefront scheduler rewrite:
 * the determinism contract — ``workers=4`` (process pool) and an
   injected thread executor are bit-identical to ``workers=1``;
 * endpoint fixing never produces duplicate cities;
-* the submatrix cache: the conflict-retry path must reuse the cached
+* the cross-block cache: the conflict-retry path must reuse the cached
   cross-block instead of re-slicing the metric per child (regression
   test on the slice count).
 """
@@ -255,18 +255,15 @@ class TestEndpointFixingInvariants:
 
 
 class TestSubmatrixCache:
-    def test_square_and_cross_blocks_memoized(self):
+    def test_cross_blocks_memoized(self):
         inst = uniform_instance(30, seed=5)
         cache = SubmatrixCache(inst)
         a = np.arange(0, 6)
         b = np.arange(6, 12)
-        first = cache.submatrix("A", a)
-        again = cache.submatrix("A", a)
-        assert first is again
         cross = cache.cross_block("A", a, "B", b)
         assert cache.cross_block("A", a, "B", b) is cross
-        assert cache.hits == 2
-        assert cache.slices_computed == 2
+        assert cache.hits == 1
+        assert cache.slices_computed == 1
 
     def test_conflict_retry_does_not_reslice(self):
         # The line geometry from the fixing tests: cluster B's closest
@@ -327,9 +324,7 @@ class TestSubmatrixCache:
         cache.cross_block("A", a, "B", b)
         cache.cross_block("A", a, "B", b)
         assert cache.misses == 2  # not memoized
-        cache.submatrix("A", a)
-        cache.submatrix("A", a)
-        assert cache.hits == 1  # squares still are
+        assert cache.hits == 0
 
     def test_shared_cache_reuses_slices_across_solves(self):
         # Replica batches re-solve one deterministic ward hierarchy; a
@@ -348,28 +343,10 @@ class TestSubmatrixCache:
             hierarchy, BatchedMacroSolver(MacroConfig(), seed=1), schedule,
             cache=cache,
         )
-        # Square cluster submatrices are route-independent and reuse
-        # fully; cross-blocks depend on the replica's route order, so a
+        # Cross-blocks depend on the replica's route order, so a
         # handful of new adjacencies may still be sliced.
         new_misses = cache.misses - first_misses
         assert new_misses < first_misses / 3
-
-    def test_square_blocks_are_read_only(self):
-        # Regression: returned blocks used to be writeable shared
-        # views, so one caller's in-place write silently poisoned the
-        # cache for every later consumer.
-        inst = uniform_instance(30, seed=5)
-        cache = SubmatrixCache(inst)
-        indices = np.arange(0, 8)
-        block = cache.submatrix("A", indices)
-        pristine = block.copy()
-        with pytest.raises(ValueError):
-            block[0, 1] = -1.0
-        with pytest.raises(ValueError):
-            block += 1.0
-        # A fetch after the attempted write must be bit-identical to
-        # the original slice — nothing leaked through.
-        np.testing.assert_array_equal(cache.submatrix("A", indices), pristine)
 
     def test_cross_blocks_are_read_only(self):
         inst = uniform_instance(30, seed=5)
@@ -390,27 +367,25 @@ class TestSubmatrixCache:
         matrix = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
         inst = TSPInstance("explicit", None, metric=_EXPLICIT, matrix=matrix)
         cache = SubmatrixCache(inst)
-        cache.submatrix("A", np.array([0, 1]))
+        cache.cross_block("A", np.array([0, 1]), "B", np.array([2]))
         assert inst.matrix.flags.writeable
 
     def test_hit_miss_accounting_is_exact(self):
         inst = uniform_instance(30, seed=5)
         cache = SubmatrixCache(inst)
         a, b, c = np.arange(0, 5), np.arange(5, 10), np.arange(10, 15)
-        cache.submatrix("A", a)          # miss
-        cache.submatrix("A", a)          # hit
-        cache.submatrix("B", b)          # miss
         cache.cross_block("A", a, "B", b)  # miss
         cache.cross_block("A", a, "B", b)  # hit
         cache.cross_block("B", b, "C", c)  # miss (direction is part of the key)
         cache.cross_block("C", c, "B", b)  # miss
-        assert (cache.hits, cache.misses) == (2, 5)
-        assert cache.slices_computed == 5
+        cache.cross_block("C", c, "B", b)  # hit
+        assert (cache.hits, cache.misses) == (2, 3)
+        assert cache.slices_computed == 3
         cache.clear()
         # clear() drops blocks but keeps the lifetime counters.
-        assert (cache.hits, cache.misses) == (2, 5)
-        cache.submatrix("A", a)
-        assert cache.misses == 6
+        assert (cache.hits, cache.misses) == (2, 3)
+        cache.cross_block("A", a, "B", b)
+        assert cache.misses == 4
 
     def test_keys_never_alias_across_distinct_clusters(self):
         # The aliasing contract: the cache trusts keys, so distinct
@@ -419,15 +394,15 @@ class TestSubmatrixCache:
         # of the indices passed (callers own key stability).
         inst = uniform_instance(30, seed=5)
         cache = SubmatrixCache(inst)
-        indices = np.arange(0, 6)
-        block_a = cache.submatrix(("L1", 0), indices)
-        block_b = cache.submatrix(("L1", 1), indices)
+        indices, other = np.arange(0, 6), np.arange(20, 24)
+        block_a = cache.cross_block(("L1", 0), indices, ("L1", 9), other)
+        block_b = cache.cross_block(("L1", 1), indices, ("L1", 9), other)
         assert block_a is not block_b
         np.testing.assert_array_equal(block_a, block_b)
         assert cache.misses == 2
-        # Same key, different indices: the memoized block wins — this
+        # Same keys, different indices: the memoized block wins — this
         # is why shared caches demand explicit, stable cluster keys.
-        assert cache.submatrix(("L1", 0), np.arange(6, 12)) is block_a
+        assert cache.cross_block(("L1", 0), np.arange(6, 12), ("L1", 9), other) is block_a
 
     def test_retain_false_keeps_no_cross_block_memory(self):
         # The memory path: a per-solve cache must not accumulate the
@@ -439,7 +414,6 @@ class TestSubmatrixCache:
                 ("A", pair), np.arange(0, 5), ("B", pair), np.arange(5, 10)
             )
         assert len(cache._cross) == 0
-        assert len(cache._square) == 0
         retained = SubmatrixCache(inst, retain_cross_blocks=True)
         for pair in range(5):
             retained.cross_block(
@@ -449,9 +423,8 @@ class TestSubmatrixCache:
 
     def test_explicit_keys_reuse_across_two_solves_one_hierarchy(self):
         # Two replica solves over one ward hierarchy, one shared cache,
-        # explicit (level, node) keys: the second solve's square-block
-        # lookups must all be hits (cluster membership is solve
-        # -independent), and the hit counter must move.
+        # explicit (level, node) keys: the second solve's lookups of the
+        # cluster pairs both routes share must hit.
         inst = clustered_instance(100, seed=13)
         hierarchy = build_hierarchy(inst, 12)
         cache = SubmatrixCache(inst)
@@ -461,12 +434,10 @@ class TestSubmatrixCache:
             cache=cache,
         )
         hits_after_first = cache.hits
-        squares_after_first = len(cache._square)
         solve_hierarchical(
             hierarchy, BatchedMacroSolver(MacroConfig(), seed=1), schedule,
             cache=cache,
         )
-        assert len(cache._square) == squares_after_first  # no new squares
         assert cache.hits > hits_after_first
 
     def test_pipeline_slice_count_bounded(self):
@@ -490,8 +461,9 @@ class TestSubmatrixCache:
         finally:
             TSPInstance.distance_block = original
         # Upper bound: every level-1 cluster contributes one square
-        # block, every cluster adjacency (per level with fixing) one
-        # cross block.  Any re-slicing would push the count past this.
+        # block (built in the wave tasks), every cluster adjacency (per
+        # level with fixing) one cross block.  Any re-slicing would push
+        # the count past this.
         level1 = hierarchy.levels[1]
         n_square = sum(
             1 for node in range(level1.n_nodes)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro.macro.batch as batch
-from repro.clustering.cache import DEFAULT_CACHE_BUDGET, SubmatrixCache
+from repro.clustering.cache import SubmatrixCache
 from repro.core.config import EngineConfig, TAXIConfig
 from repro.core.solver import TAXISolver, solve_taxi_replicas
 from repro.devices.variation import DeviceVariation
@@ -225,7 +225,7 @@ class TestEngineBitIdentity:
 
 
 class TestFoldResources:
-    def test_fold_cache_is_budgeted(self, monkeypatch):
+    def test_fold_cache_retains_no_blocks(self, monkeypatch):
         built = []
         init = SubmatrixCache.__init__
 
@@ -239,8 +239,8 @@ class TestFoldResources:
         run_batch(job)
         assert built
         for cache in built:
-            assert cache.budget_bytes == DEFAULT_CACHE_BUDGET
             assert not cache.retain_cross_blocks
+            assert not cache._cross
 
     def test_fold_honours_taxi_workers(self, monkeypatch):
         executors = []

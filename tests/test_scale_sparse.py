@@ -2,9 +2,8 @@
 
 These tests pin the contract that lets ``repro solve clustered:100000:7``
 run end-to-end without an (n, n) allocation: lazy distance slices are
-IEEE-identical to full-matrix values on every metric, the budgeted
-submatrix cache evicts-and-recomputes losslessly, candidate lists travel
-through the shared-memory arena, oversized full-matrix requests are
+IEEE-identical to full-matrix values on every metric, candidate lists
+travel through the shared-memory arena, oversized full-matrix requests are
 routed to sparse solvers with a clear error, and a sparse batch solve is
 bit-identical whatever the worker count.
 """
@@ -12,7 +11,6 @@ bit-identical whatever the worker count.
 import numpy as np
 import pytest
 
-from repro.clustering.cache import SubmatrixCache
 from repro.errors import ConfigError
 from repro.tsp.generators import clustered_instance, uniform_instance
 from repro.tsp.instance import EdgeWeightType, TSPInstance
@@ -92,63 +90,6 @@ class TestLazyDistanceParity:
         np.testing.assert_array_equal(
             inst.distance_submatrix(idx), full[np.ix_(idx, idx)]
         )
-
-
-class TestBudgetedCache:
-    def test_unbudgeted_retains_everything(self):
-        inst = uniform_instance(100, seed=0)
-        cache = SubmatrixCache(inst)
-        for c in range(6):
-            cache.submatrix(c, np.arange(c * 10, c * 10 + 10))
-        assert cache.evictions == 0
-        assert cache.held_bytes == 6 * 10 * 10 * 8
-
-    def test_budget_bounds_held_bytes(self):
-        inst = uniform_instance(200, seed=1)
-        budget = 3 * 20 * 20 * 8  # room for three 20x20 float64 blocks
-        cache = SubmatrixCache(inst, budget_bytes=budget)
-        for c in range(8):
-            cache.submatrix(c, np.arange(c * 20, c * 20 + 20))
-        assert cache.held_bytes <= budget
-        assert cache.evictions == 8 - 3
-
-    def test_eviction_is_lossless(self):
-        inst = uniform_instance(200, seed=2)
-        cache = SubmatrixCache(inst, budget_bytes=2 * 20 * 20 * 8)
-        idx = np.arange(0, 20)
-        first = cache.submatrix("a", idx).copy()
-        for c in range(5):  # push "a" out of the budget
-            cache.submatrix(c, np.arange(c * 20 + 20, c * 20 + 40))
-        recomputed = cache.submatrix("a", idx)
-        assert cache.misses >= 7  # "a" was truly evicted and re-sliced
-        np.testing.assert_array_equal(recomputed, first)
-        np.testing.assert_array_equal(
-            recomputed, inst.distance_submatrix(idx)
-        )
-
-    def test_oversized_block_is_uncached(self):
-        inst = uniform_instance(100, seed=3)
-        cache = SubmatrixCache(inst, budget_bytes=100)  # < any block here
-        block = cache.submatrix("big", np.arange(50))
-        assert block.shape == (50, 50)
-        assert cache.held_bytes == 0
-        # Second request recomputes instead of hitting.
-        cache.submatrix("big", np.arange(50))
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_budgeted_blocks_stay_readonly(self):
-        inst = uniform_instance(60, seed=4)
-        cache = SubmatrixCache(inst, budget_bytes=1 << 20)
-        block = cache.submatrix("ro", np.arange(10))
-        with pytest.raises(ValueError):
-            block[0, 0] = -1.0
-
-    def test_clear_resets_budget_accounting(self):
-        inst = uniform_instance(60, seed=5)
-        cache = SubmatrixCache(inst, budget_bytes=1 << 20)
-        cache.submatrix("x", np.arange(12))
-        cache.clear()
-        assert cache.held_bytes == 0
 
 
 class TestArenaCandidates:

@@ -10,7 +10,9 @@ imported.  The pool's worker initializer then:
   shard leaves no pool workers behind.
 
 Both hold for the workers forked at start and for those forked on a
-respawn, from a process with live threads.
+respawn, from a process with live threads.  And the shared-memory
+blocks a SIGKILLed service published are reclaimed by the next service
+that starts.
 """
 
 import multiprocessing
@@ -23,6 +25,7 @@ import time
 import pytest
 
 from repro.core.config import ServiceConfig
+from repro.engine.arena import BLOCK_PREFIX, SHM_DIR
 from repro.engine.wavefront import WavefrontPool
 from repro.service.faults import FaultInjector
 from repro.service.queue import SolveRequest, SolveService
@@ -54,6 +57,24 @@ def _hold_prestarted_pool(conn) -> None:
     pool.prestart()
     conn.send(pool.worker_pids())
     time.sleep(120)
+
+
+def _serve_and_publish(conn) -> None:
+    service = SolveService(ServiceConfig(workers=2))
+    service.start()
+    job = service.solve(SolveRequest.create(
+        "uniform:24:3", solver="taxi", params={"sweeps": 10}, seed=1,
+    ), timeout=120)
+    conn.send((job.status, service.arena.stats()["blocks"]))
+    time.sleep(120)
+
+
+def _blocks_of(pid: int) -> list[str]:
+    """The arena blocks in ``/dev/shm`` whose owner is ``pid``."""
+    return sorted(
+        name for name in os.listdir(SHM_DIR)
+        if name.startswith(f"{BLOCK_PREFIX}{pid}_")
+    )
 
 
 def _spawn(target):
@@ -260,3 +281,28 @@ class TestShardWorkers:
             assert after["cached"] is False  # solved again on the new shard
             assert after["result"]["tour_hash"] == before["result"]["tour_hash"]
             assert len(_children(fleet._procs[0].pid)) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir(SHM_DIR), reason="needs /dev/shm")
+class TestArenaOrphans:
+    def test_fresh_service_reclaims_a_killed_owners_blocks(self):
+        process, conn = _spawn(_serve_and_publish)
+        owned = []
+        try:
+            assert conn.poll(120), "the service sent no result"
+            status, blocks = conn.recv()
+            assert status == "done" and blocks >= 1
+            owned = _blocks_of(process.pid)
+            assert len(owned) == blocks
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(10)
+            assert _blocks_of(process.pid) == owned  # nobody unlinked them
+            service = SolveService(ServiceConfig(workers=2))
+            try:
+                assert _blocks_of(process.pid) == []
+            finally:
+                service.stop()
+        finally:
+            _reap(process)
+            for name in _blocks_of(process.pid):
+                os.unlink(os.path.join(SHM_DIR, name))
